@@ -37,17 +37,34 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+PERTURB_PRESETS = {"default": PerturbationConfig,
+                   "moderate": PerturbationConfig.moderate,
+                   "none": PerturbationConfig.none}
+
 
 def _parse_seeds(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.replace(",", " ").split()]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(x) for x in text.replace(",", " ").split()]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise ConfigError(f"--seeds '{text}' selects no seed; "
+                          "expected LO..HI with LO <= HI or a list of integers")
+    return seeds
 
 
 def _load_experiment(args) -> ExperimentConfig:
     config = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = dict(kv.split("=", 1) for kv in (args.set or []))
+    overrides = {}
+    for kv in args.set or []:
+        key, eq, raw = kv.partition("=")
+        if not eq:
+            raise ConfigError(f"config key '{key}': --set expects KEY=VALUE")
+        overrides[key] = raw
     if getattr(args, "arm", None):
         overrides["arm"] = args.arm
     if getattr(args, "seed", None) is not None:
@@ -75,9 +92,9 @@ def cmd_gen_data(args) -> int:
     specs = default_shape_specs()[: args.classes]
     if len(specs) < args.classes:
         raise ConfigError(f"at most {len(default_shape_specs())} classes available")
-    perturb = PerturbationConfig.none() if args.no_perturb else PerturbationConfig()
     split = build_dataset(specs, args.train, args.test, args.seed,
-                          perturb, n_points=args.points)
+                          PERTURB_PRESETS[args.perturb](), n_points=args.points)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     train_path, test_path = write_dataset(split, args.out)
     print(f"wrote {len(split.train)} train samples to {train_path}")
     print(f"wrote {len(split.test)} test samples to {test_path}")
@@ -100,8 +117,8 @@ def cmd_train(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _load_experiment(args)
-    dataset = read_dataset(config.data)
     seeds = _parse_seeds(args.seeds)
+    dataset = read_dataset(config.data)
     progress = (lambda row: print(
         f"{row['variant']} seed {row['seed']}: "
         f"overall_acc={row['overall_acc']:.4f}")) if not args.quiet else None
@@ -160,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", type=int, default=20, help="samples per class")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--points", type=int, default=256)
-    p.add_argument("--no-perturb", action="store_true")
+    p.add_argument("--perturb", choices=PERTURB_PRESETS, default="default",
+                   help="perturbation preset")
     p.add_argument("--out", required=True, help="base path for the file pair")
     p.set_defaults(func=cmd_gen_data)
 

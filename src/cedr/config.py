@@ -24,8 +24,6 @@ class ExperimentConfig:
     cpcm_method: str = "all_pairs"      # all_pairs | nearest_only
     center_scope: str = "batch"         # batch | running
     fuse_renormalize: bool = True
-    nce_prob_scaling: bool = False
-    debug_unit_weights: bool = False
     # training recipe (desk-scale defaults; paper-scale reachable by config)
     batch_size: int = 32
     epochs: int = 60
@@ -61,6 +59,9 @@ class ExperimentConfig:
             raise ConfigError("batch size must be at least 2")
         if self.epochs < 0:
             raise ConfigError("epochs must be nonnegative")
+        if not self.hidden_dims or min(self.hidden_dims) <= 0:
+            raise ConfigError("hidden_dims must list one or more positive widths, "
+                              f"got {self.hidden_dims}")
         return self
 
     def lam_at(self, epoch: int) -> float:
@@ -100,7 +101,11 @@ def apply_overrides(config: ExperimentConfig, pairs: dict[str, str]) -> Experime
         kind = types[name]
         if isinstance(kind, str):
             kind = pythonic.get(kind, str)
-        setattr(config, name, _coerce(raw, kind))
+        try:
+            value = _coerce(raw, kind)
+        except ValueError as exc:
+            raise ConfigError(f"config key '{key}': {exc}") from None
+        setattr(config, name, value)
     return config
 
 

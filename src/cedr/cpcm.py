@@ -21,7 +21,6 @@ NEAREST_MARGIN = 0.8  # required gap between nearest and second-nearest class
 class ClassCenters:
     centers: np.ndarray   # n_classes x D; rows undefined where mask is False
     mask: np.ndarray      # n_classes bools: class has samples in scope
-    scope: str = "batch"
 
 
 @dataclass
@@ -72,7 +71,7 @@ class RunningCenters:
             else:
                 self.centers[c] = batch.centers[c]
                 self.mask[c] = True
-        return ClassCenters(self.centers.copy(), self.mask.copy(), scope="running-epoch")
+        return ClassCenters(self.centers.copy(), self.mask.copy())
 
 
 def cpcm_weight(dist: float) -> float:
@@ -128,4 +127,4 @@ def cpcm_negative_weights(labels: np.ndarray, pair_weights: ClassPairWeights,
     same = labels[:, None] == labels[None, :]
     w_neg = np.where(same, 1.0, w_neg)
     b = len(labels)
-    return PairWeightMatrix(np.ones((b, b)), w_neg, source="cpcm")
+    return PairWeightMatrix(np.ones((b, b)), w_neg)

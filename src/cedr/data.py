@@ -46,6 +46,13 @@ class PerturbationConfig:
                    scale_range=(1.0, 1.0), clutter_fraction=0.0,
                    occlusion_radius_frac=0.0)
 
+    @classmethod
+    def moderate(cls) -> "PerturbationConfig":
+        """Milder placement noise: the residual confusion then sits on the
+        designed confusable pairs, where the mining mechanisms operate."""
+        return cls(translate_frac=0.3, clutter_fraction=0.05,
+                   occlusion_radius_frac=0.1)
+
 
 @dataclass
 class PerturbationRecord:

@@ -118,7 +118,7 @@ def eaa_pair_weights(weights: SampleWeights, labels: np.ndarray) -> PairWeightMa
     ai = a[:, None]
     aj = a[None, :]
     w = np.where((ai >= 1) & (aj >= 1), np.maximum(ai, aj), np.minimum(ai, aj))
-    return PairWeightMatrix(w.copy(), w.copy(), source="eaa")
+    return PairWeightMatrix(w.copy(), w.copy())
 
 
 def fuse_weights(cpcm: PairWeightMatrix, eaa: PairWeightMatrix,
@@ -135,4 +135,4 @@ def fuse_weights(cpcm: PairWeightMatrix, eaa: PairWeightMatrix,
     w_neg = np.sqrt(cpcm.w_neg**2 + eaa.w_neg**2)
     if renormalize:
         w_neg = w_neg / np.sqrt(2.0)
-    return PairWeightMatrix(eaa.w_pos.copy(), w_neg, source="fused")
+    return PairWeightMatrix(eaa.w_pos.copy(), w_neg)

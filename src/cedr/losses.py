@@ -40,12 +40,11 @@ class PairWeightMatrix:
 
     w_pos: np.ndarray   # batch x batch
     w_neg: np.ndarray   # batch x batch
-    source: str = "unit"
 
     @classmethod
     def unit(cls, batch_size: int) -> "PairWeightMatrix":
         return cls(np.ones((batch_size, batch_size)),
-                   np.ones((batch_size, batch_size)), source="unit")
+                   np.ones((batch_size, batch_size)))
 
 
 @dataclass
@@ -75,20 +74,7 @@ class InfoNCEResult:
 
 @dataclass
 class LossBreakdown:
-    ce: Tensor
-    nce: Tensor
-    lam: float
-    total: Tensor
-    per_anchor: np.ndarray
-    skipped_anchors: int
-
-    def as_floats(self) -> dict[str, float]:
-        return {
-            "ce": float(self.ce.values),
-            "nce": float(self.nce.values),
-            "lambda": self.lam,
-            "total": float(self.total.values),
-        }
+    total: Tensor               # scalar, ce + lambda * nce
 
 
 def cross_entropy(probs: Tensor, labels) -> Tensor:
@@ -113,13 +99,10 @@ def pair_masks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (same & ~eye).astype(np.float64), (~same).astype(np.float64)
 
 
-def supervised_infonce(batch: ContrastiveBatch, weights=None,
-                       prob_scale: np.ndarray | None = None) -> InfoNCEResult:
+def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     """Weighted supervised InfoNCE over a batch.
 
     weights: optional PairWeightMatrix (see .eaa); absent entries default to 1.
-    prob_scale: optional per-anchor constants multiplying each anchor's loss
-    (the probability-scaled variant; off by default in training configs).
     """
     z = batch.embeddings
     labels = batch.labels
@@ -157,8 +140,6 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None,
 
     anchor_scale = np.where(valid, 1.0 / np.maximum(n_pos, 1), 0.0)
     per_anchor = pair_loss.sum(axis=1) * constant(anchor_scale)
-    if prob_scale is not None:
-        per_anchor = per_anchor * constant(np.asarray(prob_scale, float))
     mean = per_anchor.sum() * (1.0 / valid.sum())
     return InfoNCEResult(
         mean=mean,
@@ -171,12 +152,4 @@ def joint_loss(ce: Tensor, nce: InfoNCEResult, lam: float) -> LossBreakdown:
     """total = ce + lambda * nce."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    total = ce + nce.mean * lam
-    return LossBreakdown(
-        ce=ce,
-        nce=nce.mean,
-        lam=lam,
-        total=total,
-        per_anchor=nce.per_anchor,
-        skipped_anchors=nce.skipped_anchors,
-    )
+    return LossBreakdown(total=ce + nce.mean * lam)

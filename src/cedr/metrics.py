@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cpcm import class_pair_weights, compute_centers
 from .eaa import classify_samples, shannon_entropy
 
 ENTROPY_BINS = 20
@@ -89,15 +90,9 @@ def center_distance_report(embeddings: np.ndarray, labels: np.ndarray,
                            num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise Euclidean distances between class-mean embeddings and the
     per-class row sums. Classes with no samples get nan rows."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
-    centers = np.full((num_classes, embeddings.shape[1]), np.nan)
-    for c in range(num_classes):
-        rows = labels == c
-        if rows.any():
-            centers[c] = embeddings[rows].mean(axis=0)
-    diff = centers[:, None, :] - centers[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    centers = compute_centers(embeddings, labels, num_classes)
+    centers.centers[~centers.mask] = np.nan
+    dist = class_pair_weights(centers).dist
     return dist, np.nansum(dist, axis=1)
 
 

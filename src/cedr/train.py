@@ -5,12 +5,12 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import cpcm, eaa
-from .autodiff import backward, constant
+from .autodiff import backward
 from .checkpoint import save_checkpoint
 from .config import ARMS, ExperimentConfig
 from .data import DatasetSplit, stack_points
@@ -77,7 +77,7 @@ def batch_weights(config: ExperimentConfig, probs: np.ndarray,
                   centers_tracker=None) -> PairWeightMatrix | None:
     """Assemble the pair weights for the configured arm. All inputs are
     plain arrays from the current forward pass; nothing here is on the tape."""
-    if config.arm in ("ce_only", "scc") or config.debug_unit_weights:
+    if config.arm in ("ce_only", "scc"):
         return None
 
     cpcm_w = None
@@ -146,19 +146,14 @@ def train(config: ExperimentConfig, dataset: DatasetSplit,
             labels = train_labels[idx]
             out = model.encode(train_pts[idx])
             ce = cross_entropy(out.probs, labels)
-            weights = None
+            total, weights, nce = ce, None, None
             if config.arm != "ce_only":
                 weights = batch_weights(config, out.probs.values,
                                         out.embeddings.values, labels, tracker)
                 nce = supervised_infonce(
                     ContrastiveBatch(out.embeddings, labels, config.temperature),
-                    weights,
-                    prob_scale=(out.probs.values[np.arange(len(idx)), labels]
-                                if config.nce_prob_scaling else None))
-                lb = joint_loss(ce, nce, lam)
-            else:
-                lb = joint_loss(ce, supervised_infonce_zero(len(idx)), 0.0)
-            total = lb.total
+                    weights)
+                total = joint_loss(ce, nce, lam).total
             if not np.isfinite(total.values):
                 dump = None
                 if weights is not None:
@@ -170,10 +165,11 @@ def train(config: ExperimentConfig, dataset: DatasetSplit,
             opt.zero_grad()
             backward(total)
             opt.step()
-            sums["ce"] += float(lb.ce.values)
-            sums["nce"] += float(lb.nce.values)
+            sums["ce"] += float(ce.values)
             sums["total"] += float(total.values)
-            skipped += lb.skipped_anchors
+            if nce is not None:
+                sums["nce"] += float(nce.mean.values)
+                skipped += nce.skipped_anchors
             n_batches += 1
 
         report = evaluate_model(model, dataset.test)
@@ -192,14 +188,6 @@ def train(config: ExperimentConfig, dataset: DatasetSplit,
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, model.params)
     return record, model
-
-
-def supervised_infonce_zero(batch_size: int):
-    """Placeholder contrastive result for the cross-entropy-only arm."""
-    from .losses import InfoNCEResult
-
-    return InfoNCEResult(mean=constant(0.0), per_anchor=np.zeros(batch_size),
-                         skipped_anchors=0)
 
 
 @dataclass
@@ -237,54 +225,48 @@ class AblationResult:
         return float(np.mean(vals))
 
 
+def _run_variants(variants, dataset: DatasetSplit, progress) -> AblationResult:
+    """Train each (label, config) pair in order; one result row per pair."""
+    rows = []
+    for label, config in variants:
+        record, model = train(config, dataset)
+        rows.append({
+            "variant": label, "seed": config.seed,
+            "overall_acc": record.final["overall_acc"],
+            "avg_class_acc": record.final["avg_class_acc"],
+            "record": record, "model": model,
+        })
+        if progress:
+            progress(rows[-1])
+    return AblationResult(rows)
+
+
 def run_ablation(base: ExperimentConfig, dataset: DatasetSplit,
                  seeds=(0, 1, 2, 3, 4), arms=ARMS,
                  progress=None) -> AblationResult:
     """Train every arm on every seed with otherwise shared config."""
-    rows = []
-    for arm in arms:
-        for seed in seeds:
-            config = ExperimentConfig(**{**asdict(base), "arm": arm, "seed": seed})
-            record, model = train(config, dataset)
-            rows.append({
-                "variant": arm, "seed": seed,
-                "overall_acc": record.final["overall_acc"],
-                "avg_class_acc": record.final["avg_class_acc"],
-                "record": record, "model": model,
-            })
-            if progress:
-                progress(rows[-1])
-    return AblationResult(rows)
+    return _run_variants([(arm, replace(base, arm=arm, seed=seed))
+                          for arm in arms for seed in seeds], dataset, progress)
 
 
 LAMBDA_GRID = (0.05, 0.1, 0.2, 0.3, "linear:0.1:0.2")
+
+
+def _lambda_variant(base: ExperimentConfig, setting):
+    """A grid entry is a constant coefficient or 'linear:START:END'."""
+    if isinstance(setting, str):
+        _, start, end = setting.split(":")
+        return f"linear_{start}_{end}", replace(
+            base, lambda_schedule="linear", lam=float(start), lambda_end=float(end))
+    return f"constant_{setting}", replace(
+        base, lambda_schedule="constant", lam=float(setting))
 
 
 def run_lambda_grid(base: ExperimentConfig, dataset: DatasetSplit,
                     seeds=(0, 1, 2, 3, 4), grid=LAMBDA_GRID,
                     progress=None) -> AblationResult:
     """Balance-coefficient study over the contrastive arm."""
-    rows = []
-    for setting in grid:
-        for seed in seeds:
-            config = ExperimentConfig(**{**asdict(base), "seed": seed})
-            if isinstance(setting, str):
-                _, start, end = setting.split(":")
-                config.lambda_schedule = "linear"
-                config.lam = float(start)
-                config.lambda_end = float(end)
-                label = f"linear_{start}_{end}"
-            else:
-                config.lambda_schedule = "constant"
-                config.lam = float(setting)
-                label = f"constant_{setting}"
-            record, model = train(config, dataset)
-            rows.append({
-                "variant": label, "seed": seed,
-                "overall_acc": record.final["overall_acc"],
-                "avg_class_acc": record.final["avg_class_acc"],
-                "record": record, "model": model,
-            })
-            if progress:
-                progress(rows[-1])
-    return AblationResult(rows)
+    settings = [_lambda_variant(base, setting) for setting in grid]
+    return _run_variants([(label, replace(config, seed=seed))
+                          for label, config in settings for seed in seeds],
+                         dataset, progress)

@@ -5,6 +5,12 @@ import numpy as np
 import pytest
 
 from cedr.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from cedr.data import (
+    PerturbationConfig,
+    build_dataset,
+    default_shape_specs,
+    write_dataset,
+)
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +35,13 @@ def trained(data_base, tmp_path_factory):
 
 
 class TestGenData:
-    def test_writes_both_splits(self, data_base):
-        assert data_base.with_suffix(".train.cpcd").exists()
-        assert data_base.with_suffix(".test.cpcd").exists()
+    def test_writes_both_splits(self, data_base, tmp_path):
+        nested = tmp_path / "absent" / "dir" / "toy"
+        assert main(["gen-data", "--train", "2", "--test", "2", "--points", "32",
+                     "--out", str(nested)]) == EXIT_OK
+        for base in (data_base, nested):
+            assert base.with_suffix(".train.cpcd").exists()
+            assert base.with_suffix(".test.cpcd").exists()
 
     def test_deterministic_bytes(self, data_base, tmp_path):
         other = tmp_path / "again"
@@ -39,6 +49,21 @@ class TestGenData:
               "--seed", "5", "--points", "64", "--out", str(other)])
         assert (other.with_suffix(".train.cpcd").read_bytes()
                 == data_base.with_suffix(".train.cpcd").read_bytes())
+        presets = {
+            "moderate": PerturbationConfig(translate_frac=0.3, clutter_fraction=0.05,
+                                           occlusion_radius_frac=0.1),
+            "none": PerturbationConfig.none(),
+        }
+        for name, perturb in presets.items():
+            out, ref = tmp_path / name, tmp_path / f"{name}_ref"
+            assert main(["gen-data", "--classes", "8", "--train", "6", "--test", "4",
+                         "--seed", "5", "--points", "64", "--perturb", name,
+                         "--out", str(out)]) == EXIT_OK
+            write_dataset(build_dataset(default_shape_specs(), 6, 4, 5, perturb,
+                                        n_points=64), ref)
+            for suffix in (".train.cpcd", ".test.cpcd"):
+                assert (out.with_suffix(suffix).read_bytes()
+                        == ref.with_suffix(suffix).read_bytes())
 
     def test_too_many_classes_is_config_error(self, tmp_path, capsys):
         code = main(["gen-data", "--classes", "99", "--out",
@@ -151,3 +176,20 @@ class TestAblateCommand:
         assert [r[0] for r in rows[1:]] == [
             "constant_0.05", "constant_0.1", "constant_0.2", "constant_0.3",
             "linear_0.1_0.2"]
+
+    @pytest.mark.parametrize("args, message", [
+        (["--seeds", "3..1"], "selects no seed"),
+        (["--seeds", "0..x"], "selects no seed"),
+        (["--set", "epochs"], "'epochs'"),
+        (["--set", "epochs=abc"], "'epochs'"),
+        (["--set", "hidden_dims="], "hidden_dims"),
+        (["--set", "hidden_dims=0"], "hidden_dims"),
+    ])
+    def test_bad_inputs_are_config_errors(self, data_base, tmp_path, capsys,
+                                          args, message):
+        out = tmp_path / "ablation.csv"
+        code = main(["ablate", "--set", f"data={data_base}", "--out", str(out),
+                     "--quiet", *args])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()

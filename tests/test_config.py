@@ -41,6 +41,12 @@ class TestValidate:
             with pytest.raises(ConfigError):
                 ExperimentConfig(**{key: value}).validate()
 
+    @pytest.mark.parametrize("raw", ["", "0", "16 -4"])
+    def test_bad_hidden_dims(self, raw):
+        config = apply_overrides(ExperimentConfig(), {"hidden_dims": raw})
+        with pytest.raises(ConfigError, match="hidden_dims"):
+            config.validate()
+
 
 class TestLambdaSchedule:
     def test_constant(self):
@@ -90,6 +96,12 @@ class TestOverrides:
     def test_bad_bool(self):
         with pytest.raises(ConfigError, match="boolean"):
             apply_overrides(ExperimentConfig(), {"fuse_renormalize": "maybe"})
+
+    @pytest.mark.parametrize("key, raw", [("epochs", "abc"), ("lambda", "x"),
+                                          ("hidden_dims", "8 y")])
+    def test_bad_number_names_key(self, key, raw):
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+            apply_overrides(ExperimentConfig(), {key: raw})
 
 
 class TestFiles:

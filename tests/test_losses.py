@@ -172,15 +172,6 @@ class TestInfoNCE:
         fd = fd_gradient(value, z.copy())
         assert max_rel_err(leaf.grad, fd) < 1e-4
 
-    def test_prob_scaled_variant(self):
-        rng = np.random.default_rng(7)
-        z = unit_embeddings(rng, 4, 3)
-        labels = np.array([0, 0, 1, 1])
-        scale = np.array([0.2, 0.4, 1.0, 0.5])
-        plain = supervised_infonce(ContrastiveBatch(z, labels))
-        scaled = supervised_infonce(ContrastiveBatch(z, labels), prob_scale=scale)
-        assert np.allclose(scaled.per_anchor, plain.per_anchor * scale, atol=1e-12)
-
 
 class TestJointLoss:
     def test_arithmetic(self):

@@ -46,19 +46,6 @@ class TestTrainLoop:
         b, _ = train(small_config(seed=1), tiny_dataset)
         assert a.canonical_json() != b.canonical_json()
 
-    def test_unit_weight_debug_collapses_contrastive_arms(self, tiny_dataset):
-        records = {}
-        for arm in ("scc", "scc_cpcm", "scc_eaa", "full"):
-            record, _ = train(small_config(arm=arm, debug_unit_weights=True),
-                              tiny_dataset)
-            # the arm name is recorded in the config; compare trajectories
-            # only, skipping the pre-training record whose losses are nan
-            records[arm] = [(e.ce, e.nce, e.total, e.overall_acc)
-                            for e in record.epochs[1:]]
-        base = records["scc"]
-        for arm in ("scc_cpcm", "scc_eaa", "full"):
-            assert records[arm] == base
-
     def test_lambda_zero_matches_ce_only_trajectory(self, tiny_dataset):
         ce, _ = train(small_config(arm="ce_only", epochs=3), tiny_dataset)
         scc, _ = train(small_config(arm="scc", lam=0.0, epochs=3), tiny_dataset)
@@ -110,11 +97,6 @@ class TestBatchWeights:
         probs, z, labels = self.setup_batch()
         for arm in ("ce_only", "scc"):
             assert batch_weights(small_config(arm=arm), probs, z, labels) is None
-
-    def test_debug_flag_disables_weights_everywhere(self):
-        probs, z, labels = self.setup_batch()
-        config = small_config(arm="full", debug_unit_weights=True)
-        assert batch_weights(config, probs, z, labels) is None
 
     def test_cpcm_arm_leaves_positive_pairs_alone(self):
         probs, z, labels = self.setup_batch()
