@@ -32,15 +32,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """Node in the recorded graph. Leaf tensors own their grad buffers."""
+    """Node in the recorded graph. Only leaves (nodes without parents) own a
+    grad buffer; an intermediate's grad is None, and its gradient lives only
+    in the side table of `backward`."""
 
     __slots__ = ("values", "grad", "parents", "_backward", "op")
 
-    def __init__(self, values, parents=(), backward=None, op="leaf"):
+    def __init__(self, values, parents=(), op="leaf"):
         self.values = _as_array(values)
-        self.grad = np.zeros_like(self.values)
         self.parents = tuple(parents)
-        self._backward = backward
+        self.grad = None if self.parents else np.zeros_like(self.values)
+        self._backward = None
         self.op = op
 
     @property
@@ -143,15 +145,13 @@ class Tensor:
         return out
 
     def clamp_min(self, floor: float):
-        mask = self.values >= floor
         out = Tensor(np.maximum(self.values, floor), (self,), op="clamp_min")
-        out._backward = lambda g: (g * mask,)
+        out._backward = lambda g: (g * (self.values >= floor),)
         return out
 
     def relu(self):
-        mask = self.values > 0
-        out = Tensor(np.where(mask, self.values, 0.0), (self,), op="relu")
-        out._backward = lambda g: (g * mask,)
+        out = Tensor(np.maximum(self.values, 0.0), (self,), op="relu")
+        out._backward = lambda g: (g * (self.values > 0),)
         return out
 
     def sum(self, axis=None, keepdims=False):
@@ -172,17 +172,12 @@ class Tensor:
 
     def max(self, axis: int):
         """Max-reduce one axis; ties route gradient to the first maximum."""
-        idx = np.argmax(self.values, axis=axis)
-        out_vals = np.take_along_axis(
-            self.values, np.expand_dims(idx, axis), axis=axis
-        ).squeeze(axis)
-        out = Tensor(out_vals, (self,), op="max")
+        out = Tensor(self.values.max(axis=axis), (self,), op="max")
 
         def backward(g):
+            idx = np.expand_dims(np.argmax(self.values, axis=axis), axis)
             full = np.zeros(self.shape)
-            np.put_along_axis(
-                full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis
-            )
+            np.put_along_axis(full, idx, np.expand_dims(g, axis), axis=axis)
             return (full,)
 
         out._backward = backward
@@ -250,7 +245,7 @@ def backward(loss: Tensor):
     if not np.isfinite(loss.values):
         raise AutodiffError("backward called on a non-finite loss")
     order = _topo_order(loss)
-    # intermediate grads live in a side table so leaves keep their buffers
+    # intermediate grads live only in this side table; leaves accumulate
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
     for node in reversed(order):
         g = grads.pop(id(node), None)
@@ -258,7 +253,7 @@ def backward(loss: Tensor):
             continue
         if not np.all(np.isfinite(g)):
             raise AutodiffError(f"non-finite gradient at op '{node.op}'")
-        if node._backward is None:
+        if not node.parents:
             node.grad += g.reshape(node.grad.shape)
             continue
         for parent, pg in zip(node.parents, node._backward(g)):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,9 @@ def _parse_seeds(text: str) -> list[int]:
     if not seeds:
         raise ConfigError(f"--seeds '{text}' selects no seed; "
                           "expected LO..HI with LO <= HI or a list of integers")
+    repeated = [s for s, count in Counter(seeds).items() if count > 1]
+    if repeated:
+        raise ConfigError(f"--seeds '{text}' repeats seed {repeated[0]}")
     return seeds
 
 
@@ -183,13 +187,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     for name, fn in (("train", cmd_train), ("ablate", cmd_ablate)):
-        p = sub.add_parser(name)
+        # ablate takes no --seed, which argparse would abbreviate to --seeds
+        p = sub.add_parser(name, allow_abbrev=(name == "train"))
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any config key")
-        p.add_argument("--arm")
-        p.add_argument("--seed", type=int)
-        if name == "ablate":
+        if name == "train":
+            p.add_argument("--arm")
+            p.add_argument("--seed", type=int)
+        else:
             p.add_argument("--seeds", default="0..4")
             p.add_argument("--lambda-grid", action="store_true",
                            help="sweep the balance coefficient instead of arms")

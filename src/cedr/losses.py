@@ -72,11 +72,6 @@ class InfoNCEResult:
     skipped_anchors: int
 
 
-@dataclass
-class LossBreakdown:
-    total: Tensor               # scalar, ce + lambda * nce
-
-
 def cross_entropy(probs: Tensor, labels) -> Tensor:
     """Mean -log p(true class), probability floored at 1e-12."""
     if not isinstance(probs, Tensor):
@@ -148,8 +143,8 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     )
 
 
-def joint_loss(ce: Tensor, nce: InfoNCEResult, lam: float) -> LossBreakdown:
-    """total = ce + lambda * nce."""
+def joint_loss(ce: Tensor, nce: InfoNCEResult, lam: float) -> Tensor:
+    """Scalar total = ce + lambda * nce."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    return LossBreakdown(total=ce + nce.mean * lam)
+    return ce + nce.mean * lam

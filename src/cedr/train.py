@@ -153,7 +153,7 @@ def train(config: ExperimentConfig, dataset: DatasetSplit,
                 nce = supervised_infonce(
                     ContrastiveBatch(out.embeddings, labels, config.temperature),
                     weights)
-                total = joint_loss(ce, nce, lam).total
+                total = joint_loss(ce, nce, lam)
             if not np.isfinite(total.values):
                 dump = None
                 if weights is not None:
@@ -171,6 +171,8 @@ def train(config: ExperimentConfig, dataset: DatasetSplit,
                 sums["nce"] += float(nce.mean.values)
                 skipped += nce.skipped_anchors
             n_batches += 1
+            # free this step's graph before the next batch's forward builds one
+            del out, ce, nce, total
 
         report = evaluate_model(model, dataset.test)
         record.epochs.append(EpochRecord(

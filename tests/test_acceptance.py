@@ -80,7 +80,7 @@ def arm_loss(config, model, pts, labels, weights):
         return ce
     nce = supervised_infonce(
         ContrastiveBatch(out.embeddings, labels, config.temperature), weights)
-    return joint_loss(ce, nce, config.lam).total
+    return joint_loss(ce, nce, config.lam)
 
 
 def test_criterion_1_gradient_suite():

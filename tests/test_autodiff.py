@@ -15,6 +15,7 @@ from cedr.autodiff import (
     max_pool_points,
     softmax_rows,
 )
+from cedr.encoder import EncoderConfig, PointEncoder
 
 from conftest import fd_gradient, max_rel_err
 
@@ -106,6 +107,36 @@ class TestBackward:
     def test_nan_loss_rejected(self):
         with pytest.raises(AutodiffError, match="non-finite"):
             backward(constant(np.nan))
+
+    def test_max_pool_tie_routes_to_first_maximum(self):
+        x = Tensor([[[1.0, 5.0], [3.0, 5.0], [3.0, 2.0]]])
+        backward((max_pool_points(x) * constant([[1.0, 2.0]])).sum())
+        assert np.array_equal(x.grad, [[[0.0, 2.0], [1.0, 0.0], [0.0, 0.0]]])
+
+    def test_relu_gradient_is_zero_at_signed_zeros(self):
+        x = Tensor([0.0, -0.0, -1.0, 1e-300])
+        backward(x.relu().sum())
+        assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 1.0])
+
+    def test_only_leaves_hold_grads(self):
+        model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
+        pts = np.random.default_rng(5).standard_normal((2, 5, 3))
+        out = model.encode(pts)
+        loss = out.logits.sum() + out.embeddings.sum()
+        backward(loss)
+        seen, stack, inner = set(), [loss], 0
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(node.parents)
+            if node.parents:
+                inner += 1
+                assert node.grad is None, node.op
+        assert inner > 0
+        for p in model.params:
+            assert p.grad.shape == p.values.shape, p.name
 
     def test_composed_loss_matches_finite_differences(self):
         rng = np.random.default_rng(4)

@@ -184,6 +184,7 @@ class TestAblateCommand:
         (["--set", "epochs=abc"], "'epochs'"),
         (["--set", "hidden_dims="], "hidden_dims"),
         (["--set", "hidden_dims=0"], "hidden_dims"),
+        (["--seeds", "0,1 1"], "repeats seed 1"),
     ])
     def test_bad_inputs_are_config_errors(self, data_base, tmp_path, capsys,
                                           args, message):
@@ -192,4 +193,16 @@ class TestAblateCommand:
                      "--quiet", *args])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", [["--arm", "scc"], ["--seed", "0"]])
+    def test_train_only_options_rejected(self, data_base, tmp_path, capsys,
+                                         option):
+        # ablate sets arm and seed per run; --seed must not abbreviate --seeds
+        out = tmp_path / "ablation.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--set", f"data={data_base}", "--out", str(out),
+                  "--quiet", *option])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
         assert not out.exists()

@@ -179,16 +179,16 @@ class TestJointLoss:
         from cedr.losses import InfoNCEResult
 
         nce = InfoNCEResult(constant(5.0), np.zeros(2), 0)
-        lb = joint_loss(constant(2.0), nce, 0.1)
-        assert float(lb.total.values) == pytest.approx(2.5, abs=1e-15)
+        total = joint_loss(constant(2.0), nce, 0.1)
+        assert float(total.values) == pytest.approx(2.5, abs=1e-15)
 
     def test_lambda_zero_is_pure_ce(self):
         from cedr.autodiff import constant
         from cedr.losses import InfoNCEResult
 
         nce = InfoNCEResult(constant(3.7), np.zeros(2), 0)
-        lb = joint_loss(constant(1.25), nce, 0.0)
-        assert float(lb.total.values) == 1.25
+        total = joint_loss(constant(1.25), nce, 0.0)
+        assert float(total.values) == 1.25
 
     def test_negative_lambda_rejected(self):
         from cedr.autodiff import constant

@@ -1,10 +1,12 @@
 import csv
+import weakref
 
 import numpy as np
 import pytest
 
 from cedr.checkpoint import load_checkpoint
 from cedr.config import ExperimentConfig
+from cedr.encoder import PointEncoder
 from cedr.train import (
     AblationResult,
     NumericFailure,
@@ -60,6 +62,22 @@ class TestTrainLoop:
         tensors = load_checkpoint(path)
         for p in model.params:
             assert np.array_equal(tensors[p.name], p.values)
+
+    def test_step_graph_freed_before_next_forward(self, tiny_dataset,
+                                                  monkeypatch):
+        # every non-leaf node of a step's graph reaches the input leaf, so a
+        # dead input means nothing holds the previous step's graph any more
+        inputs = []
+        encode = PointEncoder.encode
+
+        def tracked(self, points):
+            assert all(ref() is None for ref in inputs)
+            inputs.append(weakref.ref(points))
+            return encode(self, points)
+
+        monkeypatch.setattr(PointEncoder, "encode", tracked)
+        train(small_config(epochs=2), tiny_dataset)
+        assert len(inputs) > 4
 
     def test_running_center_scope(self, tiny_dataset):
         record, _ = train(small_config(center_scope="running"), tiny_dataset)
