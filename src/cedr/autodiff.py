@@ -32,18 +32,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """Node in the recorded graph. Only leaves (nodes without parents) own a
-    grad buffer; an intermediate's grad is None, and its gradient lives only
-    in the side table of `backward`."""
+    """Node in the recorded graph. `Tensor(x)` is a leaf that owns a grad
+    buffer; `constant(x)`, i.e. `Tensor(x, ())`, is a leaf that owns none. An
+    op result is built from `(parent, vjp)` edges and keeps an edge only when
+    that parent has parents or owns a grad, so a result of constants alone is
+    a constant. `vjps[k]` maps this node's gradient to `parents[k]`'s."""
 
-    __slots__ = ("values", "grad", "parents", "_backward", "op")
+    __slots__ = ("values", "grad", "parents", "vjps", "op")
 
-    def __init__(self, values, parents=(), op="leaf"):
+    def __init__(self, values, edges=None, op="leaf"):
         self.values = _as_array(values)
-        self.parents = tuple(parents)
-        self.grad = None if self.parents else np.zeros_like(self.values)
-        self._backward = None
         self.op = op
+        if edges is None:
+            self.grad, edges = np.zeros_like(self.values), ()
+        else:
+            self.grad = None
+            edges = [(p, f) for p, f in edges if p.parents or p.grad is not None]
+        self.parents = tuple(p for p, _ in edges)
+        self.vjps = tuple(f for _, f in edges)
 
     @property
     def shape(self):
@@ -56,20 +62,14 @@ class Tensor:
 
     def __add__(self, other):
         other = _wrap(other)
-        out = Tensor(self.values + other.values, (self, other), op="add")
-
-        def backward(g):
-            return (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape))
-
-        out._backward = backward
-        return out
+        return Tensor(self.values + other.values,
+                      ((self, lambda g: _unbroadcast(g, self.shape)),
+                       (other, lambda g: _unbroadcast(g, other.shape))), "add")
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.values, (self,), op="neg")
-        out._backward = lambda g: (-g,)
-        return out
+        return Tensor(-self.values, ((self, lambda g: -g),), "neg")
 
     def __sub__(self, other):
         return self + (-_wrap(other))
@@ -79,31 +79,22 @@ class Tensor:
 
     def __mul__(self, other):
         other = _wrap(other)
-        out = Tensor(self.values * other.values, (self, other), op="mul")
-
-        def backward(g):
-            return (
-                _unbroadcast(g * other.values, self.shape),
-                _unbroadcast(g * self.values, other.shape),
-            )
-
-        out._backward = backward
-        return out
+        return Tensor(
+            self.values * other.values,
+            ((self, lambda g: _unbroadcast(g * other.values, self.shape)),
+             (other, lambda g: _unbroadcast(g * self.values, other.shape))),
+            "mul")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _wrap(other)
-        out = Tensor(self.values / other.values, (self, other), op="div")
-
-        def backward(g):
-            return (
-                _unbroadcast(g / other.values, self.shape),
-                _unbroadcast(-g * self.values / other.values**2, other.shape),
-            )
-
-        out._backward = backward
-        return out
+        a, b = self.values, other.values
+        return Tensor(
+            a / b,
+            ((self, lambda g: _unbroadcast(g / b, self.shape)),
+             (other, lambda g: _unbroadcast(-g * a / b**2, other.shape))),
+            "div")
 
     def matmul(self, other):
         other = _wrap(other)
@@ -112,16 +103,13 @@ class Tensor:
             raise AutodiffError(
                 f"matmul shape mismatch: {a.shape} @ {b.shape}"
             )
-        out = Tensor(a @ b, (self, other), op="matmul")
-        out._backward = lambda g: (g @ b.T, a.T @ g)
-        return out
+        return Tensor(a @ b, ((self, lambda g: g @ b.T),
+                              (other, lambda g: a.T @ g)), "matmul")
 
     __matmul__ = matmul
 
     def transpose(self):
-        out = Tensor(self.values.T, (self,), op="transpose")
-        out._backward = lambda g: (g.T,)
-        return out
+        return Tensor(self.values.T, ((self, lambda g: g.T),), "transpose")
 
     @property
     def T(self):
@@ -129,42 +117,33 @@ class Tensor:
 
     def exp(self):
         ev = np.exp(self.values)
-        out = Tensor(ev, (self,), op="exp")
-        out._backward = lambda g: (g * ev,)
-        return out
+        return Tensor(ev, ((self, lambda g: g * ev),), "exp")
 
     def log(self):
-        out = Tensor(np.log(self.values), (self,), op="log")
-        out._backward = lambda g: (g / self.values,)
-        return out
+        return Tensor(np.log(self.values),
+                      ((self, lambda g: g / self.values),), "log")
 
     def sqrt(self):
         sv = np.sqrt(self.values)
-        out = Tensor(sv, (self,), op="sqrt")
-        out._backward = lambda g: (g / (2.0 * sv),)
-        return out
+        return Tensor(sv, ((self, lambda g: g / (2.0 * sv)),), "sqrt")
 
     def clamp_min(self, floor: float):
-        out = Tensor(np.maximum(self.values, floor), (self,), op="clamp_min")
-        out._backward = lambda g: (g * (self.values >= floor),)
-        return out
+        return Tensor(np.maximum(self.values, floor),
+                      ((self, lambda g: g * (self.values >= floor)),), "clamp_min")
 
     def relu(self):
-        out = Tensor(np.maximum(self.values, 0.0), (self,), op="relu")
-        out._backward = lambda g: (g * (self.values > 0),)
-        return out
+        return Tensor(np.maximum(self.values, 0.0),
+                      ((self, lambda g: g * (self.values > 0)),), "relu")
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.values.sum(axis=axis, keepdims=keepdims), (self,), op="sum")
-
-        def backward(g):
+        def vjp(g):
             g = np.asarray(g)
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, self.shape).copy(),)
+            return np.broadcast_to(g, self.shape).copy()
 
-        out._backward = backward
-        return out
+        return Tensor(self.values.sum(axis=axis, keepdims=keepdims),
+                      ((self, vjp),), "sum")
 
     def mean(self, axis=None, keepdims=False):
         n = self.values.size if axis is None else self.values.shape[axis]
@@ -172,44 +151,39 @@ class Tensor:
 
     def max(self, axis: int):
         """Max-reduce one axis; ties route gradient to the first maximum."""
-        out = Tensor(self.values.max(axis=axis), (self,), op="max")
-
-        def backward(g):
+        def vjp(g):
             idx = np.expand_dims(np.argmax(self.values, axis=axis), axis)
             full = np.zeros(self.shape)
             np.put_along_axis(full, idx, np.expand_dims(g, axis), axis=axis)
-            return (full,)
+            return full
 
-        out._backward = backward
-        return out
+        return Tensor(self.values.max(axis=axis), ((self, vjp),), "max")
 
     def reshape(self, *shape):
-        out = Tensor(self.values.reshape(*shape), (self,), op="reshape")
-        out._backward = lambda g: (g.reshape(self.shape),)
-        return out
+        return Tensor(self.values.reshape(*shape),
+                      ((self, lambda g: g.reshape(self.shape)),), "reshape")
 
     def pick(self, rows: np.ndarray, cols: np.ndarray):
         """Gather values[rows[k], cols[k]] into a 1-D tensor."""
         rows = np.asarray(rows)
         cols = np.asarray(cols)
-        out = Tensor(self.values[rows, cols], (self, ), op="pick")
 
-        def backward(g):
+        def vjp(g):
             full = np.zeros(self.shape)
             np.add.at(full, (rows, cols), g)
-            return (full,)
+            return full
 
-        out._backward = backward
-        return out
+        return Tensor(self.values[rows, cols], ((self, vjp),), "pick")
 
 
 def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return x if isinstance(x, Tensor) else constant(x)
 
 
 def constant(x) -> Tensor:
-    """Graph leaf carrying non-trainable data (inputs, stop-gradient weights)."""
-    return Tensor(x)
+    """Leaf carrying non-trainable data (inputs, stop-gradient weights): it
+    owns no grad, and no op records an edge to it."""
+    return Tensor(x, ())
 
 
 class Parameter(Tensor):
@@ -239,13 +213,14 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor):
-    """Backpropagate from a scalar loss, accumulating into leaf grads."""
+    """Backpropagate from a scalar loss, accumulating into the grads of the
+    leaves that own one. A loss built only from constants reaches none."""
     if loss.values.size != 1:
         raise AutodiffError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not np.isfinite(loss.values):
         raise AutodiffError("backward called on a non-finite loss")
     order = _topo_order(loss)
-    # intermediate grads live only in this side table; leaves accumulate
+    # intermediate grads live only in this side table
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
     for node in reversed(order):
         g = grads.pop(id(node), None)
@@ -253,10 +228,10 @@ def backward(loss: Tensor):
             continue
         if not np.all(np.isfinite(g)):
             raise AutodiffError(f"non-finite gradient at op '{node.op}'")
-        if not node.parents:
+        if node.grad is not None:
             node.grad += g.reshape(node.grad.shape)
-            continue
-        for parent, pg in zip(node.parents, node._backward(g)):
+        for parent, vjp in zip(node.parents, node.vjps):
+            pg = vjp(g)
             key = id(parent)
             if key in grads:
                 grads[key] = grads[key] + pg

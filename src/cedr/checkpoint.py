@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Parameter
+from .binio import Reader
 
 MAGIC = b"CEDR"
 VERSION = 1
@@ -39,25 +40,21 @@ def save_checkpoint(path, params: list[Parameter]):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    data = Path(path).read_bytes()
-    if data[:4] != MAGIC:
-        raise CheckpointError(f"bad magic at offset 0: {data[:4]!r}")
-    (version,) = struct.unpack_from("<H", data, 4)
+    r = Reader(Path(path).read_bytes(), CheckpointError)
+    (magic,) = r.fields("4s", "magic")
+    if magic != MAGIC:
+        raise CheckpointError(f"bad magic at offset 0: {magic!r}")
+    (version,) = r.fields("H", "version")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version} at offset 4")
     tensors: dict[str, np.ndarray] = {}
-    off = 6
-    while off < len(data):
-        (name_len,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off:off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<H", data, off)
-        off += 2
-        dims = struct.unpack_from(f"<{ndim}I", data, off)
-        off += 4 * ndim
-        n = int(np.prod(dims)) if ndim else 1
-        vals = np.frombuffer(data, dtype="<f8", count=n, offset=off).reshape(dims)
-        off += 8 * n
-        tensors[name] = vals.astype(np.float64)
+    while not r.at_end:
+        start = r.off
+        (name_len,) = r.fields("H", "tensor name length")
+        name = r.text(name_len, "tensor name")
+        if name in tensors:
+            raise CheckpointError(f"repeated tensor '{name}' at offset {start}")
+        (ndim,) = r.fields("H", f"rank of '{name}'")
+        dims = r.fields(f"{ndim}I", f"shape of '{name}'")
+        tensors[name] = r.array("<f8", dims, f"values of '{name}'")
     return tensors

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import AutodiffError
 from .checkpoint import load_checkpoint
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
 from .data import (
@@ -79,17 +80,35 @@ def _load_experiment(args) -> ExperimentConfig:
 
 def model_from_checkpoint(path) -> PointEncoder:
     tensors = load_checkpoint(path)
+
+    def width(name):
+        shape = tensors[name].shape
+        if len(shape) != 2 or shape[1] < 1:
+            raise ConfigError(f"checkpoint {path}: '{name}' has shape {shape}, "
+                              "expected a matrix with at least one column")
+        return shape[1]
+
     hidden = []
-    i = 0
-    while f"point{i}.w" in tensors:
-        hidden.append(tensors[f"point{i}.w"].shape[1])
-        i += 1
+    while f"point{len(hidden)}.w" in tensors:
+        hidden.append(width(f"point{len(hidden)}.w"))
     if not hidden or "cls.w" not in tensors:
         raise ConfigError(f"checkpoint {path} does not describe an encoder")
-    model = PointEncoder(EncoderConfig(num_classes=tensors["cls.w"].shape[1],
+    model = PointEncoder(EncoderConfig(num_classes=width("cls.w"),
                                        hidden_dims=hidden))
     model.load_state(tensors)
     return model
+
+
+def _encode_test_split(args):
+    """Forward of the --data test split through the --checkpoint model."""
+    model = model_from_checkpoint(args.checkpoint)
+    dataset = read_dataset(args.data)
+    if model.config.num_classes != len(dataset.class_names):
+        raise ConfigError(
+            f"checkpoint {args.checkpoint} has {model.config.num_classes} "
+            f"classes, dataset {args.data} has {len(dataset.class_names)}")
+    pts, labels = stack_points(dataset.test)
+    return model.encode(pts), labels, dataset.class_names
 
 
 def cmd_gen_data(args) -> int:
@@ -138,29 +157,22 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = model_from_checkpoint(args.checkpoint)
-    dataset = read_dataset(args.data)
-    pts, labels = stack_points(dataset.test)
-    report = evaluate(model.encode(pts).probs.values, labels)
+    out, labels, _ = _encode_test_split(args)
+    report = evaluate(out.probs.values, labels)
     for key, value in report.summary().items():
         print(f"{key} = {value:.6f}")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    model = model_from_checkpoint(args.checkpoint)
-    dataset = read_dataset(args.data)
-    pts, labels = stack_points(dataset.test)
-    out = model.encode(pts)
+    out, labels, class_names = _encode_test_split(args)
     probs, emb = out.probs.values, out.embeddings.values
     report = evaluate(probs, labels)
-    dist, _ = center_distance_report(emb, labels, len(dataset.class_names))
+    dist, _ = center_distance_report(emb, labels, len(class_names))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_confusion_csv(out_dir / "confusion.csv", report.confusion,
-                        dataset.class_names)
-    write_center_distance_csv(out_dir / "center_distance.csv", dist,
-                              dataset.class_names)
+    write_confusion_csv(out_dir / "confusion.csv", report.confusion, class_names)
+    write_center_distance_csv(out_dir / "center_distance.csv", dist, class_names)
     write_entropy_csv(out_dir / "entropy.csv", probs, labels)
     export_embeddings(out_dir / "embeddings.csv", emb, probs, labels)
     write_summary_json(out_dir / "summary.json", report)
@@ -223,7 +235,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericFailure, FloatingPointError) as exc:
+    except (NumericFailure, FloatingPointError, AutodiffError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         if getattr(exc, "weight_dump", None):
             np.set_printoptions(precision=6, linewidth=120)

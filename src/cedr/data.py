@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .binio import Reader
+
 MAGIC = b"CPCD"
 VERSION = 1
 SAMPLE_HEADER_BYTES = 2 + 4          # label u16, point count u32
@@ -332,35 +334,29 @@ def write_samples(path, samples: list[PointCloudSample], class_names: list[str])
 
 
 def read_samples(path) -> tuple[list[PointCloudSample], list[str]]:
-    data = Path(path).read_bytes()
-    if data[:4] != MAGIC:
-        raise DatasetFormatError(f"bad magic at offset 0: {data[:4]!r}")
-    version, n_classes = struct.unpack_from("<HH", data, 4)
+    r = Reader(Path(path).read_bytes(), DatasetFormatError)
+    (magic,) = r.fields("4s", "magic")
+    if magic != MAGIC:
+        raise DatasetFormatError(f"bad magic at offset 0: {magic!r}")
+    version, n_classes = r.fields("HH", "header")
     if version != VERSION:
         raise DatasetFormatError(f"unsupported version {version} at offset 4")
-    off = 8
     names = []
     for _ in range(n_classes):
-        (ln,) = struct.unpack_from("<H", data, off)
-        off += 2
-        names.append(data[off:off + ln].decode("utf-8"))
-        off += ln
-    (count,) = struct.unpack_from("<I", data, off)
-    off += 4
+        (ln,) = r.fields("H", "class name length")
+        names.append(r.text(ln, "class name"))
+    (count,) = r.fields("I", "sample count")
     samples = []
     for _ in range(count):
-        if off + SAMPLE_HEADER_BYTES > len(data):
-            raise DatasetFormatError(f"truncated sample header at offset {off}")
-        label, n = struct.unpack_from("<HI", data, off)
-        off += SAMPLE_HEADER_BYTES
-        if off + 12 * n + PERTURB_RECORD_BYTES > len(data):
-            raise DatasetFormatError(f"truncated sample body at offset {off}")
-        pts = np.frombuffer(data, dtype="<f4", count=3 * n, offset=off)
-        pts = pts.reshape(n, 3).astype(np.float64)
-        off += 12 * n
-        rec = PerturbationRecord(*struct.unpack_from("<5f", data, off))
-        off += PERTURB_RECORD_BYTES
+        start = r.off
+        label, n = r.fields("HI", "sample header")
+        if label >= n_classes:
+            raise DatasetFormatError(f"sample label {label} at offset {start} "
+                                     f"is outside the {n_classes}-class table")
+        pts = r.array("<f4", (n, 3), "sample points")
+        rec = PerturbationRecord(*r.fields("5f", "perturbation record"))
         samples.append(PointCloudSample(pts, int(label), rec))
+    r.expect_end()
     return samples, names
 
 
@@ -395,6 +391,10 @@ def file_size_bytes(samples: list[PointCloudSample], class_names: list[str]) -> 
 
 def stack_points(samples: list[PointCloudSample]) -> tuple[np.ndarray, np.ndarray]:
     """(batch, n, 3) points and labels for equally sized samples."""
+    for i, s in enumerate(samples):
+        if len(s.points) != len(samples[0].points):
+            raise ValueError(f"sample {i} has {len(s.points)} points, "
+                             f"sample 0 has {len(samples[0].points)}")
     pts = np.stack([s.points for s in samples])
     labels = np.array([s.label for s in samples], dtype=int)
     return pts, labels

@@ -70,9 +70,19 @@ class PointEncoder:
         return (w, b)
 
     def load_state(self, tensors: dict[str, np.ndarray]):
+        """Copy every parameter from `tensors`. All are checked first, so a
+        missing name, a wrong shape or a non-finite value raises ValueError
+        and leaves the model as it was."""
         for p in self.params:
             if p.name not in tensors:
-                raise KeyError(f"checkpoint is missing parameter '{p.name}'")
+                raise ValueError(f"checkpoint is missing parameter '{p.name}'")
+            if tensors[p.name].shape != p.shape:
+                raise ValueError(f"checkpoint parameter '{p.name}' has shape "
+                                 f"{tensors[p.name].shape}, expected {p.shape}")
+            if not np.all(np.isfinite(tensors[p.name])):
+                raise ValueError(f"checkpoint parameter '{p.name}' has "
+                                 "non-finite values")
+        for p in self.params:
             p.values[...] = tensors[p.name]
 
     def encode(self, points) -> ForwardOutputs:

@@ -16,6 +16,12 @@ from cedr.autodiff import (
     softmax_rows,
 )
 from cedr.encoder import EncoderConfig, PointEncoder
+from cedr.losses import (
+    ContrastiveBatch,
+    PairWeightMatrix,
+    cross_entropy,
+    supervised_infonce,
+)
 
 from conftest import fd_gradient, max_rel_err
 
@@ -165,6 +171,46 @@ class TestBackward:
 
         fd = fd_gradient(lambda v: float(loss_of(v).values), w1.copy())
         assert max_rel_err(w1p.grad, fd) < 1e-4
+
+
+class TestTapeRule:
+    """Constants, and nodes built from constants alone, stay off the tape."""
+
+    def test_constants_never_hold_grads(self):
+        p = Parameter(np.array([1.0, -2.0]), "p")
+        c = constant([3.0, 4.0])
+        folded = (c * 2.0 - constant([1.0, 1.0])).exp()
+        backward((p * folded + c).sum())
+        for node in (c, folded):
+            assert node.grad is None and node.parents == ()
+        assert np.allclose(p.grad, np.exp([5.0, 7.0]), rtol=1e-15)
+
+    def test_loss_graph_reaches_only_leaves_with_grads(self):
+        model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
+        rng = np.random.default_rng(6)
+        labels = np.array([0, 0, 1, 1, 2])
+        out = model.encode(rng.standard_normal((5, 7, 3)))
+        weights = PairWeightMatrix(rng.uniform(0.5, 2.0, (5, 5)),
+                                   rng.uniform(0.5, 2.0, (5, 5)))
+        nce = supervised_infonce(ContrastiveBatch(out.embeddings, labels, 0.5),
+                                 weights)
+        loss = cross_entropy(out.probs, labels) + nce.mean
+        seen, stack, leaves = set(), [loss], []
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node.parents)
+                if not node.parents:
+                    leaves.append(node)
+        assert all(leaf.grad is not None for leaf in leaves)
+        assert {id(leaf) for leaf in leaves} == {id(p) for p in model.params}
+
+    def test_backward_through_constants_only_does_nothing(self):
+        loss = (constant([1.0, 2.0]) * 3.0).sum()
+        assert loss.parents == ()
+        backward(loss)
+        assert loss.grad is None
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,9 +1,14 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cedr.autodiff import Parameter
+from cedr.checkpoint import save_checkpoint
 from cedr.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from cedr.data import (
     PerturbationConfig,
@@ -11,6 +16,7 @@ from cedr.data import (
     default_shape_specs,
     write_dataset,
 )
+from cedr.encoder import EncoderConfig, PointEncoder
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +154,55 @@ class TestEvalAnalyze:
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"),
                      "--data", str(data_base)])
         assert code == EXIT_CONFIG
+
+
+@pytest.fixture(scope="module")
+def small_eval_files(tmp_path_factory):
+    """Bytes of a 3-class dataset pair and a matching untrained checkpoint."""
+    d = tmp_path_factory.mktemp("fuzz")
+    write_dataset(build_dataset(default_shape_specs()[:3], 2, 2, seed=0,
+                                n_points=32), d / "toy")
+    model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
+    save_checkpoint(d / "m.ckpt", model.params)
+    (d / "work").mkdir()
+    names = ("m.ckpt", "toy.train.cpcd", "toy.test.cpcd")
+    return d, {name: (d / name).read_bytes() for name in names}
+
+
+@settings(max_examples=400, deadline=None)
+@given(target=st.sampled_from(["m.ckpt", "toy.train.cpcd", "toy.test.cpcd"]),
+       cut=st.booleans(), where=st.floats(0.0, 1.0, exclude_max=True),
+       mask=st.integers(1, 255))
+def test_eval_survives_corrupt_files(small_eval_files, target, cut, where, mask):
+    """Truncating a file at any offset or flipping any byte of it gives a
+    documented exit code, never an escaping exception."""
+    d, files = small_eval_files
+    for name, data in files.items():
+        if name == target:
+            at = int(where * len(data))
+            data = data[:at] if cut else (
+                data[:at] + bytes([data[at] ^ mask]) + data[at + 1:])
+        (d / "work" / name).write_bytes(data)
+    code = main(["eval", "--checkpoint", str(d / "work" / "m.ckpt"),
+                 "--data", str(d / "work" / "toy")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+
+
+@pytest.mark.parametrize("num_classes, replace, code, match", [
+    (3, {"point0.w": np.zeros(3)}, EXIT_CONFIG, r"'point0.w' has shape \(3,\)"),
+    (2, {}, EXIT_CONFIG, "has 2 classes, dataset"),
+    (3, {"prj.w": np.zeros((6, 6))}, EXIT_NUMERIC, "all-zero row 0"),
+])
+def test_eval_rejects_checkpoint_unfit_for_dataset(small_eval_files, tmp_path, capsys,
+                                                   num_classes, replace, code, match):
+    model = PointEncoder(EncoderConfig(num_classes=num_classes, hidden_dims=[4, 6]))
+    save_checkpoint(tmp_path / "m.ckpt",
+                    [Parameter(replace.get(p.name, p.values), p.name)
+                     for p in model.params])
+    d, _ = small_eval_files
+    assert main(["eval", "--checkpoint", str(tmp_path / "m.ckpt"),
+                 "--data", str(d / "toy")]) == code
+    assert re.search(match, capsys.readouterr().err)
 
 
 class TestAblateCommand:

@@ -5,6 +5,7 @@ from cedr.data import (
     CONFUSABLE_PAIRS,
     DatasetFormatError,
     PerturbationConfig,
+    PointCloudSample,
     ShapeSpec,
     build_dataset,
     default_shape_specs,
@@ -162,6 +163,27 @@ class TestDataset:
         path.write_bytes(data[:len(data) // 2])
         with pytest.raises(DatasetFormatError):
             read_samples(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda b: b[:6], "truncated header at offset 4"),
+        (lambda b: b[:12], "truncated class name length at offset 11"),
+        (lambda b: b[:60], "truncated perturbation record at offset 48"),
+        (lambda b: b + b"xyz", "3 trailing bytes at offset 118"),
+        (lambda b: b[:68] + b"\x02\x00" + b[70:],
+         "sample label 2 at offset 68 is outside the 2-class table"),
+    ])
+    def test_malformed_file_names_the_offset(self, tmp_path, edit, match):
+        path = tmp_path / "small.cpcd"
+        samples = [PointCloudSample(np.ones((2, 3)), label) for label in (0, 1)]
+        write_samples(path, samples, ["a", "b"])
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(DatasetFormatError, match=match):
+            read_samples(path)
+
+    def test_stack_points_names_the_odd_sample(self):
+        samples = [PointCloudSample(np.ones((n, 3)), 0) for n in (2, 2, 3)]
+        with pytest.raises(ValueError, match="sample 2 has 3 points, sample 0 has 2"):
+            stack_points(samples)
 
 
 def test_confusable_pairs_dominate_center_distances():

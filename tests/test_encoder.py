@@ -84,5 +84,19 @@ def test_input_gradient_matches_finite_differences(model):
 
 
 def test_load_state_missing_parameter(model, tmp_path):
-    with pytest.raises(KeyError, match="point0.w"):
+    with pytest.raises(ValueError, match="point0.w"):
         model.load_state({})
+
+
+@pytest.mark.parametrize("value, match", [
+    (np.zeros(1), r"'cls.b' has shape \(1,\), expected \(5,\)"),
+    (np.full(5, np.nan), "'cls.b' has non-finite values"),
+])
+def test_load_state_rejects_bad_tensor(model, value, match):
+    tensors = {p.name: np.ones(p.shape) for p in model.params}
+    tensors["cls.b"] = value
+    before = [p.values.copy() for p in model.params]
+    with pytest.raises(ValueError, match=match):
+        model.load_state(tensors)
+    for p, old in zip(model.params, before):
+        assert np.array_equal(p.values, old), p.name

@@ -96,6 +96,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version 99"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda b: b[:5], "truncated version at offset 4"),
+        (lambda b: b[:9], "truncated tensor name at offset 8"),
+        (lambda b: b[:40], "truncated values of 'a.w' at offset 21"),
+        (lambda b: b + b"\x00", "truncated tensor name length at offset 160"),
+        (lambda b: b[:121] + b"w" + b[122:], "repeated tensor 'a.w' at offset 117"),
+    ])
+    def test_malformed_file_names_the_offset(self, tmp_path, edit, match):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, [Parameter(np.ones((3, 4)), "a.w"),
+                               Parameter(np.ones(4), "a.b")])
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
 
 def test_gradients_reach_optimizer_through_backward():
     p = Parameter(np.array([[2.0]]), "w")
