@@ -131,10 +131,6 @@ class Tensor:
         return Tensor(np.maximum(self.values, floor),
                       ((self, lambda g: g * (self.values >= floor)),), "clamp_min")
 
-    def relu(self):
-        return Tensor(np.maximum(self.values, 0.0),
-                      ((self, lambda g: g * (self.values > 0)),), "relu")
-
     def sum(self, axis=None, keepdims=False):
         def vjp(g):
             g = np.asarray(g)
@@ -242,13 +238,23 @@ def backward(loss: Tensor):
 # -- composite ops ---------------------------------------------------------
 
 
-def dense_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with b broadcast over rows."""
-    if x.shape[-1] != w.shape[0]:
-        raise AutodiffError(
-            f"dense shape mismatch: input {x.shape} vs weight {w.shape}"
-        )
-    return x.matmul(w) + b
+def dense_forward(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """x @ w + b with b broadcast over rows, as one `dense` node whose bias is
+    added in place into the matmul output. With `relu`, a `relu` node clamps
+    that same buffer in place: the dense vjps never read the node's values."""
+    xv, wv = x.values, w.values
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] \
+            or b.shape != wv.shape[1:]:
+        raise AutodiffError(f"dense shape mismatch: input {x.shape}, "
+                            f"weight {w.shape}, bias {b.shape}")
+    out = xv @ wv
+    out += b.values
+    node = Tensor(out, ((x, lambda g: g @ wv.T), (w, lambda g: xv.T @ g),
+                        (b, lambda g: g.sum(axis=0))), "dense")
+    if not relu:
+        return node
+    np.maximum(out, 0.0, out=out)
+    return Tensor(out, ((node, lambda g: g * (out > 0)),), "relu")
 
 
 def softmax_rows(x: Tensor) -> Tensor:

@@ -108,7 +108,17 @@ def _encode_test_split(args):
             f"checkpoint {args.checkpoint} has {model.config.num_classes} "
             f"classes, dataset {args.data} has {len(dataset.class_names)}")
     pts, labels = stack_points(dataset.test)
-    return model.encode(pts), labels, dataset.class_names
+    out = model.encode(pts)
+    # a row whose norm overflowed is normalised to zeros, not to a unit row
+    emb = out.embeddings.values
+    ok = (np.isfinite(out.probs.values).all(axis=1)
+          & np.isclose((emb * emb).sum(axis=1), 1.0))
+    if not ok.all():
+        raise NumericFailure(
+            f"checkpoint {args.checkpoint} overflows on test sample "
+            f"{np.flatnonzero(~ok)[0]} of {args.data}: non-finite "
+            "probabilities or an embedding that is not unit-norm")
+    return out, labels, dataset.class_names
 
 
 def cmd_gen_data(args) -> int:

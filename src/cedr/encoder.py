@@ -95,7 +95,7 @@ class PointEncoder:
             raise ValueError("non-finite point coordinates")
         h = x.reshape(batch * n_points, pdim)
         for w, b in self.point_layers:
-            h = dense_forward(h, w, b).relu()
+            h = dense_forward(h, w, b, relu=True)
         per_point = h.reshape(batch, n_points, self.config.global_dim)
         global_features = max_pool_points(per_point)
         logits = dense_forward(global_features, *self.cls_head)

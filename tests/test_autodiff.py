@@ -60,6 +60,38 @@ class TestDense:
             dense_forward(constant(np.zeros((2, 3))), constant(np.zeros((4, 2))),
                           constant(np.zeros(2)))
 
+    @pytest.mark.parametrize("x_shape, b_shape, named", [
+        ((2, 5, 3), (2,), r"input \(2, 5, 3\)"),  # `@` would batch over axis 0
+        ((2, 3), (1,), r"bias \(1,\)"),           # `+=` would broadcast it
+    ])
+    def test_operand_that_would_broadcast_rejected(self, x_shape, b_shape, named):
+        with pytest.raises(AutodiffError, match=named):
+            dense_forward(constant(np.zeros(x_shape)), constant(np.zeros((3, 2))),
+                          constant(np.zeros(b_shape)))
+
+    def test_fused_relu_matches_finite_differences(self):
+        rng = np.random.default_rng(7)
+        xv = rng.standard_normal((6, 4))
+        wv = rng.standard_normal((4, 3))
+        bv = rng.standard_normal(3)
+        bv[1] = -100.0  # unit 1 is negative on every row
+        up = rng.standard_normal((6, 3))
+
+        def value(xa, wa, ba):
+            out = dense_forward(constant(xa), constant(wa), constant(ba), relu=True)
+            return float((out * constant(up)).sum().values)
+
+        x, w, b = Tensor(xv), Parameter(wv, "w"), Parameter(bv, "b")
+        backward((dense_forward(x, w, b, relu=True) * constant(up)).sum())
+        assert max_rel_err(x.grad, fd_gradient(lambda v: value(v, wv, bv),
+                                                xv.copy())) < 1e-6
+        assert max_rel_err(w.grad, fd_gradient(lambda v: value(xv, v, bv),
+                                                wv.copy())) < 1e-6
+        assert max_rel_err(b.grad, fd_gradient(lambda v: value(xv, wv, v),
+                                                bv.copy())) < 1e-6
+        assert np.array_equal(w.grad[:, 1], np.zeros(4))
+        assert b.grad[1] == 0.0
+
 
 class TestElementwise:
     def test_l2_normalize_345(self):
@@ -80,7 +112,8 @@ class TestElementwise:
         assert np.allclose(out.values.sum(axis=1), 1.0, atol=1e-12)
 
     def test_relu_clamps(self):
-        out = constant([[-1.0, 0.0, 2.0]]).relu()
+        out = dense_forward(constant([[-1.0, 0.0, 2.0]]), constant(np.eye(3)),
+                            constant(np.zeros(3)), relu=True)
         assert np.array_equal(out.values, [[0.0, 0.0, 2.0]])
 
     def test_max_pool_singleton(self):
@@ -120,9 +153,10 @@ class TestBackward:
         assert np.array_equal(x.grad, [[[0.0, 2.0], [1.0, 0.0], [0.0, 0.0]]])
 
     def test_relu_gradient_is_zero_at_signed_zeros(self):
-        x = Tensor([0.0, -0.0, -1.0, 1e-300])
-        backward(x.relu().sum())
-        assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 1.0])
+        x = Tensor([[0.0], [-0.0], [-1.0], [1e-300]])
+        out = dense_forward(x, constant([[1.0]]), constant([0.0]), relu=True)
+        backward(out.sum())
+        assert np.array_equal(x.grad.ravel(), [0.0, 0.0, 0.0, 1.0])
 
     def test_only_leaves_hold_grads(self):
         model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
@@ -153,7 +187,7 @@ class TestBackward:
 
         def loss_of(w1v):
             h = dense_forward(constant(x.reshape(6, 4)), constant(w1v),
-                              constant(b1)).relu()
+                              constant(b1), relu=True)
             pooled = max_pool_points(h.reshape(3, 2, 5))
             z = l2_normalize_rows(pooled.matmul(constant(w2)))
             probs = softmax_rows(z.matmul(z.T))
@@ -161,7 +195,7 @@ class TestBackward:
                      .clamp_min(1e-12).log().mean())
 
         w1p = Parameter(w1, "w1")
-        h = dense_forward(constant(x.reshape(6, 4)), w1p, constant(b1)).relu()
+        h = dense_forward(constant(x.reshape(6, 4)), w1p, constant(b1), relu=True)
         pooled = max_pool_points(h.reshape(3, 2, 5))
         z = l2_normalize_rows(pooled.matmul(constant(w2)))
         probs = softmax_rows(z.matmul(z.T))

@@ -14,6 +14,7 @@ from cedr.data import (
     PerturbationConfig,
     build_dataset,
     default_shape_specs,
+    read_dataset,
     write_dataset,
 )
 from cedr.encoder import EncoderConfig, PointEncoder
@@ -203,6 +204,30 @@ def test_eval_rejects_checkpoint_unfit_for_dataset(small_eval_files, tmp_path, c
     assert main(["eval", "--checkpoint", str(tmp_path / "m.ckpt"),
                  "--data", str(d / "toy")]) == code
     assert re.search(match, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+@pytest.mark.parametrize("name, value, scale", [
+    # the scaled sample's squared projection norm overflows, so it normalises
+    # to a zero row
+    ("point0.w", 1e120, 1e36),
+    # its logits overflow to inf, and the softmax turns them into nan
+    ("cls.w", 1e300, 1e10),
+])
+def test_overflowing_forward_is_numeric_failure(small_eval_files, tmp_path, capsys,
+                                                command, name, value, scale):
+    d, _ = small_eval_files
+    split = read_dataset(d / "toy")
+    split.test[4].points *= scale
+    write_dataset(split, tmp_path / "toy")
+    model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
+    next(p for p in model.params if p.name == name).values[...] = value
+    save_checkpoint(tmp_path / "m.ckpt", model.params)
+    extra = ["--out", str(tmp_path / "out")] if command == "analyze" else []
+    assert main([command, "--checkpoint", str(tmp_path / "m.ckpt"),
+                 "--data", str(tmp_path / "toy"), *extra]) == EXIT_NUMERIC
+    assert "overflows on test sample 4" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestAblateCommand:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,20 @@ class TestEncode:
         pts[0, 2, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             model.encode(pts)
+
+    def test_peak_memory_is_one_array_per_layer(self):
+        # dense, bias and relu of a per-point layer share one buffer
+        model = PointEncoder(EncoderConfig(num_classes=5, hidden_dims=[16, 32]))
+        pts = random_batch(np.random.default_rng(4), batch=8, n=64)
+        layer_bytes = 8 * 64 * (16 + 32) * 8
+        tracemalloc.start()
+        try:
+            out = model.encode(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.probs.shape == (8, 5)
+        assert peak < 2 * layer_bytes, peak / layer_bytes
 
     def test_config_ties_projection_to_global_dim(self):
         config = EncoderConfig(num_classes=3, hidden_dims=[4, 7])
