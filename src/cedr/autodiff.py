@@ -74,9 +74,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-_wrap(other))
 
-    def __rsub__(self, other):
-        return _wrap(other) + (-self)
-
     def __mul__(self, other):
         other = _wrap(other)
         return Tensor(

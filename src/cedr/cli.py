@@ -33,7 +33,13 @@ from .metrics import (
     write_entropy_csv,
     write_summary_json,
 )
-from .train import NumericFailure, run_ablation, run_lambda_grid, train
+from .train import (
+    NumericFailure,
+    check_forward,
+    run_ablation,
+    run_lambda_grid,
+    train,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -109,15 +115,8 @@ def _encode_test_split(args):
             f"classes, dataset {args.data} has {len(dataset.class_names)}")
     pts, labels = stack_points(dataset.test)
     out = model.encode(pts)
-    # a row whose norm overflowed is normalised to zeros, not to a unit row
-    emb = out.embeddings.values
-    ok = (np.isfinite(out.probs.values).all(axis=1)
-          & np.isclose((emb * emb).sum(axis=1), 1.0))
-    if not ok.all():
-        raise NumericFailure(
-            f"checkpoint {args.checkpoint} overflows on test sample "
-            f"{np.flatnonzero(~ok)[0]} of {args.data}: non-finite "
-            "probabilities or an embedding that is not unit-norm")
+    check_forward(out, f"checkpoint {args.checkpoint} on {args.data} "
+                  "overflows on test sample", range(len(labels)))
     return out, labels, dataset.class_names
 
 

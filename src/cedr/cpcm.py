@@ -74,13 +74,6 @@ class RunningCenters:
         return ClassCenters(self.centers.copy(), self.mask.copy())
 
 
-def cpcm_weight(dist: float) -> float:
-    """1 + exp(-2 dist); 2 at zero distance, ->1 as classes separate."""
-    if dist < 0:
-        raise ValueError(f"distance must be nonnegative, got {dist}")
-    return 1.0 + np.exp(-2.0 * dist)
-
-
 def class_pair_weights(centers: ClassCenters) -> ClassPairWeights:
     diff = centers.centers[:, None, :] - centers.centers[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))

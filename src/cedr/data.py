@@ -24,8 +24,6 @@ from .binio import Reader
 
 MAGIC = b"CPCD"
 VERSION = 1
-SAMPLE_HEADER_BYTES = 2 + 4          # label u16, point count u32
-PERTURB_RECORD_BYTES = 5 * 4         # shift, rotation, scale, clutter, occlusion
 
 
 class DatasetFormatError(ValueError):
@@ -283,14 +281,6 @@ class DatasetSplit:
     train: list
     test: list
     class_names: list[str]
-    seed: int = -1
-
-    def class_counts(self, split: str = "train") -> np.ndarray:
-        samples = self.train if split == "train" else self.test
-        counts = np.zeros(len(self.class_names), dtype=int)
-        for s in samples:
-            counts[s.label] += 1
-        return counts
 
 
 def sample_rng(seed: int, class_id: int, split_tag: int, index: int):
@@ -313,7 +303,7 @@ def build_dataset(specs: list[ShapeSpec], n_train: int, n_test: int,
             test.append(generate_sample(spec, perturb,
                                         sample_rng(seed, spec.class_id, 1, i),
                                         n_points))
-    return DatasetSplit(train, test, [s.name for s in specs], seed)
+    return DatasetSplit(train, test, [s.name for s in specs])
 
 
 # -- file format -----------------------------------------------------------
@@ -380,13 +370,6 @@ def read_dataset(base) -> DatasetSplit:
     if names != names_test:
         raise DatasetFormatError("train/test class tables disagree")
     return DatasetSplit(train, test, names)
-
-
-def file_size_bytes(samples: list[PointCloudSample], class_names: list[str]) -> int:
-    header = 4 + 2 + 2 + sum(2 + len(n.encode("utf-8")) for n in class_names) + 4
-    body = sum(SAMPLE_HEADER_BYTES + 12 * len(s.points) + PERTURB_RECORD_BYTES
-               for s in samples)
-    return header + body
 
 
 def stack_points(samples: list[PointCloudSample]) -> tuple[np.ndarray, np.ndarray]:

@@ -27,15 +27,8 @@ FIXED_UNSTABLE_WEIGHT = 1.2
 @dataclass
 class EntropyProfile:
     entropy: np.ndarray    # bits
-    predicted: np.ndarray  # argmax class ids
     correct: np.ndarray    # bools
     tag: np.ndarray        # 'outlier' | 'unstable' | 'normal'
-
-
-@dataclass
-class SampleWeights:
-    a: np.ndarray
-    mode: str  # 'varying' | 'fixed'
 
 
 def entropy_scale(num_classes: int) -> float:
@@ -72,16 +65,15 @@ def classify_samples(probs: np.ndarray, labels: np.ndarray,
         raise ValueError("need at least 2 classes")
     low, high = thresholds if thresholds is not None else default_thresholds(probs.shape[1])
     ent = shannon_entropy(probs)
-    predicted = probs.argmax(axis=1)
-    correct = predicted == labels
+    correct = probs.argmax(axis=1) == labels
     tag = np.full(len(labels), "normal", dtype=object)
     tag[(ent < low) & ~correct] = "outlier"
     tag[(ent > high) & correct] = "unstable"
-    return EntropyProfile(ent, predicted, correct, tag)
+    return EntropyProfile(ent, correct, tag)
 
 
 def sample_weight(profile: EntropyProfile, mode: str = "varying",
-                  scale: float = 1.0) -> SampleWeights:
+                  scale: float = 1.0) -> np.ndarray:
     """Per-sample attention weights.
 
     varying: outlier -> E, unstable -> E - 1.2, normal -> 1, with E measured
@@ -98,21 +90,13 @@ def sample_weight(profile: EntropyProfile, mode: str = "varying",
         a[profile.tag == "unstable"] = FIXED_UNSTABLE_WEIGHT
     else:
         raise ValueError(f"unknown weight mode '{mode}'")
-    return SampleWeights(a, mode)
+    return a
 
 
-def pair_select(a_i: float, a_j: float) -> float:
-    """max when neither sample is down-weighted, min otherwise."""
-    if a_i <= 0 or a_j <= 0:
-        raise ValueError("sample weights must be positive")
-    if a_i >= 1 and a_j >= 1:
-        return max(a_i, a_j)
-    return min(a_i, a_j)
-
-
-def eaa_pair_weights(weights: SampleWeights, labels: np.ndarray) -> PairWeightMatrix:
-    """Apply the pair selection rule to every ordered pair, both pair sets."""
-    a = np.asarray(weights.a, dtype=np.float64)
+def eaa_pair_weights(a: np.ndarray) -> PairWeightMatrix:
+    """Apply the pair selection rule to every ordered pair, both pair sets:
+    max when neither sample is down-weighted (a >= 1), min otherwise."""
+    a = np.asarray(a, dtype=np.float64)
     if (a <= 0).any():
         raise ValueError("sample weights must be positive")
     ai = a[:, None]

@@ -41,11 +41,6 @@ class PairWeightMatrix:
     w_pos: np.ndarray   # batch x batch
     w_neg: np.ndarray   # batch x batch
 
-    @classmethod
-    def unit(cls, batch_size: int) -> "PairWeightMatrix":
-        return cls(np.ones((batch_size, batch_size)),
-                   np.ones((batch_size, batch_size)))
-
 
 @dataclass
 class ContrastiveBatch:

@@ -17,8 +17,6 @@ import numpy as np
 from .cpcm import class_pair_weights, compute_centers
 from .eaa import classify_samples, shannon_entropy
 
-ENTROPY_BINS = 20
-
 
 @dataclass
 class EvalReport:
@@ -29,7 +27,6 @@ class EvalReport:
     per_class_f1: np.ndarray
     macro_f1: float
     confusion: np.ndarray          # true x predicted counts
-    entropy_histogram: np.ndarray  # ENTROPY_BINS counts over [0, log2 C]
     mean_entropy_correct: float
     mean_entropy_wrong: float
 
@@ -70,8 +67,6 @@ def evaluate(probs: np.ndarray, labels: np.ndarray) -> EvalReport:
     present = support > 0
     ent = shannon_entropy(probs)
     correct = predicted == labels
-    edges = np.linspace(0.0, np.log2(num_classes), ENTROPY_BINS + 1)
-    hist, _ = np.histogram(ent, bins=edges)
     return EvalReport(
         overall_acc=float(diag.sum() / len(labels)),
         avg_class_acc=float(recall[present].mean()),
@@ -80,7 +75,6 @@ def evaluate(probs: np.ndarray, labels: np.ndarray) -> EvalReport:
         per_class_f1=f1,
         macro_f1=float(f1[present].mean()),
         confusion=cm,
-        entropy_histogram=hist,
         mean_entropy_correct=float(ent[correct].mean()) if correct.any() else float("nan"),
         mean_entropy_wrong=float(ent[~correct].mean()) if (~correct).any() else float("nan"),
     )
@@ -140,10 +134,7 @@ def export_embeddings(path, embeddings: np.ndarray, probs: np.ndarray,
                        + [f"{x:.9g}" for x in embeddings[i]])
 
 
-def write_summary_json(path, report: EvalReport, extra: dict | None = None):
-    payload = report.summary()
-    if extra:
-        payload.update(extra)
+def write_summary_json(path, report: EvalReport):
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+        json.dump(report.summary(), f, indent=2, sort_keys=True)
         f.write("\n")

@@ -12,7 +12,7 @@ import numpy as np
 from . import cpcm, eaa
 from .autodiff import backward
 from .checkpoint import save_checkpoint
-from .config import ARMS, ExperimentConfig
+from .config import ARMS, ConfigError, ExperimentConfig
 from .data import DatasetSplit, stack_points
 from .encoder import EncoderConfig, PointEncoder
 from .losses import (
@@ -93,11 +93,30 @@ def batch_weights(config: ExperimentConfig, probs: np.ndarray,
 
     scale = eaa.entropy_scale(config.num_classes)
     profile = eaa.classify_samples(probs, labels)
-    sw = eaa.sample_weight(profile, config.eaa_mode, scale=scale)
-    eaa_w = eaa.eaa_pair_weights(sw, labels)
+    a = eaa.sample_weight(profile, config.eaa_mode, scale=scale)
+    # a wrong, exactly one-hot prediction has entropy 0, so its weight is 0
+    zero = np.flatnonzero(a <= 0)
+    if zero.size:
+        raise NumericFailure(f"batch sample {zero[0]} is a wrong prediction "
+                             "with zero entropy, which gives it attention weight 0")
+    eaa_w = eaa.eaa_pair_weights(a)
     if config.arm == "scc_eaa":
         return eaa_w
     return eaa.fuse_weights(cpcm_w, eaa_w, renormalize=config.fuse_renormalize)
+
+
+def check_forward(out, where: str, ids) -> None:
+    """Raise NumericFailure naming the first of `ids` whose forward overflowed:
+    its probabilities are not finite, or its embedding is not unit-norm (a
+    row whose squared norm overflows is normalised to zeros, not to a unit
+    row)."""
+    emb = out.embeddings.values
+    ok = (np.isfinite(out.probs.values).all(axis=1)
+          & np.isclose((emb * emb).sum(axis=1), 1.0))
+    if not ok.all():
+        raise NumericFailure(
+            f"{where} {ids[np.flatnonzero(~ok)[0]]}: non-finite "
+            "probabilities or an embedding that is not unit-norm")
 
 
 def evaluate_model(model: PointEncoder, samples) -> EvalReport:
@@ -109,6 +128,9 @@ def evaluate_model(model: PointEncoder, samples) -> EvalReport:
 def train(config: ExperimentConfig, dataset: DatasetSplit,
           checkpoint_path=None) -> tuple[RunRecord, PointEncoder]:
     config.validate()
+    if config.num_classes != len(dataset.class_names):
+        raise ConfigError(f"config num_classes is {config.num_classes}, "
+                          f"the dataset has {len(dataset.class_names)} classes")
     t0 = time.perf_counter()
     enc_config = EncoderConfig(num_classes=config.num_classes,
                                hidden_dims=list(config.hidden_dims))
@@ -145,6 +167,8 @@ def train(config: ExperimentConfig, dataset: DatasetSplit,
                 continue
             labels = train_labels[idx]
             out = model.encode(train_pts[idx])
+            check_forward(out, f"epoch {epoch}, batch {bi}: the forward "
+                          "overflows on train sample", idx)
             ce = cross_entropy(out.probs, labels)
             total, weights, nce = ce, None, None
             if config.arm != "ce_only":

@@ -15,7 +15,7 @@ import pytest
 
 from cedr.autodiff import backward
 from cedr.config import ExperimentConfig
-from cedr.cpcm import cpcm_weight
+from cedr.cpcm import ClassCenters, class_pair_weights
 from cedr.data import (
     CONFUSABLE_PAIRS,
     PerturbationConfig,
@@ -24,7 +24,7 @@ from cedr.data import (
     stack_points,
     write_dataset,
 )
-from cedr.eaa import fuse_weights, pair_select, shannon_entropy
+from cedr.eaa import eaa_pair_weights, fuse_weights, shannon_entropy
 from cedr.encoder import EncoderConfig, PointEncoder
 from cedr.losses import (
     ContrastiveBatch,
@@ -145,17 +145,22 @@ def test_criterion_2_weight_identity(tiny_dataset):
 
 
 def test_criterion_3_formula_oracles():
-    # closed-form center-distance weight on a 1e3 grid
+    # closed-form center-distance weight on a 1e3 grid: 1-D centers at d, so
+    # center 0 sits at distance d_k from center k
     d = np.linspace(0.0, 12.0, 1001)
-    dev_w = max(abs(cpcm_weight(x) - (1.0 + math.exp(-2.0 * x))) for x in d)
+    w = class_pair_weights(ClassCenters(d[:, None], np.ones(len(d), dtype=bool)))
+    dev_w = max(abs(w.w_minus[0, k] - (1.0 + math.exp(-2.0 * x)))
+                for k, x in enumerate(d))
 
-    # literal four-case pair-selection table on a 40x40 grid
+    # literal four-case pair-selection table on a 40x40 grid, both pair sets
     grid = np.linspace(0.05, 2.0, 40)
+    pw = eaa_pair_weights(grid)
     dev_sel = 0.0
-    for ai in grid:
-        for aj in grid:
+    for i, ai in enumerate(grid):
+        for j, aj in enumerate(grid):
             expected = max(ai, aj) if (ai >= 1 and aj >= 1) else min(ai, aj)
-            dev_sel = max(dev_sel, abs(pair_select(ai, aj) - expected))
+            dev_sel = max(dev_sel, abs(pw.w_neg[i, j] - expected),
+                          abs(pw.w_pos[i, j] - expected))
 
     # loop entropy on 1000 random rows
     rng = np.random.default_rng(2)

@@ -109,6 +109,33 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == EXIT_OK
         assert (tmp_path / "runs" / "ce_only_seed0.json").exists()
 
+    def test_class_count_differs_from_dataset(self, tmp_path, capsys):
+        base = tmp_path / "three"
+        assert main(["gen-data", "--classes", "3", "--train", "2", "--test", "2",
+                     "--points", "32", "--out", str(base)]) == EXIT_OK
+        code = main(["train", "--set", f"data={base}",
+                     "--set", f"out_dir={tmp_path / 'runs'}"])
+        assert code == EXIT_CONFIG
+        assert "num_classes is 8, the dataset has 3" in capsys.readouterr().err
+        assert not list(tmp_path.glob("runs/*.ckpt"))
+
+    @pytest.mark.parametrize("arm, match", [
+        # the diverged weights overflow the embeddings' squared norms
+        ("scc", "epoch 1, batch 1: the forward overflows on train sample"),
+        # a wrong prediction turns exactly one-hot before that
+        ("full", "wrong prediction with zero entropy"),
+    ], ids=["scc", "full"])
+    def test_diverging_forward_is_numeric_failure(self, data_base, tmp_path,
+                                                  capsys, arm, match):
+        code = main(["train", "--arm", arm, "--set", f"data={data_base}",
+                     "--set", f"out_dir={tmp_path}",
+                     "--set", "epochs=4", "--set", "batch_size=16",
+                     "--set", "hidden_dims=8 16",
+                     "--set", "lr_max=1e18", "--set", "lr_min=1e18"])
+        assert code == EXIT_NUMERIC
+        assert match in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.ckpt"))
+
     def test_divergent_run_is_numeric_failure(self, data_base, tmp_path,
                                               capsys):
         code = main(["train", "--arm", "scc",

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cedr.cpcm import (
+    ClassCenters,
     ClassPairWeights,
     RunningCenters,
     class_pair_weights,
     compute_centers,
     cpcm_negative_weights,
-    cpcm_weight,
 )
 from cedr.losses import ContrastiveBatch, supervised_infonce
 
@@ -58,25 +58,27 @@ class TestCenters:
         assert np.allclose(tracker.centers[0], 0.9)
 
 
+def weight_at(d):
+    """class_pair_weights of two 1-D centers a distance d apart."""
+    centers = ClassCenters(np.array([[0.0], [d]]), np.ones(2, dtype=bool))
+    return class_pair_weights(centers).w_minus[0, 1]
+
+
 class TestWeightFormula:
     def test_coincident_centers(self):
-        assert cpcm_weight(0.0) == 2.0
+        assert weight_at(0.0) == 2.0
 
     def test_far_limit(self):
-        assert abs(cpcm_weight(50.0) - 1.0) < 1e-12
+        assert abs(weight_at(50.0) - 1.0) < 1e-12
 
     def test_unit_distance(self):
-        assert cpcm_weight(1.0) == pytest.approx(1.0 + math.exp(-2.0), abs=1e-12)
-
-    def test_negative_distance_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            cpcm_weight(-0.1)
+        assert weight_at(1.0) == pytest.approx(1.0 + math.exp(-2.0), abs=1e-12)
 
     @given(st.floats(0.0, 15.0), st.floats(0.0, 15.0))
     @settings(max_examples=100, deadline=None)
     def test_strictly_decreasing_and_bounded(self, d1, d2):
         # beyond d ~ 17 the exp underflows past float64 resolution of 1.0
-        w1, w2 = cpcm_weight(d1), cpcm_weight(d2)
+        w1, w2 = weight_at(d1), weight_at(d2)
         assert 1.0 < w1 <= 2.0
         if d1 + 1e-9 < d2:
             assert w1 > w2
@@ -109,8 +111,8 @@ class TestNegativeWeights:
         assert np.allclose(pw.dist[0, 1], 1.0, atol=1e-12)
         result = cpcm_negative_weights(labels, pw, "nearest_only")
         # only the d=1.0 pair clears the 0.8 margin over its runner-up
-        assert result.w_neg[0, 1] == pytest.approx(cpcm_weight(1.0), abs=1e-12)
-        assert result.w_neg[1, 0] == pytest.approx(cpcm_weight(1.0), abs=1e-12)
+        assert result.w_neg[0, 1] == pytest.approx(1.0 + math.exp(-2.0), abs=1e-12)
+        assert result.w_neg[1, 0] == pytest.approx(1.0 + math.exp(-2.0), abs=1e-12)
         assert result.w_neg[0, 2] == 1.0
         assert result.w_neg[1, 2] == 1.0
 

@@ -9,7 +9,6 @@ from cedr.data import (
     ShapeSpec,
     build_dataset,
     default_shape_specs,
-    file_size_bytes,
     generate_sample,
     read_dataset,
     read_samples,
@@ -107,8 +106,9 @@ class TestDataset:
     def test_split_sizes_and_class_presence(self, tiny_dataset):
         assert len(tiny_dataset.train) == 8 * 6
         assert len(tiny_dataset.test) == 8 * 4
-        assert (tiny_dataset.class_counts("train") == 6).all()
-        assert (tiny_dataset.class_counts("test") == 4).all()
+        for split, per_class in ((tiny_dataset.train, 6), (tiny_dataset.test, 4)):
+            counts = np.bincount([s.label for s in split], minlength=8)
+            assert (counts == per_class).all()
 
     def test_determinism_across_builds(self):
         specs = default_shape_specs()[:3]
@@ -141,8 +141,13 @@ class TestDataset:
     def test_file_size_formula(self, tmp_path, tiny_dataset):
         path = tmp_path / "sized.cpcd"
         write_samples(path, tiny_dataset.train, tiny_dataset.class_names)
-        assert path.stat().st_size == file_size_bytes(tiny_dataset.train,
-                                                      tiny_dataset.class_names)
+        # magic, version, class count, the name table and the sample count;
+        # then per sample a u16 label, a u32 point count, float32 xyz points
+        # and five float32 perturbation fields
+        names = tiny_dataset.class_names
+        header = 4 + 2 + 2 + sum(2 + len(n.encode("utf-8")) for n in names) + 4
+        body = sum(2 + 4 + 12 * len(s.points) + 5 * 4 for s in tiny_dataset.train)
+        assert path.stat().st_size == header + body
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.cpcd"

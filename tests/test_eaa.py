@@ -13,13 +13,16 @@ from cedr.eaa import (
     eaa_pair_weights,
     entropy_scale,
     fuse_weights,
-    pair_select,
     sample_weight,
     shannon_entropy,
 )
 from cedr.losses import ContrastiveBatch, PairWeightMatrix, supervised_infonce
 
 REF_THRESHOLDS = (1.0, 2.5)  # the 15-class reference values
+
+
+def unit(b):
+    return PairWeightMatrix(np.ones((b, b)), np.ones((b, b)))
 
 
 def entropy_loop(probs):
@@ -72,7 +75,7 @@ class TestEntropy:
 
 def profile_with(entropies, tags):
     entropies = np.asarray(entropies, float)
-    return EntropyProfile(entropies, np.zeros(len(entropies), int),
+    return EntropyProfile(entropies,
                           np.array([t != "outlier" for t in tags]),
                           np.array(tags, dtype=object))
 
@@ -122,15 +125,14 @@ class TestClassify:
 class TestSampleWeight:
     def test_varying_weights(self):
         profile = profile_with([0.6, 3.0, 1.5], ["outlier", "unstable", "normal"])
-        w = sample_weight(profile, "varying")
-        assert w.a[0] == pytest.approx(0.6, abs=1e-12)
-        assert w.a[1] == pytest.approx(1.8, abs=1e-12)
-        assert w.a[2] == 1.0
+        a = sample_weight(profile, "varying")
+        assert a[0] == pytest.approx(0.6, abs=1e-12)
+        assert a[1] == pytest.approx(1.8, abs=1e-12)
+        assert a[2] == 1.0
 
     def test_fixed_weights(self):
         profile = profile_with([0.6, 3.0, 1.5], ["outlier", "unstable", "normal"])
-        w = sample_weight(profile, "fixed")
-        assert list(w.a) == [0.8, 1.2, 1.0]
+        assert list(sample_weight(profile, "fixed")) == [0.8, 1.2, 1.0]
 
     def test_outlier_below_one_unstable_above(self):
         rng = np.random.default_rng(1)
@@ -139,16 +141,16 @@ class TestSampleWeight:
         uns_e = rng.uniform(2.51, 3.9, 20)
         profile = profile_with(np.concatenate([out_e, uns_e]),
                                ["outlier"] * 20 + ["unstable"] * 20)
-        w = sample_weight(profile, "varying")
-        assert (w.a[:20] < 1.0).all()
-        assert (w.a[20:] > 1.3).all()
+        a = sample_weight(profile, "varying")
+        assert (a[:20] < 1.0).all()
+        assert (a[20:] > 1.3).all()
 
     def test_rescaled_entropy_keeps_ordering(self):
         s = entropy_scale(8)
         profile = profile_with([0.5 * s, 2.8 * s], ["outlier", "unstable"])
-        w = sample_weight(profile, "varying", scale=s)
-        assert w.a[0] == pytest.approx(0.5, abs=1e-12)
-        assert w.a[1] == pytest.approx(2.8 - 1.2, abs=1e-12)
+        a = sample_weight(profile, "varying", scale=s)
+        assert a[0] == pytest.approx(0.5, abs=1e-12)
+        assert a[1] == pytest.approx(2.8 - 1.2, abs=1e-12)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
@@ -157,19 +159,23 @@ class TestSampleWeight:
 
 class TestPairSelect:
     def test_both_above_one_takes_max(self):
-        assert pair_select(1.5, 1.3) == 1.5
+        pw = eaa_pair_weights(np.array([1.5, 1.3]))
+        assert pw.w_neg[0, 1] == pw.w_pos[0, 1] == 1.5
 
     def test_mixed_takes_min(self):
-        assert pair_select(1.5, 0.5) == 0.5
-        assert pair_select(0.5, 1.5) == 0.5
+        pw = eaa_pair_weights(np.array([1.5, 0.5]))
+        assert pw.w_neg[0, 1] == pw.w_pos[0, 1] == 0.5
+        assert pw.w_neg[1, 0] == pw.w_pos[1, 0] == 0.5
 
     def test_both_below_one_takes_min(self):
-        assert pair_select(0.5, 0.3) == 0.3
+        pw = eaa_pair_weights(np.array([0.5, 0.3]))
+        assert pw.w_neg[0, 1] == pw.w_pos[0, 1] == 0.3
 
     def test_matches_literal_four_case_table(self):
         grid = np.linspace(0.05, 2.0, 40)
-        for ai in grid:
-            for aj in grid:
+        pw = eaa_pair_weights(grid)
+        for i, ai in enumerate(grid):
+            for j, aj in enumerate(grid):
                 if ai >= 1 and aj >= 1:
                     expected = max(ai, aj)
                 elif ai >= 1 and aj <= 1:
@@ -178,19 +184,18 @@ class TestPairSelect:
                     expected = min(ai, aj)
                 else:
                     expected = min(ai, aj)
-                assert pair_select(ai, aj) == expected
+                assert pw.w_neg[i, j] == pw.w_pos[i, j] == expected
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            pair_select(0.0, 1.0)
+            eaa_pair_weights(np.array([0.0, 1.0]))
 
 
 class TestPairWeights:
     def test_all_normal_is_identity(self):
         profile = profile_with([1.5] * 4, ["normal"] * 4)
-        w = sample_weight(profile, "varying")
         labels = np.array([0, 0, 1, 1])
-        pw = eaa_pair_weights(w, labels)
+        pw = eaa_pair_weights(sample_weight(profile, "varying"))
         assert np.allclose(pw.w_pos, 1.0) and np.allclose(pw.w_neg, 1.0)
         rng = np.random.default_rng(2)
         z = rng.standard_normal((4, 5))
@@ -202,7 +207,7 @@ class TestPairWeights:
     def test_outlier_pairs_all_downweighted(self):
         profile = profile_with([0.4, 1.5, 3.0, 1.5],
                                ["outlier", "normal", "unstable", "normal"])
-        pw = eaa_pair_weights(sample_weight(profile, "varying"), np.arange(4))
+        pw = eaa_pair_weights(sample_weight(profile, "varying"))
         assert (pw.w_neg[0, 1:] < 1.0).all()
         assert (pw.w_neg[1:, 0] < 1.0).all()
 
@@ -210,12 +215,14 @@ class TestPairWeights:
         profile = profile_with(
             [0.4, 0.7, 3.0, 2.9, 1.5, 1.8],
             ["outlier", "outlier", "unstable", "unstable", "normal", "normal"])
-        w = sample_weight(profile, "varying")
-        pw = eaa_pair_weights(w, np.array([0, 1, 0, 1, 2, 2]))
+        a = sample_weight(profile, "varying")
+        pw = eaa_pair_weights(a)
         for i in range(6):
             for j in range(6):
-                assert pw.w_neg[i, j] == pair_select(w.a[i], w.a[j])
-                assert pw.w_pos[i, j] == pair_select(w.a[i], w.a[j])
+                expected = (max(a[i], a[j]) if (a[i] >= 1 and a[j] >= 1)
+                            else min(a[i], a[j]))
+                assert pw.w_neg[i, j] == expected
+                assert pw.w_pos[i, j] == expected
 
     def test_lower_outlier_weight_shrinks_negative_contribution(self):
         rng = np.random.default_rng(3)
@@ -224,9 +231,7 @@ class TestPairWeights:
         labels = np.array([0, 0, 1, 1])
 
         def weighted_negative_sum(a_out):
-            a = np.array([a_out, 1.0, 1.0, 1.0])
-            pw = eaa_pair_weights(
-                type("W", (), {"a": a})(), labels)
+            pw = eaa_pair_weights(np.array([a_out, 1.0, 1.0, 1.0]))
             sims = np.exp(z @ z.T)
             neg = labels[:, None] != labels[None, :]
             w = pw.w_neg * neg
@@ -242,14 +247,11 @@ class TestFuse:
         assert fuse_weights(a, b).w_neg[0, 0] == pytest.approx(5.0, abs=1e-12)
 
     def test_both_neutral_gives_sqrt2(self):
-        a = PairWeightMatrix.unit(2)
-        b = PairWeightMatrix.unit(2)
-        fused = fuse_weights(a, b)
+        fused = fuse_weights(unit(2), unit(2))
         assert np.allclose(fused.w_neg, math.sqrt(2.0), atol=1e-12)
 
     def test_renormalized_neutral_maps_to_one(self):
-        fused = fuse_weights(PairWeightMatrix.unit(2), PairWeightMatrix.unit(2),
-                             renormalize=True)
+        fused = fuse_weights(unit(2), unit(2), renormalize=True)
         assert np.allclose(fused.w_neg, 1.0, atol=1e-12)
 
     def test_direct_evaluation(self):
@@ -260,7 +262,7 @@ class TestFuse:
 
     def test_positive_pairs_keep_attention_weights(self):
         eaa_w = PairWeightMatrix(np.full((2, 2), 1.7), np.ones((2, 2)))
-        fused = fuse_weights(PairWeightMatrix.unit(2), eaa_w)
+        fused = fuse_weights(unit(2), eaa_w)
         assert np.allclose(fused.w_pos, 1.7)
 
     def test_fused_dominates_both_inputs(self):
@@ -272,4 +274,4 @@ class TestFuse:
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError, match="pair sets"):
-            fuse_weights(PairWeightMatrix.unit(2), PairWeightMatrix.unit(3))
+            fuse_weights(unit(2), unit(3))

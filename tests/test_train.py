@@ -3,9 +3,13 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cedr.checkpoint import load_checkpoint
-from cedr.config import ExperimentConfig
+from cedr.config import ConfigError, ExperimentConfig
+from cedr.data import build_dataset, default_shape_specs
+from cedr.eaa import shannon_entropy
 from cedr.encoder import PointEncoder
 from cedr.train import (
     AblationResult,
@@ -25,6 +29,11 @@ def small_config(**overrides):
 
 
 class TestTrainLoop:
+    def test_class_count_must_match_dataset(self):
+        split = build_dataset(default_shape_specs()[:3], 2, 2, seed=0, n_points=32)
+        with pytest.raises(ConfigError, match="num_classes is 8, the dataset has 3"):
+            train(small_config(), split)
+
     def test_zero_epochs_evaluates_once(self, tiny_dataset):
         record, _ = train(small_config(epochs=0), tiny_dataset)
         assert len(record.epochs) == 1
@@ -134,6 +143,25 @@ class TestBatchWeights:
         assert np.allclose(fused.w_neg[neg], expected[neg], atol=1e-12)
         assert np.allclose(fused.w_pos, eaa_only.w_pos)
 
+    @settings(max_examples=60, deadline=None)
+    @given(arm=st.sampled_from(["scc_eaa", "full"]), row=st.integers(0, 15),
+           spread=st.floats(0.0, 1e-305))
+    @example(arm="full", row=3, spread=0.0)
+    def test_zero_entropy_outlier(self, arm, row, spread):
+        """A wrong prediction with entropy in [0, 1e-300] gets finite positive
+        pair weights or a NumericFailure naming it, never a ValueError."""
+        probs, z, labels = self.setup_batch()
+        probs[row] = spread
+        probs[row, (labels[row] + 1) % 8] = 1.0
+        assert 0.0 <= shannon_entropy(probs[row:row + 1])[0] <= 1e-300
+        try:
+            w = batch_weights(small_config(arm=arm), probs, z, labels)
+        except NumericFailure as exc:
+            assert f"batch sample {row} " in str(exc)
+            return
+        for m in (w.w_pos, w.w_neg):
+            assert np.isfinite(m).all() and (m > 0).all()
+
     def test_renormalized_fusion_shrinks_by_sqrt2(self):
         probs, z, labels = self.setup_batch()
         plain = batch_weights(small_config(arm="full", fuse_renormalize=False),
@@ -149,6 +177,17 @@ class TestNumericFailure:
                              weight_dump={"w_pos": [[1.0]], "w_neg": [[2.0]]})
         assert exc.batch_index == 3
         assert exc.weight_dump["w_neg"] == [[2.0]]
+
+    @pytest.mark.parametrize("arm", ["ce_only", "scc", "scc_cpcm", "full"])
+    def test_overflowed_embeddings_raise(self, arm):
+        # every embedding's squared norm overflows, which normalises it to an
+        # all-zero row
+        split = build_dataset(default_shape_specs(), 4, 2, seed=1, n_points=32)
+        for s in split.train + split.test:
+            s.points *= 1e160
+        with pytest.raises(NumericFailure, match=r"^epoch 0, batch 0: the forward "
+                                                 r"overflows on train sample \d+: "):
+            train(small_config(arm=arm, n_points=32), split)
 
     def test_divergent_lr_raises(self, tiny_dataset):
         config = small_config(arm="scc", epochs=4, lr_max=1e18, lr_min=1e18)
