@@ -1,8 +1,11 @@
 """Minimal reverse-mode autodiff over a recorded computation graph.
 
-Everything is float64 numpy. The op set is deliberately small: dense layers,
-elementwise nonlinearities, reductions, and the handful of pointwise ops the
-contrastive losses need. No general broadcasting beyond what those ops use.
+Everything is float64 numpy. There are no arithmetic operators: each op is
+one node with a hand-written vjp. `Tensor` itself has `reshape` and a
+first-maximum `max`; the composite ops below add the dense layer (with its
+relu in place), the max pool over points, the row softmax and the row
+l2-normalisation. The losses in `cedr.losses` build their own one-node ops
+the same way.
 """
 
 from __future__ import annotations
@@ -16,19 +19,6 @@ class AutodiffError(RuntimeError):
 
 def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradient over axes that were broadcast in the forward pass."""
-    if grad.shape == shape:
-        return grad
-    # leading axes added by broadcasting
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad.reshape(shape)
 
 
 class Tensor:
@@ -58,90 +48,6 @@ class Tensor:
     def zero_grad(self):
         self.grad[...] = 0.0
 
-    # -- graph construction -------------------------------------------------
-
-    def __add__(self, other):
-        other = _wrap(other)
-        return Tensor(self.values + other.values,
-                      ((self, lambda g: _unbroadcast(g, self.shape)),
-                       (other, lambda g: _unbroadcast(g, other.shape))), "add")
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Tensor(-self.values, ((self, lambda g: -g),), "neg")
-
-    def __sub__(self, other):
-        return self + (-_wrap(other))
-
-    def __mul__(self, other):
-        other = _wrap(other)
-        return Tensor(
-            self.values * other.values,
-            ((self, lambda g: _unbroadcast(g * other.values, self.shape)),
-             (other, lambda g: _unbroadcast(g * self.values, other.shape))),
-            "mul")
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _wrap(other)
-        a, b = self.values, other.values
-        return Tensor(
-            a / b,
-            ((self, lambda g: _unbroadcast(g / b, self.shape)),
-             (other, lambda g: _unbroadcast(-g * a / b**2, other.shape))),
-            "div")
-
-    def matmul(self, other):
-        other = _wrap(other)
-        a, b = self.values, other.values
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise AutodiffError(
-                f"matmul shape mismatch: {a.shape} @ {b.shape}"
-            )
-        return Tensor(a @ b, ((self, lambda g: g @ b.T),
-                              (other, lambda g: a.T @ g)), "matmul")
-
-    __matmul__ = matmul
-
-    def transpose(self):
-        return Tensor(self.values.T, ((self, lambda g: g.T),), "transpose")
-
-    @property
-    def T(self):
-        return self.transpose()
-
-    def exp(self):
-        ev = np.exp(self.values)
-        return Tensor(ev, ((self, lambda g: g * ev),), "exp")
-
-    def log(self):
-        return Tensor(np.log(self.values),
-                      ((self, lambda g: g / self.values),), "log")
-
-    def sqrt(self):
-        sv = np.sqrt(self.values)
-        return Tensor(sv, ((self, lambda g: g / (2.0 * sv)),), "sqrt")
-
-    def clamp_min(self, floor: float):
-        return Tensor(np.maximum(self.values, floor),
-                      ((self, lambda g: g * (self.values >= floor)),), "clamp_min")
-
-    def sum(self, axis=None, keepdims=False):
-        def vjp(g):
-            g = np.asarray(g)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, self.shape).copy()
-
-        return Tensor(self.values.sum(axis=axis, keepdims=keepdims),
-                      ((self, vjp),), "sum")
-
-    def mean(self, axis=None, keepdims=False):
-        n = self.values.size if axis is None else self.values.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
     def max(self, axis: int):
         """Max-reduce one axis; ties route gradient to the first maximum."""
         def vjp(g):
@@ -155,22 +61,6 @@ class Tensor:
     def reshape(self, *shape):
         return Tensor(self.values.reshape(*shape),
                       ((self, lambda g: g.reshape(self.shape)),), "reshape")
-
-    def pick(self, rows: np.ndarray, cols: np.ndarray):
-        """Gather values[rows[k], cols[k]] into a 1-D tensor."""
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-
-        def vjp(g):
-            full = np.zeros(self.shape)
-            np.add.at(full, (rows, cols), g)
-            return full
-
-        return Tensor(self.values[rows, cols], ((self, vjp),), "pick")
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else constant(x)
 
 
 def constant(x) -> Tensor:
@@ -255,18 +145,26 @@ def dense_forward(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    # shifting by the (constant) row max leaves the gradient unchanged
-    shift = constant(x.values.max(axis=1, keepdims=True))
-    e = (x - shift).exp()
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax as one node, shifted by the row max; the vjp is
+    p * (g - sum_j g_j p_j)."""
+    xv = x.values
+    e = np.exp(xv - xv.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    return Tensor(p, ((x, lambda g: p * (g - (g * p).sum(axis=1, keepdims=True))),),
+                  "softmax")
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:
-    sq = (x * x).sum(axis=1, keepdims=True)
-    zero_rows = np.flatnonzero(sq.values.ravel() == 0.0)
+    """y = x / |x| per row as one node; the vjp is (g - y (g . y)) / |x|."""
+    xv = x.values
+    sq = (xv * xv).sum(axis=1, keepdims=True)
+    zero_rows = np.flatnonzero(sq.ravel() == 0.0)
     if zero_rows.size:
         raise AutodiffError(f"cannot l2-normalize all-zero row {zero_rows[0]}")
-    return x / sq.sqrt()
+    norm = np.sqrt(sq)
+    y = xv / norm
+    return Tensor(y, ((x, lambda g: (g - y * (g * y).sum(axis=1, keepdims=True))
+                       / norm),), "l2_normalize")
 
 
 def max_pool_points(x: Tensor) -> Tensor:

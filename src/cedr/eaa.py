@@ -102,7 +102,7 @@ def eaa_pair_weights(a: np.ndarray) -> PairWeightMatrix:
     ai = a[:, None]
     aj = a[None, :]
     w = np.where((ai >= 1) & (aj >= 1), np.maximum(ai, aj), np.minimum(ai, aj))
-    return PairWeightMatrix(w.copy(), w.copy())
+    return PairWeightMatrix(w, w)
 
 
 def fuse_weights(cpcm: PairWeightMatrix, eaa: PairWeightMatrix,
@@ -119,4 +119,4 @@ def fuse_weights(cpcm: PairWeightMatrix, eaa: PairWeightMatrix,
     w_neg = np.sqrt(cpcm.w_neg**2 + eaa.w_neg**2)
     if renormalize:
         w_neg = w_neg / np.sqrt(2.0)
-    return PairWeightMatrix(eaa.w_pos.copy(), w_neg)
+    return PairWeightMatrix(eaa.w_pos, w_neg)

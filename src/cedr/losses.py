@@ -14,7 +14,19 @@ where s_ij = z_i . z_j / tau and S_i is the weight-normalized sum
 sum_k wn_ik e^{s_ik} / sum_k wn_ik over negatives. Positive weights are
 normalized by their per-anchor mean, so scaling every weight by the same
 constant leaves the loss unchanged and unit weights reproduce the
-unweighted loss exactly.
+unweighted loss exactly. An anchor without positives is skipped (it
+contributes 0 and is not counted in the mean); a batch in which no anchor
+has a positive gives a constant loss of 0.
+
+Each loss is one tape node with a closed-form vjp. For upstream g:
+
+    cross-entropy   d/dp_{i,y_i} = -g / (n p_{i,y_i}) where p_{i,y_i} >= 1e-12,
+                    0 below the floor and at every other entry
+    InfoNCE         c_ij = pos_ij * g / (|P_i| * #valid anchors),
+                    r_i = sum_j c_ij / D_ij with D_ij the denominator above,
+                    G = c (wp e / D - 1) + e wn (|N_i| / sum_k wn_ik) r_i,
+                    dz = (G + G^T) z / tau   (Khosla et al., SupCon)
+    joint           d/dce = g, d/dnce = lambda g
 """
 
 from __future__ import annotations
@@ -26,10 +38,6 @@ import numpy as np
 from .autodiff import Tensor, constant
 
 CE_EPS = 1e-12
-
-
-class DegenerateBatchError(ValueError):
-    pass
 
 
 @dataclass
@@ -77,8 +85,18 @@ def cross_entropy(probs: Tensor, labels) -> Tensor:
         raise ValueError(
             f"label out of range [0, {n_classes}): {labels.min()}..{labels.max()}"
         )
-    picked = probs.pick(np.arange(n), labels)
-    return -(picked.clamp_min(CE_EPS).log().mean())
+    rows = np.arange(n)
+    picked = probs.values[rows, labels]
+    floored = np.maximum(picked, CE_EPS)
+
+    def vjp(g):
+        # the floor passes no gradient below 1e-12
+        grad = np.zeros((n, n_classes))
+        grad[rows, labels] = -g * (picked >= CE_EPS) / (n * floored)
+        return grad
+
+    return Tensor(-(np.log(floored).sum() * (1.0 / n)), ((probs, vjp),),
+                  "cross_entropy")
 
 
 def pair_masks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,8 +119,6 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     n_pos = pos_mask.sum(axis=1)
     n_neg = neg_mask.sum(axis=1)
     valid = n_pos > 0
-    if not valid.any():
-        raise DegenerateBatchError("degenerate batch: no anchor has a positive")
 
     w_pos = np.ones((b, b)) if weights is None else np.asarray(weights.w_pos, float)
     w_neg = np.ones((b, b)) if weights is None else np.asarray(weights.w_neg, float)
@@ -110,6 +126,9 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
         raise ValueError("pair weight matrices must be batch x batch")
     if (w_pos[pos_mask > 0] <= 0).any() or (w_neg[neg_mask > 0] <= 0).any():
         raise ValueError("pair weights must be positive")
+    if not valid.any():
+        return InfoNCEResult(mean=constant(0.0), per_anchor=np.zeros(b),
+                             skipped_anchors=b)
 
     # normalize positive weights by their per-anchor mean; masked-out entries
     # are set to 1 so the log below stays finite everywhere
@@ -121,25 +140,33 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     # |N_i| / sum of negative weights; zero when the anchor has no negatives
     neg_scale = np.where(neg_w_sum > 0, n_neg / np.maximum(neg_w_sum, 1e-300), 0.0)
 
-    sims = z.matmul(z.T) * (1.0 / batch.temperature)
-    e = sims.exp()
-    pos_term = e * constant(wp)                                   # b x b
-    neg_block = (e * constant(neg_w)).sum(axis=1) * constant(neg_scale)  # b
+    zv = z.values
+    inv_tau = 1.0 / batch.temperature
+    e = np.exp((zv @ zv.T) * inv_tau)
+    pos_term = e * wp                                             # b x b
+    neg_block = (e * neg_w).sum(axis=1) * neg_scale               # b
     denom = pos_term + neg_block.reshape(b, 1)
-    pair_loss = -((pos_term / denom).log()) * constant(pos_mask)
+    ratio = pos_term / denom
+    pair_loss = -np.log(ratio) * pos_mask
 
     anchor_scale = np.where(valid, 1.0 / np.maximum(n_pos, 1), 0.0)
-    per_anchor = pair_loss.sum(axis=1) * constant(anchor_scale)
-    mean = per_anchor.sum() * (1.0 / valid.sum())
-    return InfoNCEResult(
-        mean=mean,
-        per_anchor=per_anchor.values.copy(),
-        skipped_anchors=int(b - valid.sum()),
-    )
+    per_anchor = pair_loss.sum(axis=1) * anchor_scale
+    n_valid = valid.sum()
+
+    def vjp(g):
+        c = pos_mask * (anchor_scale * (g / n_valid))[:, None]
+        r = (c / denom).sum(axis=1)
+        grad_sims = c * (ratio - 1.0) + e * neg_w * (neg_scale * r)[:, None]
+        return (grad_sims + grad_sims.T) @ zv * inv_tau
+
+    mean = Tensor(per_anchor.sum() * (1.0 / n_valid), ((z, vjp),), "infonce")
+    return InfoNCEResult(mean=mean, per_anchor=per_anchor,
+                         skipped_anchors=int(b - n_valid))
 
 
 def joint_loss(ce: Tensor, nce: InfoNCEResult, lam: float) -> Tensor:
     """Scalar total = ce + lambda * nce."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    return ce + nce.mean * lam
+    return Tensor(ce.values + nce.mean.values * lam,
+                  ((ce, lambda g: g), (nce.mean, lambda g: g * lam)), "joint")

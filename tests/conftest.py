@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cedr.autodiff import Tensor
 from cedr.data import PerturbationConfig, build_dataset, default_shape_specs
 
 
@@ -27,6 +28,14 @@ def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
     a, b = np.asarray(a, float), np.asarray(b, float)
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
     return float(np.max(np.abs(a - b) / scale))
+
+
+def weighted_sum(node: Tensor, upstream=1.0) -> Tensor:
+    """Scalar sum(upstream * node) as one tape node: backward hands `node`
+    the fixed array `upstream` (broadcast to its shape) as its gradient."""
+    up = np.broadcast_to(np.asarray(upstream, dtype=np.float64), node.shape)
+    return Tensor((node.values * up).sum(), ((node, lambda g: g * up),),
+                  "weighted_sum")
 
 
 @pytest.fixture(scope="session")

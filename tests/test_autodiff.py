@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,10 +20,11 @@ from cedr.losses import (
     ContrastiveBatch,
     PairWeightMatrix,
     cross_entropy,
+    joint_loss,
     supervised_infonce,
 )
 
-from conftest import fd_gradient, max_rel_err
+from conftest import fd_gradient, max_rel_err, weighted_sum
 
 
 def naive_matmul(a, b):
@@ -79,10 +80,10 @@ class TestDense:
 
         def value(xa, wa, ba):
             out = dense_forward(constant(xa), constant(wa), constant(ba), relu=True)
-            return float((out * constant(up)).sum().values)
+            return float(weighted_sum(out, up).values)
 
         x, w, b = Tensor(xv), Parameter(wv, "w"), Parameter(bv, "b")
-        backward((dense_forward(x, w, b, relu=True) * constant(up)).sum())
+        backward(weighted_sum(dense_forward(x, w, b, relu=True), up))
         assert max_rel_err(x.grad, fd_gradient(lambda v: value(v, wv, bv),
                                                 xv.copy())) < 1e-6
         assert max_rel_err(w.grad, fd_gradient(lambda v: value(xv, v, bv),
@@ -125,18 +126,22 @@ class TestElementwise:
 class TestBackward:
     def test_sum_gives_ones(self):
         p = Parameter(np.random.default_rng(0).standard_normal((3, 4)), "p")
-        backward(p.sum())
+        backward(weighted_sum(p))
         assert np.array_equal(p.grad, np.ones((3, 4)))
 
     def test_quadratic_gives_param(self):
+        # 0.5 * sum(w * w) with one edge per factor: both edges reach w
         w = Parameter(np.random.default_rng(1).standard_normal((4, 3)), "w")
-        backward((w * w).sum() * 0.5)
+        half = 0.5 * w.values
+        square = Tensor((w.values * w.values).sum() * 0.5,
+                        ((w, lambda g: g * half), (w, lambda g: g * half)), "square")
+        backward(square)
         assert np.allclose(w.grad, w.values, atol=1e-12)
 
     def test_grad_accumulates_across_calls(self):
         p = Parameter(np.ones(3), "p")
-        backward(p.sum())
-        backward(p.sum())
+        backward(weighted_sum(p))
+        backward(weighted_sum(p))
         assert np.array_equal(p.grad, 2 * np.ones(3))
 
     def test_nonscalar_loss_rejected(self):
@@ -149,22 +154,23 @@ class TestBackward:
 
     def test_max_pool_tie_routes_to_first_maximum(self):
         x = Tensor([[[1.0, 5.0], [3.0, 5.0], [3.0, 2.0]]])
-        backward((max_pool_points(x) * constant([[1.0, 2.0]])).sum())
+        backward(weighted_sum(max_pool_points(x), [[1.0, 2.0]]))
         assert np.array_equal(x.grad, [[[0.0, 2.0], [1.0, 0.0], [0.0, 0.0]]])
 
     def test_relu_gradient_is_zero_at_signed_zeros(self):
         x = Tensor([[0.0], [-0.0], [-1.0], [1e-300]])
         out = dense_forward(x, constant([[1.0]]), constant([0.0]), relu=True)
-        backward(out.sum())
+        backward(weighted_sum(out))
         assert np.array_equal(x.grad.ravel(), [0.0, 0.0, 0.0, 1.0])
 
     def test_only_leaves_hold_grads(self):
         model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
         pts = np.random.default_rng(5).standard_normal((2, 5, 3))
         out = model.encode(pts)
-        loss = out.logits.sum() + out.embeddings.sum()
-        backward(loss)
-        seen, stack, inner = set(), [loss], 0
+        roots = [weighted_sum(out.logits), weighted_sum(out.embeddings)]
+        for root in roots:
+            backward(root)
+        seen, stack, inner = set(), list(roots), 0
         while stack:
             node = stack.pop()
             if id(node) in seen:
@@ -185,25 +191,21 @@ class TestBackward:
         b1 = rng.standard_normal(5)
         w2 = rng.standard_normal((5, 3))
 
-        def loss_of(w1v):
-            h = dense_forward(constant(x.reshape(6, 4)), constant(w1v),
-                              constant(b1), relu=True)
+        def loss_of(w1):
+            # every node of the training loss: dense + relu, pool, dense,
+            # l2-normalize, softmax, cross-entropy, InfoNCE, joint
+            h = dense_forward(constant(x.reshape(6, 4)), w1, constant(b1), relu=True)
             pooled = max_pool_points(h.reshape(3, 2, 5))
-            z = l2_normalize_rows(pooled.matmul(constant(w2)))
-            probs = softmax_rows(z.matmul(z.T))
-            return -(probs.pick(np.arange(3), np.array([0, 1, 2]))
-                     .clamp_min(1e-12).log().mean())
+            z = l2_normalize_rows(dense_forward(pooled, constant(w2),
+                                                constant(np.zeros(3))))
+            ce = cross_entropy(softmax_rows(z), np.array([0, 1, 2]))
+            nce = supervised_infonce(ContrastiveBatch(z, np.array([0, 0, 1])))
+            return joint_loss(ce, nce, 0.5)
 
         w1p = Parameter(w1, "w1")
-        h = dense_forward(constant(x.reshape(6, 4)), w1p, constant(b1), relu=True)
-        pooled = max_pool_points(h.reshape(3, 2, 5))
-        z = l2_normalize_rows(pooled.matmul(constant(w2)))
-        probs = softmax_rows(z.matmul(z.T))
-        loss = -(probs.pick(np.arange(3), np.array([0, 1, 2]))
-                 .clamp_min(1e-12).log().mean())
-        backward(loss)
+        backward(loss_of(w1p))
 
-        fd = fd_gradient(lambda v: float(loss_of(v).values), w1.copy())
+        fd = fd_gradient(lambda v: float(loss_of(constant(v)).values), w1.copy())
         assert max_rel_err(w1p.grad, fd) < 1e-4
 
 
@@ -213,8 +215,13 @@ class TestTapeRule:
     def test_constants_never_hold_grads(self):
         p = Parameter(np.array([1.0, -2.0]), "p")
         c = constant([3.0, 4.0])
-        folded = (c * 2.0 - constant([1.0, 1.0])).exp()
-        backward((p * folded + c).sum())
+        # 2c - 1 = [5, 7], from constants alone
+        folded = dense_forward(c.reshape(1, 2), constant(2.0 * np.eye(2)),
+                               constant([-1.0, -1.0]))
+        # p * exp(folded) + c
+        out = dense_forward(p.reshape(1, 2), constant(np.diag(np.exp(folded.values[0]))),
+                            c)
+        backward(weighted_sum(out))
         for node in (c, folded):
             assert node.grad is None and node.parents == ()
         assert np.allclose(p.grad, np.exp([5.0, 7.0]), rtol=1e-15)
@@ -228,7 +235,7 @@ class TestTapeRule:
                                    rng.uniform(0.5, 2.0, (5, 5)))
         nce = supervised_infonce(ContrastiveBatch(out.embeddings, labels, 0.5),
                                  weights)
-        loss = cross_entropy(out.probs, labels) + nce.mean
+        loss = joint_loss(cross_entropy(out.probs, labels), nce, 1.0)
         seen, stack, leaves = set(), [loss], []
         while stack:
             node = stack.pop()
@@ -241,22 +248,33 @@ class TestTapeRule:
         assert {id(leaf) for leaf in leaves} == {id(p) for p in model.params}
 
     def test_backward_through_constants_only_does_nothing(self):
-        loss = (constant([1.0, 2.0]) * 3.0).sum()
+        loss = weighted_sum(constant([1.0, 2.0]), 3.0)
         assert loss.parents == ()
         backward(loss)
         assert loss.grad is None
 
 
+# Finite differences with eps 1e-5 carry about 1e-10 of rounding noise where
+# the exact gradient is 0, hence the absolute tolerance of the node checks.
 @settings(max_examples=30, deadline=None)
-@given(arrays(np.float64, (2, 3),
-              elements=st.floats(-2.5, 2.5, allow_nan=False)))
-def test_elementwise_chain_gradient_property(x):
-    def value(v):
-        t = constant(v)
-        return float(((t * t + t).exp() * 0.1).sum().values)
-
+@given(arrays(np.float64, (3, 4), elements=st.floats(-50, 50)),
+       arrays(np.float64, (3, 4), elements=st.floats(-1, 1)))
+def test_softmax_gradient_property(x, up):
     leaf = Tensor(x)
-    out = ((leaf * leaf + leaf).exp() * 0.1).sum()
-    backward(out)
-    fd = fd_gradient(value, x.copy())
-    assert max_rel_err(leaf.grad, fd) < 1e-4
+    backward(weighted_sum(softmax_rows(leaf), up))
+    fd = fd_gradient(lambda v: float(weighted_sum(softmax_rows(constant(v)), up).values),
+                     x.copy())
+    assert np.allclose(leaf.grad, fd, rtol=1e-4, atol=1e-8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(arrays(np.float64, (3, 4), elements=st.floats(-3, 3)),
+       arrays(np.float64, (3, 4), elements=st.floats(-1, 1)))
+def test_l2_normalize_gradient_property(x, up):
+    assume(np.linalg.norm(x, axis=1).min() > 0.1)
+    leaf = Tensor(x)
+    backward(weighted_sum(l2_normalize_rows(leaf), up))
+    fd = fd_gradient(
+        lambda v: float(weighted_sum(l2_normalize_rows(constant(v)), up).values),
+        x.copy())
+    assert np.allclose(leaf.grad, fd, rtol=1e-4, atol=1e-8)

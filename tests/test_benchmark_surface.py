@@ -1,12 +1,18 @@
 """The benchmark reaches into cedr by attribute name. Check that every name it
-traces still exists and that its training config still validates, so that a
-renamed or deleted function fails here and not only in a traced benchmark run.
+traces still exists, that its training config still validates, and that a
+traced training run fires every span and counter it reports, so that a
+renamed, deleted or bypassed function fails here and not only in a traced
+benchmark run. The benchmark's files are only imported, never changed.
 """
 
 import importlib
 from pathlib import Path
 
 import pytest
+
+from cedr import data
+from cedr.config import ExperimentConfig
+from cedr.train import train
 
 BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
 
@@ -27,3 +33,17 @@ def test_train_configs_validate(workloads):
     for wl in workloads.WORKLOADS.values():
         for arm in wl.arms:
             workloads.train_config(wl, arm, seed=0, epochs=wl.epochs).validate()
+
+
+def test_traced_training_fires_every_train_span(workloads):
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer(workloads.trace_targets())
+    with tracer:
+        dataset = data.build_dataset(data.default_shape_specs(), 4, 2, seed=0,
+                                     n_points=32)
+        train(ExperimentConfig(arm="full", epochs=1, batch_size=16,
+                               hidden_dims=[4, 8], n_points=32), dataset)
+    fired = {span.name for span in tracer.spans}
+    assert workloads.TRAIN_SPANS <= fired, sorted(workloads.TRAIN_SPANS - fired)
+    for count in ("tape_nodes", "anchors", "tagged"):
+        assert tracer.counts[count] > 0, count

@@ -6,7 +6,7 @@ import pytest
 from cedr.autodiff import Tensor, backward
 from cedr.encoder import EncoderConfig, PointEncoder
 
-from conftest import fd_gradient, max_rel_err
+from conftest import fd_gradient, max_rel_err, weighted_sum
 
 
 @pytest.fixture
@@ -88,13 +88,10 @@ def test_input_gradient_matches_finite_differences(model):
     target = rng.standard_normal((2, model.config.global_dim))
 
     def loss_value(p):
-        out = model.encode(p)
-        return float(((out.embeddings - target) * (out.embeddings - target))
-                     .sum().values)
+        return float(weighted_sum(model.encode(p).embeddings, target).values)
 
     leaf = Tensor(pts)
-    out = model.encode(leaf)
-    backward(((out.embeddings - target) * (out.embeddings - target)).sum())
+    backward(weighted_sum(model.encode(leaf).embeddings, target))
     fd = fd_gradient(loss_value, pts.copy())
     assert max_rel_err(leaf.grad, fd) < 1e-4
 

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from cedr.autodiff import Tensor, backward
+from cedr.autodiff import Tensor, backward, constant
 from cedr.losses import (
     ContrastiveBatch,
-    DegenerateBatchError,
     PairWeightMatrix,
     cross_entropy,
     joint_loss,
@@ -127,10 +129,17 @@ class TestInfoNCE:
         assert result.skipped_anchors == 1
         assert result.per_anchor[4] == 0.0
 
-    def test_degenerate_batch_rejected(self):
+    def test_batch_without_positives_is_constant_zero(self):
+        # every anchor is skipped, so the mean over unskipped anchors is empty
         z = unit_embeddings(np.random.default_rng(4), 3, 4)
-        with pytest.raises(DegenerateBatchError, match="degenerate batch"):
-            supervised_infonce(ContrastiveBatch(z, np.array([0, 1, 2])))
+        leaf = Tensor(z)
+        result = supervised_infonce(ContrastiveBatch(leaf, np.array([0, 1, 2])))
+        assert float(result.mean.values) == 0.0
+        assert result.mean.parents == ()
+        assert np.array_equal(result.per_anchor, np.zeros(3))
+        assert result.skipped_anchors == 3
+        backward(joint_loss(constant(1.5), result, 0.2))
+        assert np.array_equal(leaf.grad, np.zeros((3, 4)))
 
     def test_positive_similarity_decreases_loss(self):
         rng = np.random.default_rng(5)
@@ -207,3 +216,42 @@ def test_pair_masks_partition():
     # every off-diagonal pair is exactly one of positive / negative
     off = ~np.eye(4, dtype=bool)
     assert np.array_equal((pos + neg)[off], np.ones(12))
+
+
+# Finite differences with eps 1e-5 carry about 1e-10 of rounding noise where
+# the exact gradient is 0, hence the absolute tolerance of the node checks.
+@settings(max_examples=30, deadline=None)
+@given(arrays(np.float64, (4, 3), elements=st.floats(0.05, 1.0)),
+       arrays(np.int64, 4, elements=st.integers(0, 2)))
+def test_cross_entropy_gradient_property(probs, labels):
+    # row 0's true-class probability sits below the 1e-12 floor
+    probs[0, labels[0]] = 1e-13
+    leaf = Tensor(probs)
+    backward(cross_entropy(leaf, labels))
+    assert leaf.grad[0, labels[0]] == 0.0
+    fd = fd_gradient(lambda v: float(cross_entropy(v, labels).values), probs.copy())
+    fd[0, labels[0]] = 0.0  # a step of 1e-5 there crosses the floor
+    assert np.allclose(leaf.grad, fd, rtol=1e-4, atol=1e-8)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(0, 0, 1, 1, 2, 2), (0, 0, 1, 1, 2), (1, 1, 1)]),
+       st.data())
+def test_infonce_gradient_property(labels, data):
+    """Weighted InfoNCE: a full batch, one with a skipped anchor (sample 4),
+    and one whose anchors have no negatives."""
+    b = len(labels)
+    labels = np.array(labels)
+    z = data.draw(arrays(np.float64, (b, 3), elements=st.floats(-1, 1)))
+    weights = PairWeightMatrix(
+        data.draw(arrays(np.float64, (b, b), elements=st.floats(0.5, 2.0))),
+        data.draw(arrays(np.float64, (b, b), elements=st.floats(0.5, 2.0))))
+
+    def value(v):
+        return float(supervised_infonce(ContrastiveBatch(v, labels, 0.7),
+                                        weights).mean.values)
+
+    leaf = Tensor(z)
+    backward(supervised_infonce(ContrastiveBatch(leaf, labels, 0.7), weights).mean)
+    fd = fd_gradient(value, z.copy())
+    assert np.allclose(leaf.grad, fd, rtol=1e-4, atol=1e-8)

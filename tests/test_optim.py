@@ -9,6 +9,8 @@ from cedr.checkpoint import (
 )
 from cedr.optim import SGDMomentum, cosine_lr
 
+from conftest import weighted_sum
+
 
 class TestCosineSchedule:
     def test_starts_at_lr_max(self):
@@ -115,7 +117,7 @@ class TestCheckpoint:
 def test_gradients_reach_optimizer_through_backward():
     p = Parameter(np.array([[2.0]]), "w")
     opt = SGDMomentum([p], total_epochs=4, momentum=0.0, weight_decay=0.0)
-    backward((p * p).sum() * 0.5)
+    backward(weighted_sum(p, p.values.copy()))  # the gradient of 0.5 * p^2
     before = p.values.copy()
     opt.step()
     assert p.values[0, 0] == pytest.approx(before[0, 0] * (1 - opt.lr), rel=1e-12)

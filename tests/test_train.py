@@ -47,6 +47,15 @@ class TestTrainLoop:
             assert e.nce == 0.0
             assert e.total == pytest.approx(e.ce, abs=1e-15)
 
+    @pytest.mark.parametrize("arm", ["scc", "full"])
+    def test_batch_without_positive_pair_trains(self, tiny_dataset, arm):
+        # batches of 4 from 8 classes: some hold no two samples of one class
+        record, _ = train(small_config(arm=arm, epochs=1, batch_size=4),
+                          tiny_dataset)
+        epoch = record.epochs[1]
+        assert epoch.skipped_anchors > 0
+        assert np.isfinite([epoch.ce, epoch.nce, epoch.total]).all()
+
     def test_same_seed_is_deterministic(self, tiny_dataset):
         a, _ = train(small_config(), tiny_dataset)
         b, _ = train(small_config(), tiny_dataset)
