@@ -121,9 +121,11 @@ def _encode_test_split(args):
 
 
 def cmd_gen_data(args) -> int:
-    specs = default_shape_specs()[: args.classes]
-    if len(specs) < args.classes:
-        raise ConfigError(f"at most {len(default_shape_specs())} classes available")
+    specs = default_shape_specs()
+    if not 2 <= args.classes <= len(specs):
+        raise ConfigError(f"--classes must be in 2..{len(specs)}, "
+                          f"got {args.classes}")
+    specs = specs[:args.classes]
     split = build_dataset(specs, args.train, args.test, args.seed,
                           PERTURB_PRESETS[args.perturb](), n_points=args.points)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -10,6 +11,34 @@ ARMS = ("ce_only", "scc", "scc_cpcm", "scc_eaa", "full")
 
 class ConfigError(ValueError):
     pass
+
+
+# (field, test, what the test requires); validate() also rejects every
+# float that is not finite
+RULES = (
+    ("arm", lambda v: v in ARMS, "one of " + ", ".join(ARMS)),
+    ("lam", lambda v: v >= 0, "finite and nonnegative"),
+    ("lambda_schedule", lambda v: v in ("constant", "linear"), "constant or linear"),
+    ("lambda_end", lambda v: v >= 0, "finite and nonnegative"),
+    ("temperature", lambda v: v > 0, "finite and positive"),
+    ("eaa_mode", lambda v: v in ("varying", "fixed"), "varying or fixed"),
+    ("cpcm_method", lambda v: v in ("all_pairs", "nearest_only"),
+     "all_pairs or nearest_only"),
+    ("center_scope", lambda v: v in ("batch", "running"), "batch or running"),
+    ("batch_size", lambda v: v >= 2, "at least 2"),
+    ("epochs", lambda v: v >= 0, "nonnegative"),
+    ("lr_max", lambda v: v > 0, "finite and positive"),
+    ("lr_min", lambda v: v >= 0, "finite and nonnegative"),
+    ("momentum", lambda v: 0 <= v < 1, "finite and in [0, 1)"),
+    ("weight_decay", lambda v: v >= 0, "finite and nonnegative"),
+    ("hidden_dims", lambda v: len(v) > 0 and min(v) > 0,
+     "one or more positive widths"),
+)
+
+
+def _key(name: str) -> str:
+    """The name a config file and --set use for a field."""
+    return "lambda" if name == "lam" else name
 
 
 @dataclass
@@ -36,32 +65,16 @@ class ExperimentConfig:
     hidden_dims: list[int] = field(default_factory=lambda: [64, 128])
     # data
     data: str = "dataset"               # base path of .train/.test.cpcd pair
-    num_classes: int = 8
     n_points: int = 256
     out_dir: str = "runs"
 
     def validate(self):
-        if self.arm not in ARMS:
-            raise ConfigError(f"unknown arm '{self.arm}' (choose from {ARMS})")
-        if self.lam < 0:
-            raise ConfigError("lambda must be nonnegative")
-        if self.lambda_schedule not in ("constant", "linear"):
-            raise ConfigError(f"unknown lambda schedule '{self.lambda_schedule}'")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
-        if self.eaa_mode not in ("varying", "fixed"):
-            raise ConfigError(f"unknown eaa mode '{self.eaa_mode}'")
-        if self.cpcm_method not in ("all_pairs", "nearest_only"):
-            raise ConfigError(f"unknown cpcm method '{self.cpcm_method}'")
-        if self.center_scope not in ("batch", "running"):
-            raise ConfigError(f"unknown center scope '{self.center_scope}'")
-        if self.batch_size < 2:
-            raise ConfigError("batch size must be at least 2")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be nonnegative")
-        if not self.hidden_dims or min(self.hidden_dims) <= 0:
-            raise ConfigError("hidden_dims must list one or more positive widths, "
-                              f"got {self.hidden_dims}")
+        for name, ok, requirement in RULES:
+            value = getattr(self, name)
+            finite = not isinstance(value, float) or math.isfinite(value)
+            if not (finite and ok(value)):
+                raise ConfigError(f"config key '{_key(name)}' must be "
+                                  f"{requirement}, got {value!r}")
         return self
 
     def lam_at(self, epoch: int) -> float:
@@ -130,6 +143,5 @@ def dump_config(config: ExperimentConfig) -> str:
         v = getattr(config, f.name)
         if isinstance(v, list):
             v = " ".join(str(x) for x in v)
-        key = "lambda" if f.name == "lam" else f.name
-        lines.append(f"{key} = {v}")
+        lines.append(f"{_key(f.name)} = {v}")
     return "\n".join(lines) + "\n"

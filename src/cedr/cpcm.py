@@ -15,6 +15,7 @@ import numpy as np
 from .losses import PairWeightMatrix
 
 NEAREST_MARGIN = 0.8  # required gap between nearest and second-nearest class
+CENTER_DECAY = 0.9    # weight of the old center in RunningCenters
 
 
 @dataclass
@@ -53,7 +54,6 @@ class RunningCenters:
 
     num_classes: int
     dim: int
-    decay: float = 0.9
     centers: np.ndarray = field(init=False)
     mask: np.ndarray = field(init=False)
 
@@ -67,7 +67,8 @@ class RunningCenters:
             if not batch.mask[c]:
                 continue
             if self.mask[c]:
-                self.centers[c] = self.decay * self.centers[c] + (1 - self.decay) * batch.centers[c]
+                self.centers[c] = (CENTER_DECAY * self.centers[c]
+                                   + (1 - CENTER_DECAY) * batch.centers[c])
             else:
                 self.centers[c] = batch.centers[c]
                 self.mask[c] = True

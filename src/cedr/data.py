@@ -24,6 +24,8 @@ from .binio import Reader
 
 MAGIC = b"CPCD"
 VERSION = 1
+CLUTTER_INFLATE = 1.5   # bbox inflation for clutter points
+OCCLUSION_RETRIES = 8   # occlusion centers drawn before giving up
 
 
 class DatasetFormatError(ValueError):
@@ -37,7 +39,6 @@ class PerturbationConfig:
     tilt_max_deg: float = 15.0
     scale_range: tuple = (0.8, 1.2)
     clutter_fraction: float = 0.1
-    clutter_inflate: float = 1.5     # bbox inflation for clutter points
     occlusion_radius_frac: float = 0.2  # of bbox diagonal
 
     @classmethod
@@ -220,8 +221,7 @@ def _yaw_tilt_matrix(rng, tilt_max_deg: float) -> tuple[np.ndarray, float]:
 
 
 def generate_sample(spec: ShapeSpec, perturb: PerturbationConfig,
-                    rng: np.random.Generator, n_points: int = 256,
-                    max_retries: int = 8) -> PointCloudSample:
+                    rng: np.random.Generator, n_points: int = 256) -> PointCloudSample:
     if n_points < 32:
         raise ValueError("need at least 32 points per sample")
     size = rng.uniform(np.asarray(spec.size_low), np.asarray(spec.size_high))
@@ -246,21 +246,21 @@ def generate_sample(spec: ShapeSpec, perturb: PerturbationConfig,
         if k > 0:
             bb_lo, bb_hi = pts.min(axis=0), pts.max(axis=0)
             center, half = (bb_lo + bb_hi) / 2, (bb_hi - bb_lo) / 2
-            half = half * perturb.clutter_inflate
+            half = half * CLUTTER_INFLATE
             idx = rng.permutation(n_points)[:k]
             pts[idx] = rng.uniform(center - half, center + half, size=(k, 3))
             rec.clutter_fraction = k / n_points
     if perturb.occlusion_radius_frac > 0:
         bb_lo, bb_hi = pts.min(axis=0), pts.max(axis=0)
         radius = perturb.occlusion_radius_frac * float(np.linalg.norm(bb_hi - bb_lo))
-        for attempt in range(max_retries):
+        for attempt in range(OCCLUSION_RETRIES):
             center = rng.uniform(bb_lo, bb_hi)
             survive = np.linalg.norm(pts - center, axis=1) > radius
             if survive.any():
                 break
         else:
             raise RuntimeError(
-                f"occlusion removed every point in {max_retries} attempts"
+                f"occlusion removed every point in {OCCLUSION_RETRIES} attempts"
             )
         removed = int(n_points - survive.sum())
         if removed:
@@ -374,6 +374,8 @@ def read_dataset(base) -> DatasetSplit:
 
 def stack_points(samples: list[PointCloudSample]) -> tuple[np.ndarray, np.ndarray]:
     """(batch, n, 3) points and labels for equally sized samples."""
+    if not samples:
+        raise ValueError("no samples to stack: the split is empty")
     for i, s in enumerate(samples):
         if len(s.points) != len(samples[0].points):
             raise ValueError(f"sample {i} has {len(s.points)} points, "

@@ -4,8 +4,9 @@ Misclassified samples with confidently peaked predictions (low entropy) are
 outliers and get down-weighted; correctly classified samples with diffuse
 predictions (high entropy) sit near the decision boundary and get
 up-weighted. The reference thresholds (1.0 / 2.5 bits) and the 1.2 offset
-assume a 15-class output; for other class counts everything is rescaled by
-log2(C) / log2(15) so the same fractions of the entropy range apply.
+assume a 15-class output; for C classes, the width of the probabilities,
+everything is rescaled by log2(C) / log2(15), the scale the profile carries,
+so the same fractions of the entropy range apply.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ class EntropyProfile:
     entropy: np.ndarray    # bits
     correct: np.ndarray    # bools
     tag: np.ndarray        # 'outlier' | 'unstable' | 'normal'
+    scale: float           # entropy_scale of the class count
 
 
 def entropy_scale(num_classes: int) -> float:
@@ -56,31 +58,29 @@ def shannon_entropy(probs: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=1)
 
 
-def classify_samples(probs: np.ndarray, labels: np.ndarray,
-                     thresholds: tuple[float, float] | None = None) -> EntropyProfile:
+def classify_samples(probs: np.ndarray, labels: np.ndarray) -> EntropyProfile:
     """Tag each sample outlier / unstable / normal from its entropy."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
     if probs.shape[1] < 2:
         raise ValueError("need at least 2 classes")
-    low, high = thresholds if thresholds is not None else default_thresholds(probs.shape[1])
+    low, high = default_thresholds(probs.shape[1])
     ent = shannon_entropy(probs)
     correct = probs.argmax(axis=1) == labels
     tag = np.full(len(labels), "normal", dtype=object)
     tag[(ent < low) & ~correct] = "outlier"
     tag[(ent > high) & correct] = "unstable"
-    return EntropyProfile(ent, correct, tag)
+    return EntropyProfile(ent, correct, tag, entropy_scale(probs.shape[1]))
 
 
-def sample_weight(profile: EntropyProfile, mode: str = "varying",
-                  scale: float = 1.0) -> np.ndarray:
+def sample_weight(profile: EntropyProfile, mode: str = "varying") -> np.ndarray:
     """Per-sample attention weights.
 
     varying: outlier -> E, unstable -> E - 1.2, normal -> 1, with E measured
-    on the reference 15-class scale (entropy / scale). fixed: 0.8 / 1.2 / 1.
+    on the reference 15-class scale (entropy / profile.scale). fixed: 0.8 / 1.2 / 1.
     """
     if mode == "varying":
-        e = profile.entropy / scale
+        e = profile.entropy / profile.scale
         a = np.ones(len(e))
         a[profile.tag == "outlier"] = e[profile.tag == "outlier"]
         a[profile.tag == "unstable"] = e[profile.tag == "unstable"] - UNSTABLE_OFFSET

@@ -26,17 +26,11 @@ from .autodiff import (
 @dataclass
 class EncoderConfig:
     num_classes: int
-    point_dim: int = 3
     hidden_dims: list[int] = field(default_factory=lambda: [64, 128])
 
     @property
     def global_dim(self) -> int:
         return self.hidden_dims[-1]
-
-    # projection space has the same width as the global feature
-    @property
-    def projection_dim(self) -> int:
-        return self.global_dim
 
 
 @dataclass
@@ -52,14 +46,15 @@ class PointEncoder:
         self.config = config
         rng = np.random.default_rng(seed)
         self.params: list[Parameter] = []
-        dims = [config.point_dim] + list(config.hidden_dims)
+        dims = [3] + list(config.hidden_dims)   # points are (x, y, z)
         self.point_layers = [
             self._dense_pair(rng, dims[i], dims[i + 1], f"point{i}")
             for i in range(len(dims) - 1)
         ]
         d = config.global_dim
         self.cls_head = self._dense_pair(rng, d, config.num_classes, "cls")
-        self.prj_head = self._dense_pair(rng, d, config.projection_dim, "prj")
+        # the projection space has the width of the global feature
+        self.prj_head = self._dense_pair(rng, d, d, "prj")
 
     def _dense_pair(self, rng, d_in, d_out, name):
         # He init; biases at zero
@@ -86,7 +81,7 @@ class PointEncoder:
             p.values[...] = tensors[p.name]
 
     def encode(self, points) -> ForwardOutputs:
-        """points: (batch, n_points, point_dim) array or Tensor leaf."""
+        """points: (batch, n_points, 3) array or Tensor leaf."""
         x = points if isinstance(points, Tensor) else constant(points)
         batch, n_points, pdim = x.shape
         if n_points < 1:

@@ -12,7 +12,7 @@ import numpy as np
 from . import cpcm, eaa
 from .autodiff import backward
 from .checkpoint import save_checkpoint
-from .config import ARMS, ConfigError, ExperimentConfig
+from .config import ARMS, ExperimentConfig
 from .data import DatasetSplit, stack_points
 from .encoder import EncoderConfig, PointEncoder
 from .losses import (
@@ -85,15 +85,14 @@ def batch_weights(config: ExperimentConfig, probs: np.ndarray,
         if centers_tracker is not None:
             centers = centers_tracker.update(embeddings, labels)
         else:
-            centers = cpcm.compute_centers(embeddings, labels, config.num_classes)
+            centers = cpcm.compute_centers(embeddings, labels, probs.shape[1])
         pair_w = cpcm.class_pair_weights(centers)
         cpcm_w = cpcm.cpcm_negative_weights(labels, pair_w, config.cpcm_method)
         if config.arm == "scc_cpcm":
             return cpcm_w
 
-    scale = eaa.entropy_scale(config.num_classes)
     profile = eaa.classify_samples(probs, labels)
-    a = eaa.sample_weight(profile, config.eaa_mode, scale=scale)
+    a = eaa.sample_weight(profile, config.eaa_mode)
     # a wrong, exactly one-hot prediction has entropy 0, so its weight is 0
     zero = np.flatnonzero(a <= 0)
     if zero.size:
@@ -128,11 +127,12 @@ def evaluate_model(model: PointEncoder, samples) -> EvalReport:
 def train(config: ExperimentConfig, dataset: DatasetSplit,
           checkpoint_path=None) -> tuple[RunRecord, PointEncoder]:
     config.validate()
-    if config.num_classes != len(dataset.class_names):
-        raise ConfigError(f"config num_classes is {config.num_classes}, "
-                          f"the dataset has {len(dataset.class_names)} classes")
+    num_classes = len(dataset.class_names)
+    if num_classes < 2:
+        raise ValueError("training needs at least 2 classes, "
+                         f"the dataset has {num_classes}")
     t0 = time.perf_counter()
-    enc_config = EncoderConfig(num_classes=config.num_classes,
+    enc_config = EncoderConfig(num_classes=num_classes,
                                hidden_dims=list(config.hidden_dims))
     model = PointEncoder(enc_config, seed=config.seed)
     opt = SGDMomentum(model.params, total_epochs=config.epochs,
@@ -140,7 +140,7 @@ def train(config: ExperimentConfig, dataset: DatasetSplit,
                       momentum=config.momentum, weight_decay=config.weight_decay)
     tracker = None
     if config.center_scope == "running":
-        tracker = cpcm.RunningCenters(config.num_classes, enc_config.global_dim)
+        tracker = cpcm.RunningCenters(num_classes, enc_config.global_dim)
 
     train_pts, train_labels = stack_points(dataset.train)
     record = RunRecord(config=json.loads(json.dumps(asdict(config))))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cedr.autodiff import Parameter
-from cedr.checkpoint import save_checkpoint
+from cedr.checkpoint import load_checkpoint, save_checkpoint
 from cedr.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from cedr.data import (
     PerturbationConfig,
@@ -78,6 +78,15 @@ class TestGenData:
         assert code == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("classes", [-1, 0, 1, 9])
+    def test_class_count_outside_range_is_config_error(self, tmp_path, capsys,
+                                                        classes):
+        code = main(["gen-data", "--classes", str(classes), "--out",
+                     str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        assert f"--classes must be in 2..8, got {classes}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestTrain:
     def test_artifacts(self, trained):
@@ -109,15 +118,40 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == EXIT_OK
         assert (tmp_path / "runs" / "ce_only_seed0.json").exists()
 
-    def test_class_count_differs_from_dataset(self, tmp_path, capsys):
-        base = tmp_path / "three"
-        assert main(["gen-data", "--classes", "3", "--train", "2", "--test", "2",
+    def test_class_count_comes_from_dataset(self, tmp_path):
+        base, runs = tmp_path / "three", tmp_path / "runs"
+        assert main(["gen-data", "--classes", "3", "--train", "4", "--test", "2",
                      "--points", "32", "--out", str(base)]) == EXIT_OK
-        code = main(["train", "--set", f"data={base}",
-                     "--set", f"out_dir={tmp_path / 'runs'}"])
+        assert main(["train", "--arm", "full", "--set", f"data={base}",
+                     "--set", f"out_dir={runs}", "--set", "epochs=2",
+                     "--set", "batch_size=6", "--set", "hidden_dims=8 16"]) == EXIT_OK
+        ckpt = str(runs / "full_seed0.ckpt")
+        assert load_checkpoint(ckpt)["cls.w"].shape[1] == 3
+        assert main(["eval", "--checkpoint", ckpt, "--data", str(base)]) == EXIT_OK
+        assert main(["analyze", "--checkpoint", ckpt, "--data", str(base),
+                     "--out", str(tmp_path / "analysis")]) == EXIT_OK
+
+    @pytest.mark.parametrize("settings, key", [
+        ("temperature=nan", "temperature"),
+        ("lam=nan", "lambda"),
+        ("lambda=inf", "lambda"),
+        ("lr_max=nan", "lr_max"),
+        ("lr_max=-0.1", "lr_max"),
+        ("lr_min=-1", "lr_min"),
+        ("momentum=1.5", "momentum"),
+        ("weight_decay=-1", "weight_decay"),
+        ("lambda_schedule=linear lambda_end=-1", "lambda_end"),
+    ])
+    def test_invalid_value_is_config_error(self, data_base, tmp_path, capsys,
+                                           settings, key):
+        sets = [arg for kv in settings.split() for arg in ("--set", kv)]
+        code = main(["train", "--set", f"data={data_base}",
+                     "--set", f"out_dir={tmp_path / 'runs'}",
+                     "--set", "epochs=1", "--set", "batch_size=16",
+                     "--set", "hidden_dims=8 16", *sets])
         assert code == EXIT_CONFIG
-        assert "num_classes is 8, the dataset has 3" in capsys.readouterr().err
-        assert not list(tmp_path.glob("runs/*.ckpt"))
+        assert f"config key '{key}' must be" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("arm, match", [
         # the diverged weights overflow the embeddings' squared norms

@@ -19,7 +19,7 @@ class TestValidate:
         ExperimentConfig(arm=arm).validate()
 
     def test_unknown_arm(self):
-        with pytest.raises(ConfigError, match="unknown arm"):
+        with pytest.raises(ConfigError, match="config key 'arm' must be one of"):
             ExperimentConfig(arm="scc_both").validate()
 
     def test_negative_lambda(self):
@@ -31,7 +31,7 @@ class TestValidate:
             ExperimentConfig(temperature=0.0).validate()
 
     def test_batch_of_one(self):
-        with pytest.raises(ConfigError, match="batch size"):
+        with pytest.raises(ConfigError, match="'batch_size' must be at least 2"):
             ExperimentConfig(batch_size=1).validate()
 
     def test_bad_enum_values(self):

@@ -50,7 +50,7 @@ class TestCenters:
                 assert not centers.mask[c]
 
     def test_running_centers_ema(self):
-        tracker = RunningCenters(2, 3, decay=0.9)
+        tracker = RunningCenters(2, 3)
         e1 = np.ones((2, 3))
         tracker.update(e1, np.array([0, 0]))
         assert np.allclose(tracker.centers[0], 1.0)

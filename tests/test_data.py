@@ -190,6 +190,10 @@ class TestDataset:
         with pytest.raises(ValueError, match="sample 2 has 3 points, sample 0 has 2"):
             stack_points(samples)
 
+    def test_stack_points_rejects_an_empty_split(self):
+        with pytest.raises(ValueError, match="the split is empty"):
+            stack_points([])
+
 
 def test_confusable_pairs_dominate_center_distances():
     """Under a random untrained encoder, the closest class centers should be

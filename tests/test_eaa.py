@@ -18,9 +18,6 @@ from cedr.eaa import (
 )
 from cedr.losses import ContrastiveBatch, PairWeightMatrix, supervised_infonce
 
-REF_THRESHOLDS = (1.0, 2.5)  # the 15-class reference values
-
-
 def unit(b):
     return PairWeightMatrix(np.ones((b, b)), np.ones((b, b)))
 
@@ -73,41 +70,42 @@ class TestEntropy:
         assert np.max(np.abs(shannon_entropy(probs) - entropy_loop(probs))) < 1e-12
 
 
-def profile_with(entropies, tags):
+def profile_with(entropies, tags, scale=1.0):
     entropies = np.asarray(entropies, float)
     return EntropyProfile(entropies,
                           np.array([t != "outlier" for t in tags]),
-                          np.array(tags, dtype=object))
+                          np.array(tags, dtype=object), scale)
+
+
+def probs_with_entropy(num_classes, peaked_class, spread):
+    """One row whose entropy grows with spread."""
+    row = np.full(num_classes, spread / (num_classes - 1))
+    row[peaked_class] = 1.0 - spread
+    return row
 
 
 class TestClassify:
-    def probs_with_entropy(self, num_classes, peaked_class, spread):
-        """One row whose entropy grows with spread."""
-        row = np.full(num_classes, spread / (num_classes - 1))
-        row[peaked_class] = 1.0 - spread
-        return row
-
     def test_low_entropy_wrong_is_outlier(self):
-        probs = np.array([self.probs_with_entropy(15, 3, 0.02)])
-        profile = classify_samples(probs, np.array([5]), REF_THRESHOLDS)
+        probs = np.array([probs_with_entropy(15, 3, 0.02)])
+        profile = classify_samples(probs, np.array([5]))
         assert profile.entropy[0] < 1.0
         assert profile.tag[0] == "outlier"
 
     def test_high_entropy_correct_is_unstable(self):
-        probs = np.array([self.probs_with_entropy(15, 3, 0.75)])
-        profile = classify_samples(probs, np.array([3]), REF_THRESHOLDS)
+        probs = np.array([probs_with_entropy(15, 3, 0.75)])
+        profile = classify_samples(probs, np.array([3]))
         assert profile.entropy[0] > 2.5
         assert profile.tag[0] == "unstable"
 
     def test_high_entropy_wrong_is_normal(self):
-        probs = np.array([self.probs_with_entropy(15, 3, 0.75)])
-        profile = classify_samples(probs, np.array([5]), REF_THRESHOLDS)
+        probs = np.array([probs_with_entropy(15, 3, 0.75)])
+        profile = classify_samples(probs, np.array([5]))
         assert profile.entropy[0] > 2.5
         assert profile.tag[0] == "normal"
 
     def test_low_entropy_correct_is_normal(self):
-        probs = np.array([self.probs_with_entropy(15, 3, 0.02)])
-        profile = classify_samples(probs, np.array([3]), REF_THRESHOLDS)
+        probs = np.array([probs_with_entropy(15, 3, 0.02)])
+        profile = classify_samples(probs, np.array([3]))
         assert profile.tag[0] == "normal"
 
     def test_default_thresholds_rescale(self):
@@ -147,10 +145,24 @@ class TestSampleWeight:
 
     def test_rescaled_entropy_keeps_ordering(self):
         s = entropy_scale(8)
-        profile = profile_with([0.5 * s, 2.8 * s], ["outlier", "unstable"])
-        a = sample_weight(profile, "varying", scale=s)
+        profile = profile_with([0.5 * s, 2.8 * s], ["outlier", "unstable"], s)
+        a = sample_weight(profile, "varying")
         assert a[0] == pytest.approx(0.5, abs=1e-12)
         assert a[1] == pytest.approx(2.8 - 1.2, abs=1e-12)
+
+    def test_profile_carries_the_class_count_scale(self):
+        # 8 classes: a confidently wrong row, a diffuse correct row, a
+        # confident correct row
+        probs = np.array([probs_with_entropy(8, 3, 0.02),
+                          probs_with_entropy(8, 3, 0.75),
+                          probs_with_entropy(8, 3, 0.02)])
+        profile = classify_samples(probs, np.array([5, 3, 3]))
+        assert list(profile.tag) == ["outlier", "unstable", "normal"]
+        e = profile.entropy / entropy_scale(8)
+        a = sample_weight(profile, "varying")
+        assert a[0] == pytest.approx(e[0], abs=1e-12)
+        assert a[1] == pytest.approx(e[1] - 1.2, abs=1e-12)
+        assert a[2] == 1.0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):

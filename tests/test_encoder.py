@@ -77,9 +77,9 @@ class TestEncode:
         assert peak < 2 * layer_bytes, peak / layer_bytes
 
     def test_config_ties_projection_to_global_dim(self):
-        config = EncoderConfig(num_classes=3, hidden_dims=[4, 7])
-        assert config.global_dim == 7
-        assert config.projection_dim == 7
+        model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 7]))
+        assert model.config.global_dim == 7
+        assert model.prj_head[0].shape == (7, 7)
 
 
 def test_input_gradient_matches_finite_differences(model):

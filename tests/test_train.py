@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cedr.checkpoint import load_checkpoint
-from cedr.config import ConfigError, ExperimentConfig
+from cedr.config import ExperimentConfig
 from cedr.data import build_dataset, default_shape_specs
 from cedr.eaa import shannon_entropy
 from cedr.encoder import PointEncoder
@@ -23,15 +23,18 @@ from cedr.train import (
 
 def small_config(**overrides):
     base = dict(arm="full", epochs=2, batch_size=16, hidden_dims=[8, 16],
-                num_classes=8, n_points=64, seed=0)
+                n_points=64, seed=0)
     base.update(overrides)
     return ExperimentConfig(**base)
 
 
 class TestTrainLoop:
-    def test_class_count_must_match_dataset(self):
-        split = build_dataset(default_shape_specs()[:3], 2, 2, seed=0, n_points=32)
-        with pytest.raises(ConfigError, match="num_classes is 8, the dataset has 3"):
+    @pytest.mark.parametrize("classes", [0, 1])
+    def test_fewer_than_two_classes_rejected(self, classes):
+        split = build_dataset(default_shape_specs()[:classes], 2, 2, seed=0,
+                              n_points=32)
+        with pytest.raises(ValueError, match="needs at least 2 classes, the "
+                           f"dataset has {classes}$"):
             train(small_config(), split)
 
     def test_zero_epochs_evaluates_once(self, tiny_dataset):
