@@ -150,6 +150,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    # each run's seed comes from --seeds, and its arm from the arm list unless
+    # --lambda-grid is given; a --set of either would be overridden silently
+    for kv in args.set or []:
+        key = kv.partition("=")[0]
+        name = key.strip().replace("-", "_")
+        if name == "seed":
+            raise ConfigError(f"config key '{key}' cannot be set for ablate; "
+                              "pick the seeds with --seeds")
+        if name == "arm" and not args.lambda_grid:
+            raise ConfigError(f"config key '{key}' cannot be set for ablate, "
+                              "which trains every arm; add --lambda-grid to "
+                              "sweep the balance coefficient on one arm")
     config = _load_experiment(args)
     seeds = _parse_seeds(args.seeds)
     dataset = read_dataset(config.data)

@@ -24,9 +24,9 @@ RULES = (
     ("eaa_mode", lambda v: v in ("varying", "fixed"), "varying or fixed"),
     ("cpcm_method", lambda v: v in ("all_pairs", "nearest_only"),
      "all_pairs or nearest_only"),
-    ("center_scope", lambda v: v in ("batch", "running"), "batch or running"),
     ("batch_size", lambda v: v >= 2, "at least 2"),
     ("epochs", lambda v: v >= 0, "nonnegative"),
+    ("seed", lambda v: v >= 0, "nonnegative"),
     ("lr_max", lambda v: v > 0, "finite and positive"),
     ("lr_min", lambda v: v >= 0, "finite and nonnegative"),
     ("momentum", lambda v: 0 <= v < 1, "finite and in [0, 1)"),
@@ -51,8 +51,6 @@ class ExperimentConfig:
     temperature: float = 1.0
     eaa_mode: str = "varying"           # varying | fixed
     cpcm_method: str = "all_pairs"      # all_pairs | nearest_only
-    center_scope: str = "batch"         # batch | running
-    fuse_renormalize: bool = True
     # training recipe (desk-scale defaults; paper-scale reachable by config)
     batch_size: int = 32
     epochs: int = 60
@@ -86,12 +84,6 @@ class ExperimentConfig:
 
 def _coerce(raw: str, kind):
     raw = raw.strip()
-    if kind is bool:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean, got '{raw}'")
     if kind is int:
         return int(raw)
     if kind is float:
@@ -104,7 +96,7 @@ def _coerce(raw: str, kind):
 def apply_overrides(config: ExperimentConfig, pairs: dict[str, str]) -> ExperimentConfig:
     types = {f.name: f.type for f in fields(config)}
     pythonic = {"list[int]": list[int], "str": str, "int": int,
-                "float": float, "bool": bool}
+                "float": float}
     for key, raw in pairs.items():
         name = key.replace("-", "_")
         if name == "lambda":      # 'lambda' is friendlier on the CLI

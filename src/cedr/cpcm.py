@@ -8,20 +8,19 @@ well-separated classes fall back towards 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .losses import PairWeightMatrix
 
 NEAREST_MARGIN = 0.8  # required gap between nearest and second-nearest class
-CENTER_DECAY = 0.9    # weight of the old center in RunningCenters
 
 
 @dataclass
 class ClassCenters:
     centers: np.ndarray   # n_classes x D; rows undefined where mask is False
-    mask: np.ndarray      # n_classes bools: class has samples in scope
+    mask: np.ndarray      # n_classes bools: class has samples in the batch
 
 
 @dataclass
@@ -46,33 +45,6 @@ def compute_centers(embeddings: np.ndarray, labels: np.ndarray,
             centers[c] = embeddings[rows].mean(axis=0)
             mask[c] = True
     return ClassCenters(centers, mask)
-
-
-@dataclass
-class RunningCenters:
-    """Exponential moving average of batch centers across a run."""
-
-    num_classes: int
-    dim: int
-    centers: np.ndarray = field(init=False)
-    mask: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.centers = np.zeros((self.num_classes, self.dim))
-        self.mask = np.zeros(self.num_classes, dtype=bool)
-
-    def update(self, embeddings: np.ndarray, labels: np.ndarray) -> ClassCenters:
-        batch = compute_centers(embeddings, labels, self.num_classes)
-        for c in range(self.num_classes):
-            if not batch.mask[c]:
-                continue
-            if self.mask[c]:
-                self.centers[c] = (CENTER_DECAY * self.centers[c]
-                                   + (1 - CENTER_DECAY) * batch.centers[c])
-            else:
-                self.centers[c] = batch.centers[c]
-                self.mask[c] = True
-        return ClassCenters(self.centers.copy(), self.mask.copy())
 
 
 def class_pair_weights(centers: ClassCenters) -> ClassPairWeights:

@@ -337,13 +337,17 @@ def read_samples(path) -> tuple[list[PointCloudSample], list[str]]:
         names.append(r.text(ln, "class name"))
     (count,) = r.fields("I", "sample count")
     samples = []
-    for _ in range(count):
+    for i in range(count):
         start = r.off
         label, n = r.fields("HI", "sample header")
         if label >= n_classes:
             raise DatasetFormatError(f"sample label {label} at offset {start} "
                                      f"is outside the {n_classes}-class table")
+        pts_start = r.off
         pts = r.array("<f4", (n, 3), "sample points")
+        if not np.isfinite(pts).all():
+            raise DatasetFormatError(f"sample {i} has a non-finite coordinate "
+                                     f"in its points at offset {pts_start}")
         rec = PerturbationRecord(*r.fields("5f", "perturbation record"))
         samples.append(PointCloudSample(pts, int(label), rec))
     r.expect_end()

@@ -105,18 +105,18 @@ def eaa_pair_weights(a: np.ndarray) -> PairWeightMatrix:
     return PairWeightMatrix(w, w)
 
 
-def fuse_weights(cpcm: PairWeightMatrix, eaa: PairWeightMatrix,
-                 renormalize: bool = False) -> PairWeightMatrix:
-    """Combine the two weight fields on negatives by the root-sum-square;
+def fuse_weights(cpcm: PairWeightMatrix, eaa: PairWeightMatrix) -> PairWeightMatrix:
+    """Combine the two weight fields on negatives by their quadratic mean,
+    sqrt(c**2 + e**2) / sqrt(2), so two neutral (=1) inputs map to 1;
     positives carry the attention weights alone (mining defines none).
 
-    renormalize divides by sqrt(2) so two neutral (=1) inputs map back to 1.
+    supervised_infonce divides each anchor's negative weights by their sum,
+    so the 1/sqrt(2) leaves training unchanged; it keeps the fused weights
+    on the scale of their inputs.
     """
     if cpcm.w_neg.shape != eaa.w_neg.shape:
         raise ValueError(
             f"pair sets differ: {cpcm.w_neg.shape} vs {eaa.w_neg.shape}"
         )
-    w_neg = np.sqrt(cpcm.w_neg**2 + eaa.w_neg**2)
-    if renormalize:
-        w_neg = w_neg / np.sqrt(2.0)
+    w_neg = np.sqrt(cpcm.w_neg**2 + eaa.w_neg**2) / np.sqrt(2.0)
     return PairWeightMatrix(eaa.w_pos, w_neg)

@@ -73,8 +73,8 @@ class RunRecord:
 
 
 def batch_weights(config: ExperimentConfig, probs: np.ndarray,
-                  embeddings: np.ndarray, labels: np.ndarray,
-                  centers_tracker=None) -> PairWeightMatrix | None:
+                  embeddings: np.ndarray,
+                  labels: np.ndarray) -> PairWeightMatrix | None:
     """Assemble the pair weights for the configured arm. All inputs are
     plain arrays from the current forward pass; nothing here is on the tape."""
     if config.arm in ("ce_only", "scc"):
@@ -82,10 +82,7 @@ def batch_weights(config: ExperimentConfig, probs: np.ndarray,
 
     cpcm_w = None
     if config.arm in ("scc_cpcm", "full"):
-        if centers_tracker is not None:
-            centers = centers_tracker.update(embeddings, labels)
-        else:
-            centers = cpcm.compute_centers(embeddings, labels, probs.shape[1])
+        centers = cpcm.compute_centers(embeddings, labels, probs.shape[1])
         pair_w = cpcm.class_pair_weights(centers)
         cpcm_w = cpcm.cpcm_negative_weights(labels, pair_w, config.cpcm_method)
         if config.arm == "scc_cpcm":
@@ -101,7 +98,7 @@ def batch_weights(config: ExperimentConfig, probs: np.ndarray,
     eaa_w = eaa.eaa_pair_weights(a)
     if config.arm == "scc_eaa":
         return eaa_w
-    return eaa.fuse_weights(cpcm_w, eaa_w, renormalize=config.fuse_renormalize)
+    return eaa.fuse_weights(cpcm_w, eaa_w)
 
 
 def check_forward(out, where: str, ids) -> None:
@@ -138,9 +135,6 @@ def train(config: ExperimentConfig, dataset: DatasetSplit,
     opt = SGDMomentum(model.params, total_epochs=config.epochs,
                       lr_max=config.lr_max, lr_min=config.lr_min,
                       momentum=config.momentum, weight_decay=config.weight_decay)
-    tracker = None
-    if config.center_scope == "running":
-        tracker = cpcm.RunningCenters(num_classes, enc_config.global_dim)
 
     train_pts, train_labels = stack_points(dataset.train)
     record = RunRecord(config=json.loads(json.dumps(asdict(config))))
@@ -173,7 +167,7 @@ def train(config: ExperimentConfig, dataset: DatasetSplit,
             total, weights, nce = ce, None, None
             if config.arm != "ce_only":
                 weights = batch_weights(config, out.probs.values,
-                                        out.embeddings.values, labels, tracker)
+                                        out.embeddings.values, labels)
                 nce = supervised_infonce(
                     ContrastiveBatch(out.embeddings, labels, config.temperature),
                     weights)

@@ -170,12 +170,12 @@ def test_criterion_3_formula_oracles():
                      for row in probs])
     dev_ent = float(np.max(np.abs(shannon_entropy(probs) - loop)))
 
-    # root-sum-square fusion on 1024 weight pairs
+    # quadratic-mean fusion on 1024 weight pairs
     a = rng.uniform(1.0, 2.0, (32, 32))
     b = rng.uniform(0.5, 2.0, (32, 32))
     fused = fuse_weights(PairWeightMatrix(np.ones((32, 32)), a),
                          PairWeightMatrix(np.ones((32, 32)), b))
-    dev_fuse = float(np.max(np.abs(fused.w_neg - np.sqrt(a**2 + b**2))))
+    dev_fuse = float(np.max(np.abs(fused.w_neg - np.sqrt((a**2 + b**2) / 2))))
 
     worst = max(dev_w, dev_sel, dev_ent, dev_fuse)
     report(3, worst < 1e-12,

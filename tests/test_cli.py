@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cedr.autodiff import Parameter
 from cedr.checkpoint import load_checkpoint, save_checkpoint
 from cedr.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from cedr.config import ARMS, ExperimentConfig, dump_config
 from cedr.data import (
     PerturbationConfig,
     build_dataset,
@@ -106,6 +107,14 @@ class TestTrain:
                      "--set", "epochs=1"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("line", ["center_scope = running",
+                                      "fuse_renormalize = false"])
+    def test_removed_key_in_config_file(self, data_base, tmp_path, capsys, line):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"data = {data_base}\nepochs = 1\n{line}\n")
+        assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "unknown config key" in capsys.readouterr().err
+
     def test_invalid_arm(self, data_base):
         code = main(["train", "--arm", "all", "--set", f"data={data_base}"])
         assert code == EXIT_CONFIG
@@ -141,6 +150,7 @@ class TestTrain:
         ("momentum=1.5", "momentum"),
         ("weight_decay=-1", "weight_decay"),
         ("lambda_schedule=linear lambda_end=-1", "lambda_end"),
+        ("seed=-1", "seed"),
     ])
     def test_invalid_value_is_config_error(self, data_base, tmp_path, capsys,
                                            settings, key):
@@ -267,6 +277,24 @@ def test_eval_rejects_checkpoint_unfit_for_dataset(small_eval_files, tmp_path, c
     assert re.search(match, capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "analyze"])
+def test_non_finite_coordinate_is_config_error(small_eval_files, tmp_path, capsys,
+                                               command):
+    d, _ = small_eval_files
+    split = build_dataset(default_shape_specs()[:3], 2, 2, seed=0, n_points=32)
+    split.test[4].points[0, 2] = np.inf
+    write_dataset(split, tmp_path / "toy")
+    data, out = tmp_path / "toy", tmp_path / "out"
+    args = {"train": ["--set", f"data={data}", "--set", f"out_dir={out}"],
+            "eval": ["--checkpoint", str(d / "m.ckpt"), "--data", str(data)],
+            "analyze": ["--checkpoint", str(d / "m.ckpt"), "--data", str(data),
+                        "--out", str(out)]}[command]
+    assert main([command, *args]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "sample 4 has a non-finite coordinate" in err and "offset" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "analyze"])
 @pytest.mark.parametrize("name, value, scale", [
     # the scaled sample's squared projection norm overflows, so it normalises
@@ -326,6 +354,10 @@ class TestAblateCommand:
         (["--set", "hidden_dims="], "hidden_dims"),
         (["--set", "hidden_dims=0"], "hidden_dims"),
         (["--seeds", "0,1 1"], "repeats seed 1"),
+        # ablate sets these per run, so a --set of them would be overridden
+        (["--set", "seed=7"], "config key 'seed' cannot be set"),
+        (["--lambda-grid", "--set", "seed=7"], "config key 'seed' cannot be set"),
+        (["--set", "arm=scc"], "config key 'arm' cannot be set"),
     ])
     def test_bad_inputs_are_config_errors(self, data_base, tmp_path, capsys,
                                           args, message):
@@ -335,6 +367,18 @@ class TestAblateCommand:
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_file_may_list_arm_and_seed(self, data_base, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(dump_config(ExperimentConfig(
+            arm="scc", seed=7, data=str(data_base), epochs=1, batch_size=16,
+            hidden_dims=[8, 16])))
+        out = tmp_path / "ablation.csv"
+        assert main(["ablate", "--config", str(cfg), "--seeds", "0",
+                     "--out", str(out), "--quiet"]) == EXIT_OK
+        rows = list(csv.reader(out.open()))
+        assert [r[0] for r in rows[1:]] == list(ARMS)
+        assert rows[0][1] == "overall_acc_seed0"
 
     @pytest.mark.parametrize("option", [["--arm", "scc"], ["--seed", "0"]])
     def test_train_only_options_rejected(self, data_base, tmp_path, capsys,

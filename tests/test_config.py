@@ -36,7 +36,6 @@ class TestValidate:
 
     def test_bad_enum_values(self):
         for key, value in [("eaa_mode", "random"), ("cpcm_method", "method3"),
-                           ("center_scope", "global"),
                            ("lambda_schedule", "cosine")]:
             with pytest.raises(ConfigError):
                 ExperimentConfig(**{key: value}).validate()
@@ -77,12 +76,11 @@ class TestOverrides:
     def test_basic_types(self):
         config = apply_overrides(ExperimentConfig(), {
             "arm": "scc", "lambda": "0.25", "epochs": "5",
-            "fuse_renormalize": "false", "hidden_dims": "16 32",
+            "hidden_dims": "16 32",
         })
         assert config.arm == "scc"
         assert config.lam == 0.25
         assert config.epochs == 5
-        assert config.fuse_renormalize is False
         assert config.hidden_dims == [16, 32]
 
     def test_hyphenated_keys(self):
@@ -92,10 +90,6 @@ class TestOverrides:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             apply_overrides(ExperimentConfig(), {"learning_rate": "0.1"})
-
-    def test_bad_bool(self):
-        with pytest.raises(ConfigError, match="boolean"):
-            apply_overrides(ExperimentConfig(), {"fuse_renormalize": "maybe"})
 
     @pytest.mark.parametrize("key, raw", [("epochs", "abc"), ("lambda", "x"),
                                           ("hidden_dims", "8 y")])

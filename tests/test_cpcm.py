@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cedr.cpcm import (
     ClassCenters,
     ClassPairWeights,
-    RunningCenters,
     class_pair_weights,
     compute_centers,
     cpcm_negative_weights,
@@ -48,14 +47,6 @@ class TestCenters:
                 assert np.allclose(centers.centers[c], expected, atol=1e-12)
             else:
                 assert not centers.mask[c]
-
-    def test_running_centers_ema(self):
-        tracker = RunningCenters(2, 3)
-        e1 = np.ones((2, 3))
-        tracker.update(e1, np.array([0, 0]))
-        assert np.allclose(tracker.centers[0], 1.0)
-        tracker.update(np.zeros((2, 3)), np.array([0, 0]))
-        assert np.allclose(tracker.centers[0], 0.9)
 
 
 def weight_at(d):

@@ -176,6 +176,10 @@ class TestDataset:
         (lambda b: b + b"xyz", "3 trailing bytes at offset 118"),
         (lambda b: b[:68] + b"\x02\x00" + b[70:],
          "sample label 2 at offset 68 is outside the 2-class table"),
+        (lambda b: b[:24] + np.float32(np.inf).tobytes() + b[28:],
+         "sample 0 has a non-finite coordinate in its points at offset 24"),
+        (lambda b: b[:90] + np.float32(np.nan).tobytes() + b[94:],
+         "sample 1 has a non-finite coordinate in its points at offset 74"),
     ])
     def test_malformed_file_names_the_offset(self, tmp_path, edit, match):
         path = tmp_path / "small.cpcd"

@@ -256,33 +256,32 @@ class TestFuse:
     def test_three_four_five(self):
         a = PairWeightMatrix(np.ones((1, 1)), np.full((1, 1), 3.0))
         b = PairWeightMatrix(np.ones((1, 1)), np.full((1, 1), 4.0))
-        assert fuse_weights(a, b).w_neg[0, 0] == pytest.approx(5.0, abs=1e-12)
-
-    def test_both_neutral_gives_sqrt2(self):
-        fused = fuse_weights(unit(2), unit(2))
-        assert np.allclose(fused.w_neg, math.sqrt(2.0), atol=1e-12)
+        assert fuse_weights(a, b).w_neg[0, 0] == pytest.approx(
+            5.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_renormalized_neutral_maps_to_one(self):
-        fused = fuse_weights(unit(2), unit(2), renormalize=True)
+        fused = fuse_weights(unit(2), unit(2))
         assert np.allclose(fused.w_neg, 1.0, atol=1e-12)
 
     def test_direct_evaluation(self):
         a = PairWeightMatrix(np.ones((1, 1)), np.full((1, 1), 2.0))
         b = PairWeightMatrix(np.ones((1, 1)), np.full((1, 1), 1.8))
         assert fuse_weights(a, b).w_neg[0, 0] == pytest.approx(
-            math.sqrt(7.24), abs=1e-12)
+            math.sqrt(3.62), abs=1e-12)
 
     def test_positive_pairs_keep_attention_weights(self):
         eaa_w = PairWeightMatrix(np.full((2, 2), 1.7), np.ones((2, 2)))
         fused = fuse_weights(unit(2), eaa_w)
         assert np.allclose(fused.w_pos, 1.7)
 
-    def test_fused_dominates_both_inputs(self):
+    def test_fused_lies_between_inputs(self):
+        # a quadratic mean lies between the smaller and the larger input
         rng = np.random.default_rng(4)
         a = PairWeightMatrix(np.ones((3, 3)), rng.uniform(1.0, 2.0, (3, 3)))
         b = PairWeightMatrix(np.ones((3, 3)), rng.uniform(0.5, 2.0, (3, 3)))
         fused = fuse_weights(a, b)
-        assert (fused.w_neg >= np.maximum(a.w_neg, b.w_neg)).all()
+        assert (fused.w_neg >= np.minimum(a.w_neg, b.w_neg)).all()
+        assert (fused.w_neg <= np.maximum(a.w_neg, b.w_neg)).all()
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError, match="pair sets"):

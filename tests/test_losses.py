@@ -86,14 +86,31 @@ class TestInfoNCE:
         assert result.per_anchor[1] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_constant_weights_cancel(self):
+        """A constant on both weight fields, or on the negative weights alone
+        (fuse_weights' 1/sqrt(2) is one), changes neither the loss nor its
+        embedding gradient."""
         rng = np.random.default_rng(1)
         z = unit_embeddings(rng, 8, 6)
         labels = rng.integers(0, 3, 8)
-        base = supervised_infonce(ContrastiveBatch(z, labels))
-        for c in (0.25, 1.0, 7.5):
-            w = PairWeightMatrix(np.full((8, 8), c), np.full((8, 8), c))
-            scaled = supervised_infonce(ContrastiveBatch(z, labels), w)
+        w_pos = rng.uniform(0.5, 2.0, (8, 8))
+        w_neg = rng.uniform(0.5, 2.0, (8, 8))
+
+        def run(weights):
+            leaf = Tensor(z)
+            result = supervised_infonce(ContrastiveBatch(leaf, labels), weights)
+            backward(result.mean)
+            return result, leaf.grad
+
+        cases = [(None, PairWeightMatrix(np.full((8, 8), c), np.full((8, 8), c)))
+                 for c in (0.25, 1.0, 7.5)]
+        cases += [(PairWeightMatrix(w_pos, w_neg), PairWeightMatrix(w_pos, w_neg * c))
+                  for c in (1 / math.sqrt(2.0), 0.25, 7.5)]
+        for weights, scaled_weights in cases:
+            base, base_grad = run(weights)
+            scaled, scaled_grad = run(scaled_weights)
             assert abs(float(scaled.mean.values) - float(base.mean.values)) < 1e-12
+            assert np.allclose(scaled.per_anchor, base.per_anchor, rtol=0, atol=1e-12)
+            assert np.allclose(scaled_grad, base_grad, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("source", ["unit", "random_pos", "random_neg", "both"])
     def test_matches_pairwise_oracle(self, source):

@@ -100,10 +100,6 @@ class TestTrainLoop:
         train(small_config(epochs=2), tiny_dataset)
         assert len(inputs) > 4
 
-    def test_running_center_scope(self, tiny_dataset):
-        record, _ = train(small_config(center_scope="running"), tiny_dataset)
-        assert len(record.epochs) == 3
-
     def test_wall_time_excluded_from_canonical_bytes(self, tiny_dataset):
         record, _ = train(small_config(epochs=0), tiny_dataset)
         canonical = record.canonical_json()
@@ -148,10 +144,9 @@ class TestBatchWeights:
         probs, z, labels = self.setup_batch()
         cpcm_only = batch_weights(small_config(arm="scc_cpcm"), probs, z, labels)
         eaa_only = batch_weights(small_config(arm="scc_eaa"), probs, z, labels)
-        fused = batch_weights(small_config(arm="full", fuse_renormalize=False),
-                              probs, z, labels)
+        fused = batch_weights(small_config(arm="full"), probs, z, labels)
         neg = labels[:, None] != labels[None, :]
-        expected = np.sqrt(cpcm_only.w_neg**2 + eaa_only.w_neg**2)
+        expected = np.sqrt((cpcm_only.w_neg**2 + eaa_only.w_neg**2) / 2)
         assert np.allclose(fused.w_neg[neg], expected[neg], atol=1e-12)
         assert np.allclose(fused.w_pos, eaa_only.w_pos)
 
@@ -173,14 +168,6 @@ class TestBatchWeights:
             return
         for m in (w.w_pos, w.w_neg):
             assert np.isfinite(m).all() and (m > 0).all()
-
-    def test_renormalized_fusion_shrinks_by_sqrt2(self):
-        probs, z, labels = self.setup_batch()
-        plain = batch_weights(small_config(arm="full", fuse_renormalize=False),
-                              probs, z, labels)
-        renorm = batch_weights(small_config(arm="full", fuse_renormalize=True),
-                               probs, z, labels)
-        assert np.allclose(renorm.w_neg * np.sqrt(2.0), plain.w_neg, atol=1e-12)
 
 
 class TestNumericFailure:
