@@ -1,8 +1,9 @@
 """Minimal reverse-mode autodiff over a recorded computation graph.
 
-Everything is float64 numpy. There are no arithmetic operators: each op is
-one node with a hand-written vjp. `Tensor` itself has `reshape` and a
-first-maximum `max`; the composite ops below add the dense layer (with its
+Everything is float64 numpy. The graph has two kinds of node: a `Parameter`
+owns a grad buffer, and every other `Tensor` owns none. `Tensor` is a node
+only, with no operators or methods: each op is a function that builds one
+node with a hand-written vjp. The ops below are the dense layer (with its
 relu in place), the max pool over points, the row softmax and the row
 l2-normalisation. The losses in `cedr.losses` build their own one-node ops
 the same way.
@@ -17,27 +18,20 @@ class AutodiffError(RuntimeError):
     pass
 
 
-def _as_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
-
-
 class Tensor:
-    """Node in the recorded graph. `Tensor(x)` is a leaf that owns a grad
-    buffer; `constant(x)`, i.e. `Tensor(x, ())`, is a leaf that owns none. An
-    op result is built from `(parent, vjp)` edges and keeps an edge only when
-    that parent has parents or owns a grad, so a result of constants alone is
-    a constant. `vjps[k]` maps this node's gradient to `parents[k]`'s."""
+    """Node in the recorded graph; it owns no grad. `Tensor(x)`, with no
+    edges, is a constant leaf (inputs, stop-gradient weights). An op result is
+    built from `(parent, vjp)` edges and keeps an edge only when that parent
+    has parents or owns a grad, so a result of constants alone is a constant.
+    `vjps[k]` maps this node's gradient to `parents[k]`'s."""
 
     __slots__ = ("values", "grad", "parents", "vjps", "op")
 
-    def __init__(self, values, edges=None, op="leaf"):
-        self.values = _as_array(values)
+    def __init__(self, values, edges=(), op="leaf"):
+        self.values = np.asarray(values, dtype=np.float64)
         self.op = op
-        if edges is None:
-            self.grad, edges = np.zeros_like(self.values), ()
-        else:
-            self.grad = None
-            edges = [(p, f) for p, f in edges if p.parents or p.grad is not None]
+        self.grad = None
+        edges = [(p, f) for p, f in edges if p.parents or p.grad is not None]
         self.parents = tuple(p for p, _ in edges)
         self.vjps = tuple(f for _, f in edges)
 
@@ -45,37 +39,15 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
-    def zero_grad(self):
-        self.grad[...] = 0.0
-
-    def max(self, axis: int):
-        """Max-reduce one axis; ties route gradient to the first maximum."""
-        def vjp(g):
-            idx = np.expand_dims(np.argmax(self.values, axis=axis), axis)
-            full = np.zeros(self.shape)
-            np.put_along_axis(full, idx, np.expand_dims(g, axis), axis=axis)
-            return full
-
-        return Tensor(self.values.max(axis=axis), ((self, vjp),), "max")
-
-    def reshape(self, *shape):
-        return Tensor(self.values.reshape(*shape),
-                      ((self, lambda g: g.reshape(self.shape)),), "reshape")
-
-
-def constant(x) -> Tensor:
-    """Leaf carrying non-trainable data (inputs, stop-gradient weights): it
-    owns no grad, and no op records an edge to it."""
-    return Tensor(x, ())
-
 
 class Parameter(Tensor):
-    """Named trainable leaf."""
+    """Named trainable leaf: the one kind of node that owns a grad buffer."""
 
     __slots__ = ("name",)
 
     def __init__(self, values, name: str):
         super().__init__(values)
+        self.grad = np.zeros_like(self.values)
         self.name = name
 
 
@@ -167,8 +139,16 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
                        / norm),), "l2_normalize")
 
 
-def max_pool_points(x: Tensor) -> Tensor:
-    """(batch, points, features) -> (batch, features) feature-wise max."""
-    if len(x.shape) != 3:
-        raise AutodiffError(f"max_pool_points expects 3-D input, got {x.shape}")
-    return x.max(axis=1)
+def max_pool_points(h: Tensor, n_points: int) -> Tensor:
+    """Feature-wise max over each cloud's `n_points` consecutive rows of the
+    flat (batch * n_points, width) per-point buffer, as one `max_pool` node
+    with a (batch, width) result. Ties route gradient to the first maximum."""
+    per_cloud = h.values.reshape(-1, n_points, h.shape[1])
+
+    def vjp(g):
+        idx = np.argmax(per_cloud, axis=1)[:, None, :]
+        full = np.zeros(per_cloud.shape)
+        np.put_along_axis(full, idx, g[:, None, :], axis=1)
+        return full.reshape(h.shape)
+
+    return Tensor(per_cloud.max(axis=1), ((h, vjp),), "max_pool")

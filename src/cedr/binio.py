@@ -2,22 +2,30 @@
 
 Every field of a `.cpcd` dataset and a `.ckpt` checkpoint is read through
 one `Reader`, so a short, overlong or garbled file raises the format's own
-error naming the offset, never `struct.error` or an out-of-range slice.
+error naming the offset, never `struct.error` or an out-of-range slice. The
+formats' own checks raise through `Reader.error` too, so every message starts
+with the file's path.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
 
 class Reader:
-    def __init__(self, data: bytes, error: type[Exception]):
-        self.data = data
+    def __init__(self, path, error_type: type[Exception]):
+        self.path = path
+        self.data = Path(path).read_bytes()
         self.off = 0
-        self.error = error
+        self.error_type = error_type
+
+    def error(self, message: str) -> Exception:
+        """The format's error for `message`, prefixed with the file's path."""
+        return self.error_type(f"{self.path}: {message}")
 
     def _take(self, size: int, what: str) -> int:
         start = self.off

@@ -10,7 +10,6 @@ Layout (little-endian):
 from __future__ import annotations
 
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -40,20 +39,20 @@ def save_checkpoint(path, params: list[Parameter]):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    r = Reader(Path(path).read_bytes(), CheckpointError)
+    r = Reader(path, CheckpointError)
     (magic,) = r.fields("4s", "magic")
     if magic != MAGIC:
-        raise CheckpointError(f"bad magic at offset 0: {magic!r}")
+        raise r.error(f"bad magic at offset 0: {magic!r}")
     (version,) = r.fields("H", "version")
     if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version} at offset 4")
+        raise r.error(f"unsupported checkpoint version {version} at offset 4")
     tensors: dict[str, np.ndarray] = {}
     while not r.at_end:
         start = r.off
         (name_len,) = r.fields("H", "tensor name length")
         name = r.text(name_len, "tensor name")
         if name in tensors:
-            raise CheckpointError(f"repeated tensor '{name}' at offset {start}")
+            raise r.error(f"repeated tensor '{name}' at offset {start}")
         (ndim,) = r.fields("H", f"rank of '{name}'")
         dims = r.fields(f"{ndim}I", f"shape of '{name}'")
         tensors[name] = r.array("<f8", dims, f"values of '{name}'")

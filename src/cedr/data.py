@@ -14,6 +14,7 @@ float32 at creation (the storage precision) and kept as float64 in memory.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -66,6 +67,13 @@ class PerturbationRecord:
     def as_tuple(self):
         return (self.shift, self.rotation, self.scale,
                 self.clutter_fraction, self.occlusion_fraction)
+
+    def is_valid(self) -> bool:
+        """Finite, shift >= 0, scale > 0 and both fractions in [0, 1]."""
+        return (all(math.isfinite(v) for v in self.as_tuple())
+                and self.shift >= 0 and self.scale > 0
+                and 0 <= self.clutter_fraction <= 1
+                and 0 <= self.occlusion_fraction <= 1)
 
 
 @dataclass
@@ -324,13 +332,13 @@ def write_samples(path, samples: list[PointCloudSample], class_names: list[str])
 
 
 def read_samples(path) -> tuple[list[PointCloudSample], list[str]]:
-    r = Reader(Path(path).read_bytes(), DatasetFormatError)
+    r = Reader(path, DatasetFormatError)
     (magic,) = r.fields("4s", "magic")
     if magic != MAGIC:
-        raise DatasetFormatError(f"bad magic at offset 0: {magic!r}")
+        raise r.error(f"bad magic at offset 0: {magic!r}")
     version, n_classes = r.fields("HH", "header")
     if version != VERSION:
-        raise DatasetFormatError(f"unsupported version {version} at offset 4")
+        raise r.error(f"unsupported version {version} at offset 4")
     names = []
     for _ in range(n_classes):
         (ln,) = r.fields("H", "class name length")
@@ -341,14 +349,18 @@ def read_samples(path) -> tuple[list[PointCloudSample], list[str]]:
         start = r.off
         label, n = r.fields("HI", "sample header")
         if label >= n_classes:
-            raise DatasetFormatError(f"sample label {label} at offset {start} "
-                                     f"is outside the {n_classes}-class table")
+            raise r.error(f"sample label {label} at offset {start} "
+                          f"is outside the {n_classes}-class table")
         pts_start = r.off
         pts = r.array("<f4", (n, 3), "sample points")
         if not np.isfinite(pts).all():
-            raise DatasetFormatError(f"sample {i} has a non-finite coordinate "
-                                     f"in its points at offset {pts_start}")
+            raise r.error(f"sample {i} has a non-finite coordinate "
+                          f"in its points at offset {pts_start}")
+        rec_start = r.off
         rec = PerturbationRecord(*r.fields("5f", "perturbation record"))
+        if not rec.is_valid():
+            raise r.error(f"sample {i} has an invalid perturbation record at "
+                          f"offset {rec_start}: {rec}")
         samples.append(PointCloudSample(pts, int(label), rec))
     r.expect_end()
     return samples, names
@@ -372,7 +384,8 @@ def read_dataset(base) -> DatasetSplit:
     train, names = read_samples(train_path)
     test, names_test = read_samples(test_path)
     if names != names_test:
-        raise DatasetFormatError("train/test class tables disagree")
+        raise DatasetFormatError(f"{train_path} and {test_path} disagree "
+                                 "on the class table")
     return DatasetSplit(train, test, names)
 
 

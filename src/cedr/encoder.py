@@ -15,7 +15,6 @@ import numpy as np
 from .autodiff import (
     Parameter,
     Tensor,
-    constant,
     dense_forward,
     l2_normalize_rows,
     max_pool_points,
@@ -80,19 +79,17 @@ class PointEncoder:
         for p in self.params:
             p.values[...] = tensors[p.name]
 
-    def encode(self, points) -> ForwardOutputs:
-        """points: (batch, n_points, 3) array or Tensor leaf."""
-        x = points if isinstance(points, Tensor) else constant(points)
-        batch, n_points, pdim = x.shape
+    def encode(self, points: np.ndarray) -> ForwardOutputs:
+        """points: (batch, n_points, 3) array."""
+        batch, n_points, pdim = points.shape
         if n_points < 1:
             raise ValueError("empty point cloud")
-        if not np.all(np.isfinite(x.values)):
+        if not np.all(np.isfinite(points)):
             raise ValueError("non-finite point coordinates")
-        h = x.reshape(batch * n_points, pdim)
+        h = Tensor(points.reshape(batch * n_points, pdim))
         for w, b in self.point_layers:
             h = dense_forward(h, w, b, relu=True)
-        per_point = h.reshape(batch, n_points, self.config.global_dim)
-        global_features = max_pool_points(per_point)
+        global_features = max_pool_points(h, n_points)
         logits = dense_forward(global_features, *self.cls_head)
         probs = softmax_rows(logits)
         embeddings = l2_normalize_rows(dense_forward(global_features, *self.prj_head))

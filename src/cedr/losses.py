@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, constant
+from .autodiff import Tensor
 
 CE_EPS = 1e-12
 
@@ -58,7 +58,7 @@ class ContrastiveBatch:
 
     def __post_init__(self):
         if not isinstance(self.embeddings, Tensor):
-            self.embeddings = constant(np.asarray(self.embeddings, dtype=np.float64))
+            self.embeddings = Tensor(self.embeddings)
         self.labels = np.asarray(self.labels)
         if len(self.labels) != self.embeddings.shape[0]:
             raise ValueError("labels and embeddings disagree on batch size")
@@ -78,7 +78,7 @@ class InfoNCEResult:
 def cross_entropy(probs: Tensor, labels) -> Tensor:
     """Mean -log p(true class), probability floored at 1e-12."""
     if not isinstance(probs, Tensor):
-        probs = constant(probs)
+        probs = Tensor(probs)
     labels = np.asarray(labels)
     n, n_classes = probs.shape
     if labels.min() < 0 or labels.max() >= n_classes:
@@ -127,7 +127,7 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     if (w_pos[pos_mask > 0] <= 0).any() or (w_neg[neg_mask > 0] <= 0).any():
         raise ValueError("pair weights must be positive")
     if not valid.any():
-        return InfoNCEResult(mean=constant(0.0), per_anchor=np.zeros(b),
+        return InfoNCEResult(mean=Tensor(0.0), per_anchor=np.zeros(b),
                              skipped_anchors=b)
 
     # normalize positive weights by their per-anchor mean; masked-out entries

@@ -50,4 +50,4 @@ class SGDMomentum:
 
     def zero_grad(self):
         for p in self.params:
-            p.zero_grad()
+            p.grad[...] = 0.0

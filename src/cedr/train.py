@@ -269,24 +269,19 @@ def run_ablation(base: ExperimentConfig, dataset: DatasetSplit,
                           for arm in arms for seed in seeds], dataset, progress)
 
 
-LAMBDA_GRID = (0.05, 0.1, 0.2, 0.3, "linear:0.1:0.2")
-
-
-def _lambda_variant(base: ExperimentConfig, setting):
-    """A grid entry is a constant coefficient or 'linear:START:END'."""
-    if isinstance(setting, str):
-        _, start, end = setting.split(":")
-        return f"linear_{start}_{end}", replace(
-            base, lambda_schedule="linear", lam=float(start), lambda_end=float(end))
-    return f"constant_{setting}", replace(
-        base, lambda_schedule="constant", lam=float(setting))
+# (label, config overrides) of each balance-coefficient setting
+LAMBDA_GRID = (
+    ("constant_0.05", dict(lambda_schedule="constant", lam=0.05)),
+    ("constant_0.1", dict(lambda_schedule="constant", lam=0.1)),
+    ("constant_0.2", dict(lambda_schedule="constant", lam=0.2)),
+    ("constant_0.3", dict(lambda_schedule="constant", lam=0.3)),
+    ("linear_0.1_0.2", dict(lambda_schedule="linear", lam=0.1, lambda_end=0.2)),
+)
 
 
 def run_lambda_grid(base: ExperimentConfig, dataset: DatasetSplit,
-                    seeds=(0, 1, 2, 3, 4), grid=LAMBDA_GRID,
-                    progress=None) -> AblationResult:
+                    seeds=(0, 1, 2, 3, 4), progress=None) -> AblationResult:
     """Balance-coefficient study over the contrastive arm."""
-    settings = [_lambda_variant(base, setting) for setting in grid]
-    return _run_variants([(label, replace(config, seed=seed))
-                          for label, config in settings for seed in seeds],
+    return _run_variants([(label, replace(base, seed=seed, **overrides))
+                          for label, overrides in LAMBDA_GRID for seed in seeds],
                          dataset, progress)

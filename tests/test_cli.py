@@ -292,7 +292,32 @@ def test_non_finite_coordinate_is_config_error(small_eval_files, tmp_path, capsy
     assert main([command, *args]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "sample 4 has a non-finite coordinate" in err and "offset" in err
+    # the bad sample is in the test split, and the message names that file
+    assert f"{data}.test.cpcd: " in err and "train.cpcd" not in err
     assert not out.exists()
+
+
+def test_invalid_perturbation_record_is_config_error(tmp_path, capsys):
+    split = build_dataset(default_shape_specs()[:3], 2, 2, seed=0, n_points=32)
+    meta = split.train[1].meta
+    meta.shift, meta.scale, meta.clutter_fraction = np.nan, -5.0, 7.0
+    write_dataset(split, tmp_path / "toy")
+    out = tmp_path / "out"
+    assert main(["train", "--set", f"data={tmp_path / 'toy'}",
+                 "--set", f"out_dir={out}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'toy'}.train.cpcd: sample 1 has an invalid " \
+           "perturbation record at offset" in err
+    assert not out.exists()
+
+
+def test_truncated_checkpoint_names_it(small_eval_files, tmp_path, capsys):
+    d, files = small_eval_files
+    ckpt = tmp_path / "m.ckpt"
+    ckpt.write_bytes(files["m.ckpt"][:40])
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--data", str(d / "toy")]) == EXIT_CONFIG
+    assert f"{ckpt}: truncated values of 'point0.w'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eval", "analyze"])

@@ -5,6 +5,7 @@ from cedr.data import (
     CONFUSABLE_PAIRS,
     DatasetFormatError,
     PerturbationConfig,
+    PerturbationRecord,
     PointCloudSample,
     ShapeSpec,
     build_dataset,
@@ -19,6 +20,12 @@ from cedr.data import (
 )
 from cedr.encoder import EncoderConfig, PointEncoder
 from cedr.metrics import center_distance_report
+
+
+def set_record_field(data: bytes, record_offset: int, value: float,
+                     field: int = 0) -> bytes:
+    at = record_offset + 4 * field
+    return data[:at] + np.float32(value).tobytes() + data[at + 4:]
 
 
 def fixed_box_spec(w=1.0, d=0.8, h=0.6):
@@ -180,14 +187,40 @@ class TestDataset:
          "sample 0 has a non-finite coordinate in its points at offset 24"),
         (lambda b: b[:90] + np.float32(np.nan).tobytes() + b[94:],
          "sample 1 has a non-finite coordinate in its points at offset 74"),
+        # perturbation records: sample 0's is at offset 48, sample 1's at 98;
+        # the fields are shift, rotation, scale, clutter and occlusion
+        (lambda b: set_record_field(b, 98, np.nan),
+         r"sample 1 has an invalid perturbation record at offset 98: .*shift=nan"),
+        (lambda b: set_record_field(b, 98, -5.0, field=2),
+         r"sample 1 .* offset 98: .*scale=-5\.0"),
+        (lambda b: set_record_field(b, 98, 7.0, field=3),
+         r"sample 1 .* offset 98: .*clutter_fraction=7\.0"),
+        (lambda b: set_record_field(b, 48, -0.5),
+         r"sample 0 has an invalid perturbation record at offset 48: .*shift=-0\.5"),
+        (lambda b: set_record_field(b, 48, np.inf, field=1),
+         r"sample 0 .* offset 48: .*rotation=inf"),
+        (lambda b: set_record_field(b, 48, 0.0, field=2),
+         r"sample 0 .* offset 48: .*scale=0\.0"),
+        (lambda b: set_record_field(b, 48, -0.25, field=4),
+         r"sample 0 .* offset 48: .*occlusion_fraction=-0\.25"),
     ])
     def test_malformed_file_names_the_offset(self, tmp_path, edit, match):
         path = tmp_path / "small.cpcd"
         samples = [PointCloudSample(np.ones((2, 3)), label) for label in (0, 1)]
         write_samples(path, samples, ["a", "b"])
         path.write_bytes(edit(path.read_bytes()))
-        with pytest.raises(DatasetFormatError, match=match):
+        with pytest.raises(DatasetFormatError, match=match) as err:
             read_samples(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_perturbation_record_bounds_are_inclusive(self, tmp_path):
+        path = tmp_path / "edge.cpcd"
+        record = PerturbationRecord(shift=0.0, rotation=-3.0, scale=1e-30,
+                                    clutter_fraction=1.0, occlusion_fraction=0.0)
+        write_samples(path, [PointCloudSample(np.ones((2, 3)), 0, record)], ["a"])
+        samples, _ = read_samples(path)
+        assert samples[0].meta == PerturbationRecord(
+            *(float(np.float32(v)) for v in record.as_tuple()))
 
     def test_stack_points_names_the_odd_sample(self):
         samples = [PointCloudSample(np.ones((n, 3)), 0) for n in (2, 2, 3)]

@@ -3,10 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cedr.autodiff import Tensor, backward
 from cedr.encoder import EncoderConfig, PointEncoder
-
-from conftest import fd_gradient, max_rel_err, weighted_sum
 
 
 @pytest.fixture
@@ -80,20 +77,6 @@ class TestEncode:
         model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 7]))
         assert model.config.global_dim == 7
         assert model.prj_head[0].shape == (7, 7)
-
-
-def test_input_gradient_matches_finite_differences(model):
-    rng = np.random.default_rng(5)
-    pts = random_batch(rng, batch=2, n=3)
-    target = rng.standard_normal((2, model.config.global_dim))
-
-    def loss_value(p):
-        return float(weighted_sum(model.encode(p).embeddings, target).values)
-
-    leaf = Tensor(pts)
-    backward(weighted_sum(model.encode(leaf).embeddings, target))
-    fd = fd_gradient(loss_value, pts.copy())
-    assert max_rel_err(leaf.grad, fd) < 1e-4
 
 
 def test_load_state_missing_parameter(model, tmp_path):

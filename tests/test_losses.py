@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cedr.autodiff import Tensor, backward, constant
+from cedr.autodiff import Parameter, Tensor, backward
 from cedr.losses import (
     ContrastiveBatch,
+    InfoNCEResult,
     PairWeightMatrix,
     cross_entropy,
     joint_loss,
@@ -96,7 +97,7 @@ class TestInfoNCE:
         w_neg = rng.uniform(0.5, 2.0, (8, 8))
 
         def run(weights):
-            leaf = Tensor(z)
+            leaf = Parameter(z, "z")
             result = supervised_infonce(ContrastiveBatch(leaf, labels), weights)
             backward(result.mean)
             return result, leaf.grad
@@ -149,13 +150,13 @@ class TestInfoNCE:
     def test_batch_without_positives_is_constant_zero(self):
         # every anchor is skipped, so the mean over unskipped anchors is empty
         z = unit_embeddings(np.random.default_rng(4), 3, 4)
-        leaf = Tensor(z)
+        leaf = Parameter(z, "z")
         result = supervised_infonce(ContrastiveBatch(leaf, np.array([0, 1, 2])))
         assert float(result.mean.values) == 0.0
         assert result.mean.parents == ()
         assert np.array_equal(result.per_anchor, np.zeros(3))
         assert result.skipped_anchors == 3
-        backward(joint_loss(constant(1.5), result, 0.2))
+        backward(joint_loss(Tensor(1.5), result, 0.2))
         assert np.array_equal(leaf.grad, np.zeros((3, 4)))
 
     def test_positive_similarity_decreases_loss(self):
@@ -193,7 +194,7 @@ class TestInfoNCE:
             return float(supervised_infonce(
                 ContrastiveBatch(v.copy(), labels, 0.7), w).mean.values)
 
-        leaf = Tensor(z)
+        leaf = Parameter(z, "z")
         backward(supervised_infonce(ContrastiveBatch(leaf, labels, 0.7), w).mean)
         fd = fd_gradient(value, z.copy())
         assert max_rel_err(leaf.grad, fd) < 1e-4
@@ -201,27 +202,18 @@ class TestInfoNCE:
 
 class TestJointLoss:
     def test_arithmetic(self):
-        from cedr.autodiff import constant
-        from cedr.losses import InfoNCEResult
-
-        nce = InfoNCEResult(constant(5.0), np.zeros(2), 0)
-        total = joint_loss(constant(2.0), nce, 0.1)
+        nce = InfoNCEResult(Tensor(5.0), np.zeros(2), 0)
+        total = joint_loss(Tensor(2.0), nce, 0.1)
         assert float(total.values) == pytest.approx(2.5, abs=1e-15)
 
     def test_lambda_zero_is_pure_ce(self):
-        from cedr.autodiff import constant
-        from cedr.losses import InfoNCEResult
-
-        nce = InfoNCEResult(constant(3.7), np.zeros(2), 0)
-        total = joint_loss(constant(1.25), nce, 0.0)
+        nce = InfoNCEResult(Tensor(3.7), np.zeros(2), 0)
+        total = joint_loss(Tensor(1.25), nce, 0.0)
         assert float(total.values) == 1.25
 
     def test_negative_lambda_rejected(self):
-        from cedr.autodiff import constant
-        from cedr.losses import InfoNCEResult
-
         with pytest.raises(ValueError, match="nonnegative"):
-            joint_loss(constant(1.0), InfoNCEResult(constant(1.0), np.zeros(1), 0),
+            joint_loss(Tensor(1.0), InfoNCEResult(Tensor(1.0), np.zeros(1), 0),
                        -0.1)
 
 
@@ -243,7 +235,7 @@ def test_pair_masks_partition():
 def test_cross_entropy_gradient_property(probs, labels):
     # row 0's true-class probability sits below the 1e-12 floor
     probs[0, labels[0]] = 1e-13
-    leaf = Tensor(probs)
+    leaf = Parameter(probs, "probs")
     backward(cross_entropy(leaf, labels))
     assert leaf.grad[0, labels[0]] == 0.0
     fd = fd_gradient(lambda v: float(cross_entropy(v, labels).values), probs.copy())
@@ -268,7 +260,7 @@ def test_infonce_gradient_property(labels, data):
         return float(supervised_infonce(ContrastiveBatch(v, labels, 0.7),
                                         weights).mean.values)
 
-    leaf = Tensor(z)
+    leaf = Parameter(z, "z")
     backward(supervised_infonce(ContrastiveBatch(leaf, labels, 0.7), weights).mean)
     fd = fd_gradient(value, z.copy())
     assert np.allclose(leaf.grad, fd, rtol=1e-4, atol=1e-8)

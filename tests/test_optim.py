@@ -59,7 +59,6 @@ class TestSGD:
 
         prev = f()
         for _ in range(50):
-            x.zero_grad()
             x.grad[...] = a @ x.values
             opt.step()
             cur = f()
@@ -110,8 +109,9 @@ class TestCheckpoint:
         save_checkpoint(path, [Parameter(np.ones((3, 4)), "a.w"),
                                Parameter(np.ones(4), "a.b")])
         path.write_bytes(edit(path.read_bytes()))
-        with pytest.raises(CheckpointError, match=match):
+        with pytest.raises(CheckpointError, match=match) as err:
             load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 def test_gradients_reach_optimizer_through_backward():

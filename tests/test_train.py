@@ -224,9 +224,12 @@ class TestAblationRunner:
 
     def test_lambda_grid_labels(self, tiny_dataset):
         result = run_lambda_grid(small_config(arm="scc", epochs=1), tiny_dataset,
-                                 seeds=(0,), grid=(0.05, "linear:0.1:0.2"))
+                                 seeds=(0,))
         variants = [r["variant"] for r in result.rows]
-        assert variants == ["constant_0.05", "linear_0.1_0.2"]
-        linear = result.rows[1]["record"]
-        assert linear.config["lambda_schedule"] == "linear"
-        assert linear.config["lam"] == 0.1
+        assert variants == ["constant_0.05", "constant_0.1", "constant_0.2",
+                            "constant_0.3", "linear_0.1_0.2"]
+        constant = result.rows[0]["record"].config
+        assert (constant["lambda_schedule"], constant["lam"]) == ("constant", 0.05)
+        linear = result.rows[4]["record"].config
+        assert (linear["lambda_schedule"], linear["lam"], linear["lambda_end"]) \
+            == ("linear", 0.1, 0.2)
