@@ -113,6 +113,10 @@ def _encode_test_split(args):
         raise ConfigError(
             f"checkpoint {args.checkpoint} has {model.config.num_classes} "
             f"classes, dataset {args.data} has {len(dataset.class_names)}")
+    if len(dataset.class_names) < 2:
+        # the same rule as train's, checked before anything is written
+        raise ConfigError(f"{args.command} needs at least 2 classes, "
+                          f"dataset {args.data} has {len(dataset.class_names)}")
     pts, labels = stack_points(dataset.test)
     out = model.encode(pts)
     check_forward(out, f"checkpoint {args.checkpoint} on {args.data} "
@@ -191,7 +195,7 @@ def cmd_analyze(args) -> int:
     out, labels, class_names = _encode_test_split(args)
     probs, emb = out.probs.values, out.embeddings.values
     report = evaluate(probs, labels)
-    dist, _ = center_distance_report(emb, labels, len(class_names))
+    dist = center_distance_report(emb, labels, len(class_names))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_confusion_csv(out_dir / "confusion.csv", report.confusion, class_names)
@@ -255,7 +259,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericFailure, FloatingPointError, AutodiffError) as exc:

@@ -117,8 +117,12 @@ def apply_overrides(config: ExperimentConfig, pairs: dict[str, str]) -> Experime
 def load_config(path) -> ExperimentConfig:
     """Flat key=value text; '#' starts a comment."""
     config = ExperimentConfig()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not utf-8 text: {exc}") from None
     pairs = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -27,6 +27,7 @@ MAGIC = b"CPCD"
 VERSION = 1
 CLUTTER_INFLATE = 1.5   # bbox inflation for clutter points
 OCCLUSION_RETRIES = 8   # occlusion centers drawn before giving up
+TILT_MAX_DEG = 15.0     # bound of each tilt angle of a rotated sample
 
 
 class DatasetFormatError(ValueError):
@@ -37,16 +38,14 @@ class DatasetFormatError(ValueError):
 class PerturbationConfig:
     translate_frac: float = 0.75     # of bbox extent, per axis
     rotate: bool = True
-    tilt_max_deg: float = 15.0
     scale_range: tuple = (0.8, 1.2)
     clutter_fraction: float = 0.1
     occlusion_radius_frac: float = 0.2  # of bbox diagonal
 
     @classmethod
     def none(cls) -> "PerturbationConfig":
-        return cls(translate_frac=0.0, rotate=False, tilt_max_deg=0.0,
-                   scale_range=(1.0, 1.0), clutter_fraction=0.0,
-                   occlusion_radius_frac=0.0)
+        return cls(translate_frac=0.0, rotate=False, scale_range=(1.0, 1.0),
+                   clutter_fraction=0.0, occlusion_radius_frac=0.0)
 
     @classmethod
     def moderate(cls) -> "PerturbationConfig":
@@ -216,9 +215,9 @@ def _frustum(rng, n, r_bottom, r_top, h):
 
 # -- perturbation pipeline -------------------------------------------------
 
-def _yaw_tilt_matrix(rng, tilt_max_deg: float) -> tuple[np.ndarray, float]:
+def _yaw_tilt_matrix(rng) -> tuple[np.ndarray, float]:
     yaw = rng.uniform(0.0, 2 * np.pi)
-    tilt = np.deg2rad(rng.uniform(-tilt_max_deg, tilt_max_deg, size=2))
+    tilt = np.deg2rad(rng.uniform(-TILT_MAX_DEG, TILT_MAX_DEG, size=2))
     cz, sz = np.cos(yaw), np.sin(yaw)
     rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1.0]])
     cx, sx = np.cos(tilt[0]), np.sin(tilt[0])
@@ -242,7 +241,7 @@ def generate_sample(spec: ShapeSpec, perturb: PerturbationConfig,
         pts = pts + shift
         rec.shift = float(np.max(np.abs(shift) / np.maximum(extent, 1e-12)))
     if perturb.rotate:
-        rot, yaw = _yaw_tilt_matrix(rng, perturb.tilt_max_deg)
+        rot, yaw = _yaw_tilt_matrix(rng)
         pts = pts @ rot.T
         rec.rotation = float(yaw)
     lo, hi = perturb.scale_range

@@ -38,11 +38,6 @@ def entropy_scale(num_classes: int) -> float:
     return np.log2(num_classes) / np.log2(REFERENCE_CLASSES)
 
 
-def default_thresholds(num_classes: int) -> tuple[float, float]:
-    s = entropy_scale(num_classes)
-    return LOW_THRESHOLD * s, HIGH_THRESHOLD * s
-
-
 def shannon_entropy(probs: np.ndarray) -> np.ndarray:
     """Row-wise base-2 entropy; rows are renormalized, 0 log 0 := 0."""
     probs = np.asarray(probs, dtype=np.float64)
@@ -64,13 +59,13 @@ def classify_samples(probs: np.ndarray, labels: np.ndarray) -> EntropyProfile:
     labels = np.asarray(labels)
     if probs.shape[1] < 2:
         raise ValueError("need at least 2 classes")
-    low, high = default_thresholds(probs.shape[1])
+    scale = entropy_scale(probs.shape[1])
     ent = shannon_entropy(probs)
     correct = probs.argmax(axis=1) == labels
     tag = np.full(len(labels), "normal", dtype=object)
-    tag[(ent < low) & ~correct] = "outlier"
-    tag[(ent > high) & correct] = "unstable"
-    return EntropyProfile(ent, correct, tag, entropy_scale(probs.shape[1]))
+    tag[(ent < LOW_THRESHOLD * scale) & ~correct] = "outlier"
+    tag[(ent > HIGH_THRESHOLD * scale) & correct] = "unstable"
+    return EntropyProfile(ent, correct, tag, scale)
 
 
 def sample_weight(profile: EntropyProfile, mode: str = "varying") -> np.ndarray:

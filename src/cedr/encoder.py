@@ -27,17 +27,12 @@ class EncoderConfig:
     num_classes: int
     hidden_dims: list[int] = field(default_factory=lambda: [64, 128])
 
-    @property
-    def global_dim(self) -> int:
-        return self.hidden_dims[-1]
-
 
 @dataclass
 class ForwardOutputs:
-    global_features: Tensor  # batch x D
-    logits: Tensor           # batch x |C|
-    probs: Tensor            # batch x |C|, rows sum to 1
-    embeddings: Tensor       # batch x D, unit rows
+    logits: Tensor       # batch x |C|
+    probs: Tensor        # batch x |C|, rows sum to 1
+    embeddings: Tensor   # batch x hidden_dims[-1], unit rows
 
 
 class PointEncoder:
@@ -50,7 +45,7 @@ class PointEncoder:
             self._dense_pair(rng, dims[i], dims[i + 1], f"point{i}")
             for i in range(len(dims) - 1)
         ]
-        d = config.global_dim
+        d = config.hidden_dims[-1]   # width of the pooled global feature
         self.cls_head = self._dense_pair(rng, d, config.num_classes, "cls")
         # the projection space has the width of the global feature
         self.prj_head = self._dense_pair(rng, d, d, "prj")
@@ -93,4 +88,4 @@ class PointEncoder:
         logits = dense_forward(global_features, *self.cls_head)
         probs = softmax_rows(logits)
         embeddings = l2_normalize_rows(dense_forward(global_features, *self.prj_head))
-        return ForwardOutputs(global_features, logits, probs, embeddings)
+        return ForwardOutputs(logits, probs, embeddings)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +23,6 @@ from .eaa import classify_samples, shannon_entropy
 class EvalReport:
     overall_acc: float
     avg_class_acc: float
-    per_class_precision: np.ndarray
-    per_class_recall: np.ndarray
-    per_class_f1: np.ndarray
     macro_f1: float
     confusion: np.ndarray          # true x predicted counts
     mean_entropy_correct: float
@@ -38,6 +36,11 @@ class EvalReport:
             "mean_entropy_correct": self.mean_entropy_correct,
             "mean_entropy_wrong": self.mean_entropy_wrong,
         }
+
+    def json_summary(self) -> dict:
+        """summary() with each non-finite value as None, JSON's null."""
+        return {k: v if math.isfinite(v) else None
+                for k, v in self.summary().items()}
 
 
 def confusion_matrix(labels: np.ndarray, predicted: np.ndarray,
@@ -70,9 +73,6 @@ def evaluate(probs: np.ndarray, labels: np.ndarray) -> EvalReport:
     return EvalReport(
         overall_acc=float(diag.sum() / len(labels)),
         avg_class_acc=float(recall[present].mean()),
-        per_class_precision=precision,
-        per_class_recall=recall,
-        per_class_f1=f1,
         macro_f1=float(f1[present].mean()),
         confusion=cm,
         mean_entropy_correct=float(ent[correct].mean()) if correct.any() else float("nan"),
@@ -81,13 +81,12 @@ def evaluate(probs: np.ndarray, labels: np.ndarray) -> EvalReport:
 
 
 def center_distance_report(embeddings: np.ndarray, labels: np.ndarray,
-                           num_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise Euclidean distances between class-mean embeddings and the
-    per-class row sums. Classes with no samples get nan rows."""
+                           num_classes: int) -> np.ndarray:
+    """Pairwise Euclidean distances between class-mean embeddings. Classes
+    with no samples get nan rows."""
     centers = compute_centers(embeddings, labels, num_classes)
     centers.centers[~centers.mask] = np.nan
-    dist = class_pair_weights(centers).dist
-    return dist, np.nansum(dist, axis=1)
+    return class_pair_weights(centers).dist
 
 
 # -- exports ---------------------------------------------------------------
@@ -136,5 +135,6 @@ def export_embeddings(path, embeddings: np.ndarray, probs: np.ndarray,
 
 def write_summary_json(path, report: EvalReport):
     with open(path, "w") as f:
-        json.dump(report.summary(), f, indent=2, sort_keys=True)
+        json.dump(report.json_summary(), f, indent=2, sort_keys=True,
+                  allow_nan=False)
         f.write("\n")

@@ -27,9 +27,8 @@ from .optim import SGDMomentum
 
 
 class NumericFailure(RuntimeError):
-    def __init__(self, message, batch_index=None, weight_dump=None):
+    def __init__(self, message, weight_dump=None):
         super().__init__(message)
-        self.batch_index = batch_index
         self.weight_dump = weight_dump
 
 
@@ -38,9 +37,9 @@ class EpochRecord:
     epoch: int
     lr: float
     lam: float
-    ce: float
-    nce: float
-    total: float
+    ce: float | None      # the three losses are None at epoch -1, the
+    nce: float | None     # evaluation before the first step
+    total: float | None
     skipped_anchors: int
     overall_acc: float
     avg_class_acc: float
@@ -62,13 +61,14 @@ class RunRecord:
             "epochs": [asdict(e) for e in self.epochs],
             "final": self.final,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
 
     def save(self, path):
         payload = json.loads(self.canonical_json())
         payload["wall_time"] = self.wall_time
         with open(path, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
+            json.dump(payload, f, indent=2, sort_keys=True, allow_nan=False)
             f.write("\n")
 
 
@@ -137,12 +137,13 @@ def train(config: ExperimentConfig, dataset: DatasetSplit,
                       momentum=config.momentum, weight_decay=config.weight_decay)
 
     train_pts, train_labels = stack_points(dataset.train)
-    record = RunRecord(config=json.loads(json.dumps(asdict(config))))
+    record = RunRecord(config=json.loads(json.dumps(asdict(config),
+                                                    allow_nan=False)))
 
     report = evaluate_model(model, dataset.test)
     record.epochs.append(EpochRecord(
-        epoch=-1, lr=opt.lr, lam=config.lam_at(0), ce=float("nan"),
-        nce=float("nan"), total=float("nan"), skipped_anchors=0,
+        epoch=-1, lr=opt.lr, lam=config.lam_at(0), ce=None, nce=None,
+        total=None, skipped_anchors=0,
         overall_acc=report.overall_acc, avg_class_acc=report.avg_class_acc,
         macro_f1=report.macro_f1))
 
@@ -179,7 +180,7 @@ def train(config: ExperimentConfig, dataset: DatasetSplit,
                             "w_neg": weights.w_neg.tolist()}
                 raise NumericFailure(
                     f"non-finite loss at epoch {epoch}, batch {bi}",
-                    batch_index=bi, weight_dump=dump)
+                    weight_dump=dump)
             opt.zero_grad()
             backward(total)
             opt.step()
@@ -203,7 +204,7 @@ def train(config: ExperimentConfig, dataset: DatasetSplit,
             avg_class_acc=report.avg_class_acc,
             macro_f1=report.macro_f1))
 
-    record.final = report.summary()
+    record.final = report.json_summary()
     record.wall_time = time.perf_counter() - t0
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, model.params)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,13 @@ def weighted_sum(node: Tensor, upstream=1.0) -> Tensor:
     up = np.broadcast_to(np.asarray(upstream, dtype=np.float64), node.shape)
     return Tensor((node.values * up).sum(), ((node, lambda g: g * up),),
                   "weighted_sum")
+
+
+def strict_json(text: str):
+    """json.loads that rejects NaN and Infinity, which standard JSON lacks."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture(scope="session")

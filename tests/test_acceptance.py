@@ -228,7 +228,7 @@ def test_criterion_5_ablation_trend(ablation, tmp_path):
 def pair_distance(model, samples, num_classes):
     pts, labels = stack_points(samples)
     emb = model.encode(pts).embeddings.values
-    dist, _ = center_distance_report(emb, labels, num_classes)
+    dist = center_distance_report(emb, labels, num_classes)
     return sum(dist[i, j] for i, j in CONFUSABLE_PAIRS)
 
 

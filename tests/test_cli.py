@@ -20,6 +20,8 @@ from cedr.data import (
 )
 from cedr.encoder import EncoderConfig, PointEncoder
 
+from conftest import strict_json
+
 
 @pytest.fixture(scope="module")
 def data_base(tmp_path_factory):
@@ -95,6 +97,21 @@ class TestTrain:
         payload = json.loads((trained / "scc_seed1.json").read_text())
         assert payload["config"]["arm"] == "scc"
         assert len(payload["epochs"]) == 3
+
+    def test_run_json_is_standard(self, trained):
+        payload = strict_json((trained / "scc_seed1.json").read_text())
+        # epoch -1 evaluates before the first step, so it has no losses
+        first = payload["epochs"][0]
+        assert (first["ce"], first["nce"], first["total"]) == (None, None, None)
+        assert all(v is not None for v in payload["epochs"][1].values())
+
+    def test_config_file_not_utf8_names_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)    # where the default out_dir would go
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"epochs = 1\narm = sc\xffc\n")
+        assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"error: {cfg}: not utf-8 text" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_unknown_override_key(self, data_base, capsys):
         code = main(["train", "--set", "optimizer=adam",
@@ -294,6 +311,46 @@ def test_non_finite_coordinate_is_config_error(small_eval_files, tmp_path, capsy
     assert "sample 4 has a non-finite coordinate" in err and "offset" in err
     # the bad sample is in the test split, and the message names that file
     assert f"{data}.test.cpcd: " in err and "train.cpcd" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze", "train"])
+def test_directory_in_place_of_a_file_is_config_error(
+        small_eval_files, tmp_path, monkeypatch, capsys, command):
+    """eval's --checkpoint, the test file of analyze's --data and train's
+    --config are each a directory."""
+    d, files = small_eval_files
+    monkeypatch.chdir(tmp_path)    # where train's default out_dir would go
+    ckpt, cfg = tmp_path / "m.ckpt", tmp_path / "exp.cfg"
+    (tmp_path / "toy.train.cpcd").write_bytes(files["toy.train.cpcd"])
+    args, bad = {
+        "eval": (["--checkpoint", str(ckpt), "--data", str(d / "toy")], ckpt),
+        "analyze": (["--checkpoint", str(d / "m.ckpt"), "--data",
+                     str(tmp_path / "toy"), "--out", str(tmp_path / "out")],
+                    tmp_path / "toy.test.cpcd"),
+        "train": (["--config", str(cfg)], cfg),
+    }[command]
+    bad.mkdir()
+    before = sorted(tmp_path.iterdir())
+    assert main([command, *args]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_one_class_dataset_is_config_error(tmp_path, capsys, command):
+    write_dataset(build_dataset(default_shape_specs()[:1], 2, 2, seed=0,
+                                n_points=32), tmp_path / "one")
+    model = PointEncoder(EncoderConfig(num_classes=1, hidden_dims=[4, 6]))
+    save_checkpoint(tmp_path / "m.ckpt", model.params)
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if command == "analyze" else []
+    assert main([command, "--checkpoint", str(tmp_path / "m.ckpt"),
+                 "--data", str(tmp_path / "one"), *extra]) == EXIT_CONFIG
+    assert (f"{command} needs at least 2 classes, dataset {tmp_path / 'one'} "
+            "has 1") in capsys.readouterr().err
     assert not out.exists()
 
 

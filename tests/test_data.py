@@ -252,7 +252,7 @@ def test_confusable_pairs_dominate_center_distances():
                              seed=seed)
         pts, labels = stack_points(split.train)
         emb = model.encode(pts).embeddings.values
-        dist, _ = center_distance_report(emb, labels, 8)
+        dist = center_distance_report(emb, labels, 8)
         np.fill_diagonal(dist, np.inf)
         i, j = np.unravel_index(np.argmin(dist), dist.shape)
         if tuple(sorted((i, j))) in CONFUSABLE_PAIRS:

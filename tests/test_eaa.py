@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from cedr.eaa import (
     EntropyProfile,
     classify_samples,
-    default_thresholds,
     eaa_pair_weights,
     entropy_scale,
     fuse_weights,
@@ -108,12 +107,32 @@ class TestClassify:
         profile = classify_samples(probs, np.array([3]))
         assert profile.tag[0] == "normal"
 
-    def test_default_thresholds_rescale(self):
-        low, high = default_thresholds(8)
+    def test_thresholds_rescale_to_eight_classes(self):
+        # at 8 classes the tags switch at 1.0 s and 2.5 s bits, not at the
+        # 15-class 1.0 and 2.5
         s = math.log2(8) / math.log2(15)
-        assert low == pytest.approx(1.0 * s, abs=1e-12)
-        assert high == pytest.approx(2.5 * s, abs=1e-12)
-        assert high < math.log2(8)
+
+        def row_with_entropy(target):
+            lo, hi = 0.0, 7 / 8     # entropy rises with the spread up to 7/8
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                row = probs_with_entropy(8, 3, mid)
+                if shannon_entropy(row[None])[0] < target:
+                    lo = mid
+                else:
+                    hi = mid
+            return probs_with_entropy(8, 3, lo)
+
+        # (entropy, label, tag); label 3 is the peak, so label 5 is wrong
+        cases = [(1.0 * s * (1 - 1e-6), 5, "outlier"),
+                 (1.0 * s * (1 + 1e-6), 5, "normal"),
+                 (2.5 * s * (1 + 1e-6), 3, "unstable"),
+                 (2.5 * s * (1 - 1e-6), 3, "normal")]
+        probs = np.array([row_with_entropy(e) for e, _, _ in cases])
+        profile = classify_samples(probs, np.array([y for _, y, _ in cases]))
+        assert np.allclose(profile.entropy, [e for e, _, _ in cases], rtol=1e-9)
+        assert list(profile.tag) == [tag for _, _, tag in cases]
+        assert profile.scale == pytest.approx(s, abs=1e-12)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="2 classes"):

@@ -22,7 +22,6 @@ class TestEncode:
         perm = rng.permutation(pts.shape[1])
         a = model.encode(pts)
         b = model.encode(pts[:, perm, :])
-        assert np.array_equal(a.global_features.values, b.global_features.values)
         assert np.array_equal(a.logits.values, b.logits.values)
         assert np.array_equal(a.probs.values, b.probs.values)
         assert np.array_equal(a.embeddings.values, b.embeddings.values)
@@ -40,8 +39,10 @@ class TestEncode:
         h = p[0]
         for w, b in model.point_layers:
             h = np.maximum(h @ w.values + b.values, 0.0)
+        w, b = model.cls_head
         out = model.encode(p)
-        assert np.allclose(out.global_features.values[0], h[0], atol=1e-12)
+        assert np.allclose(out.logits.values[0], h[0] @ w.values + b.values,
+                           atol=1e-12)
 
     def test_output_invariants(self, model):
         out = model.encode(random_batch(np.random.default_rng(3), batch=6))
@@ -75,8 +76,8 @@ class TestEncode:
 
     def test_config_ties_projection_to_global_dim(self):
         model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 7]))
-        assert model.config.global_dim == 7
         assert model.prj_head[0].shape == (7, 7)
+        assert model.cls_head[0].shape == (7, 3)
 
 
 def test_load_state_missing_parameter(model, tmp_path):

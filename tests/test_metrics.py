@@ -16,6 +16,8 @@ from cedr.metrics import (
     write_summary_json,
 )
 
+from conftest import strict_json
+
 
 def one_hot_probs(predicted, num_classes, peak=0.97):
     probs = np.full((len(predicted), num_classes),
@@ -73,13 +75,12 @@ class TestEvaluate:
         labels = np.array([0, 0, 0, 1, 1, 2])
         predicted = np.array([0, 0, 1, 1, 0, 2])
         report = evaluate(one_hot_probs(predicted, 3), labels)
-        # class 0: tp=2, fp=1, fn=1
-        assert report.per_class_precision[0] == pytest.approx(2 / 3)
-        assert report.per_class_recall[0] == pytest.approx(2 / 3)
-        p, r = 2 / 3, 2 / 3
-        assert report.per_class_f1[0] == pytest.approx(2 * p * r / (p + r))
-        # class 2: perfect on a single sample
-        assert report.per_class_f1[2] == 1.0
+        # class 0: tp=2, fp=1, fn=1, so precision = recall = f1 = 2/3;
+        # class 1: tp=1, fp=1, fn=1, all three 1/2; class 2 is perfect.
+        # Each class's f1 equals its recall, so both means agree.
+        expected = (2 / 3 + 1 / 2 + 1) / 3
+        assert report.macro_f1 == pytest.approx(expected, abs=1e-15)
+        assert report.avg_class_acc == pytest.approx(expected, abs=1e-15)
 
     def test_macro_f1_averages_present_classes_only(self):
         labels = np.array([0, 0, 1, 1])
@@ -90,9 +91,8 @@ class TestEvaluate:
     def test_absent_class_scores_zero_not_nan(self):
         labels = np.array([0, 0])
         report = evaluate(one_hot_probs(np.array([0, 0]), 3), labels)
-        assert report.per_class_recall[2] == 0.0
-        assert report.per_class_f1[2] == 0.0
-        assert np.isfinite(report.macro_f1)
+        # absent classes 1 and 2 leave both means at the present class's 1
+        assert report.macro_f1 == report.avg_class_acc == 1.0
 
     def test_mean_entropy_split_by_correctness(self):
         # confident correct sample and a maximally uncertain wrong one
@@ -113,29 +113,28 @@ class TestCenterDistances:
         rng = np.random.default_rng(2)
         emb = rng.standard_normal((30, 5))
         labels = rng.integers(0, 4, 30)
-        dist, row_sums = center_distance_report(emb, labels, 4)
+        dist = center_distance_report(emb, labels, 4)
         centers = [emb[labels == c].mean(axis=0) for c in range(4)]
         for a in range(4):
             for b in range(4):
                 expected = np.linalg.norm(centers[a] - centers[b])
                 assert dist[a, b] == pytest.approx(expected, abs=1e-12)
-        assert np.allclose(row_sums, dist.sum(axis=1), atol=1e-12)
 
     def test_symmetric_with_zero_diagonal(self):
         rng = np.random.default_rng(3)
         emb = rng.standard_normal((12, 4))
         labels = rng.integers(0, 3, 12)
-        dist, _ = center_distance_report(emb, labels, 3)
+        dist = center_distance_report(emb, labels, 3)
         assert np.allclose(dist, dist.T)
         assert np.allclose(np.diag(dist), 0.0)
 
     def test_missing_class_gets_nan_row(self):
         emb = np.ones((4, 2))
         labels = np.array([0, 0, 1, 1])
-        dist, row_sums = center_distance_report(emb, labels, 3)
+        dist = center_distance_report(emb, labels, 3)
         assert np.isnan(dist[2]).all()
         assert np.isnan(dist[:, 2]).all()
-        assert np.isfinite(row_sums[0])
+        assert np.isfinite(dist[:2, :2]).all()
 
 
 class TestExports:
@@ -157,8 +156,8 @@ class TestExports:
 
     def test_center_distance_csv_shape(self, tmp_path):
         rng = np.random.default_rng(5)
-        dist, _ = center_distance_report(rng.standard_normal((9, 4)),
-                                         np.repeat([0, 1, 2], 3), 3)
+        dist = center_distance_report(rng.standard_normal((9, 4)),
+                                      np.repeat([0, 1, 2], 3), 3)
         path = tmp_path / "cd.csv"
         write_center_distance_csv(path, dist, ["x", "y", "z"])
         rows = list(csv.reader(path.open()))
@@ -192,3 +191,13 @@ class TestExports:
         payload = json.loads(path.read_text())
         assert payload["overall_acc"] == pytest.approx(report.overall_acc)
         assert "macro_f1" in payload
+
+    def test_summary_json_writes_null_for_nan(self, tmp_path):
+        labels = np.array([0, 1])
+        report = evaluate(one_hot_probs(labels, 2), labels)
+        path = tmp_path / "summary.json"
+        write_summary_json(path, report)
+        payload = strict_json(path.read_text())
+        # every prediction is right: no mean entropy of wrong ones
+        assert payload["mean_entropy_wrong"] is None
+        assert math.isnan(report.summary()["mean_entropy_wrong"])

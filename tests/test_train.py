@@ -41,7 +41,8 @@ class TestTrainLoop:
         record, _ = train(small_config(epochs=0), tiny_dataset)
         assert len(record.epochs) == 1
         assert record.epochs[0].epoch == -1
-        assert np.isnan(record.epochs[0].ce)
+        first = record.epochs[0]
+        assert (first.ce, first.nce, first.total) == (None, None, None)
         assert 0.0 <= record.final["overall_acc"] <= 1.0
 
     def test_ce_only_has_zero_contrastive_term(self, tiny_dataset):
@@ -171,10 +172,9 @@ class TestBatchWeights:
 
 
 class TestNumericFailure:
-    def test_carries_batch_and_dump(self):
-        exc = NumericFailure("boom", batch_index=3,
+    def test_carries_weight_dump(self):
+        exc = NumericFailure("boom",
                              weight_dump={"w_pos": [[1.0]], "w_neg": [[2.0]]})
-        assert exc.batch_index == 3
         assert exc.weight_dump["w_neg"] == [[2.0]]
 
     @pytest.mark.parametrize("arm", ["ce_only", "scc", "scc_cpcm", "full"])
@@ -190,7 +190,9 @@ class TestNumericFailure:
 
     def test_divergent_lr_raises(self, tiny_dataset):
         config = small_config(arm="scc", epochs=4, lr_max=1e18, lr_min=1e18)
-        with pytest.raises((NumericFailure, FloatingPointError, ValueError)):
+        # the diverged weights overflow the embeddings' squared norms
+        with pytest.raises(NumericFailure, match=r"^epoch 1, batch 1: the forward "
+                                                 r"overflows on train sample \d+: "):
             train(config, tiny_dataset)
 
 
