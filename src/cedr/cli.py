@@ -258,17 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow ends in a NumericFailure that names it, not in a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericFailure, FloatingPointError, AutodiffError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        if getattr(exc, "weight_dump", None):
-            np.set_printoptions(precision=6, linewidth=120)
-            print("pair weight dump:", file=sys.stderr)
-            print(np.array(exc.weight_dump["w_pos"]), file=sys.stderr)
-            print(np.array(exc.weight_dump["w_neg"]), file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -11,20 +11,23 @@ contributes
     -log[ wp_ij e^{s_ij} / ( wp_ij e^{s_ij} + |N_i| * S_i ) ]
 
 where s_ij = z_i . z_j / tau and S_i is the weight-normalized sum
-sum_k wn_ik e^{s_ik} / sum_k wn_ik over negatives. Positive weights are
-normalized by their per-anchor mean, so scaling every weight by the same
-constant leaves the loss unchanged and unit weights reproduce the
-unweighted loss exactly. An anchor without positives is skipped (it
-contributes 0 and is not counted in the mean); a batch in which no anchor
-has a positive gives a constant loss of 0.
+sum_k wn_ik e^{s_ik} / sum_k wn_ik over negatives. It is computed in the log
+domain, as softplus(lse_i - log wp_ij - s_ij) with lse_i = log(|N_i| S_i)
+shifted by the anchor's largest negative similarity, so every tau > 0 gives
+a finite loss and gradient. Positive weights are normalized by their
+per-anchor mean, so scaling every weight by the same constant leaves the
+loss unchanged and unit weights reproduce the unweighted loss exactly. An
+anchor without positives is skipped (it contributes 0 and is not counted in
+the mean); a batch in which no anchor has a positive gives a constant loss
+of 0.
 
 Each loss is one tape node with a closed-form vjp. For upstream g:
 
     cross-entropy   d/dp_{i,y_i} = -g / (n p_{i,y_i}) where p_{i,y_i} >= 1e-12,
                     0 below the floor and at every other entry
-    InfoNCE         c_ij = pos_ij * g / (|P_i| * #valid anchors),
-                    r_i = sum_j c_ij / D_ij with D_ij the denominator above,
-                    G = c (wp e / D - 1) + e wn (|N_i| / sum_k wn_ik) r_i,
+    InfoNCE         c_ij = pos_ij * g / (|P_i| * #valid anchors), rho_ij the
+                    fraction above, q_ik = wn_ik e^{s_ik} / sum_N_i wn e^s,
+                    G = c (rho - 1) + q sum_j c_ij (1 - rho_ij),
                     dz = (G + G^T) z / tau   (Khosla et al., SupCon)
     joint           d/dce = g, d/dnce = lambda g
 """
@@ -130,33 +133,37 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
         return InfoNCEResult(mean=Tensor(0.0), per_anchor=np.zeros(b),
                              skipped_anchors=b)
 
-    # normalize positive weights by their per-anchor mean; masked-out entries
-    # are set to 1 so the log below stays finite everywhere
-    pos_mean = np.where(valid, (w_pos * pos_mask).sum(axis=1) / np.maximum(n_pos, 1), 1.0)
-    wp = np.where(pos_mask > 0, w_pos / pos_mean[:, None], 1.0)
-
-    neg_w = w_neg * neg_mask
-    neg_w_sum = neg_w.sum(axis=1)
-    # |N_i| / sum of negative weights; zero when the anchor has no negatives
-    neg_scale = np.where(neg_w_sum > 0, n_neg / np.maximum(neg_w_sum, 1e-300), 0.0)
-
     zv = z.values
     inv_tau = 1.0 / batch.temperature
-    e = np.exp((zv @ zv.T) * inv_tau)
-    pos_term = e * wp                                             # b x b
-    neg_block = (e * neg_w).sum(axis=1) * neg_scale               # b
-    denom = pos_term + neg_block.reshape(b, 1)
-    ratio = pos_term / denom
-    pair_loss = -np.log(ratio) * pos_mask
+    s = (zv @ zv.T) * inv_tau
+    # positive pairs (row-major), a_ij = log wp_ij + s_ij with the weight over
+    # its anchor's mean
+    pi, pj = np.nonzero(pos_mask > 0)
+    w_p = w_pos[pi, pj]
+    a = np.log(w_p * n_pos[pi] / np.bincount(pi, w_p, b)[pi]) + s[pi, pj]
 
-    anchor_scale = np.where(valid, 1.0 / np.maximum(n_pos, 1), 0.0)
-    per_anchor = pair_loss.sum(axis=1) * anchor_scale
+    # shift each anchor's logsumexp by its largest negative similarity; the
+    # clamp only touches entries off the negatives, whose weight is 0
+    shift = np.where(neg_mask > 0, s, -np.inf).max(axis=1)
+    neg_w = w_neg * neg_mask
+    q = np.exp(np.minimum(s - shift[:, None], 0.0)) * neg_w
+    has_neg = n_neg > 0
+    q_sum = np.where(has_neg, q.sum(axis=1), 1.0)
+    # lse_i = log(|N_i| S_i), -inf at the anchors without negatives
+    lse = shift + np.log(n_neg * q_sum / np.where(has_neg, neg_w.sum(axis=1), 1.0),
+                         where=has_neg, out=np.full(b, -np.inf))
+
+    x = lse[pi] - a   # the pair loss is softplus(x)
+    pair_loss = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    rho = np.exp(-pair_loss)
+    per_anchor = np.bincount(pi, pair_loss / n_pos[pi], b)
     n_valid = valid.sum()
 
     def vjp(g):
-        c = pos_mask * (anchor_scale * (g / n_valid))[:, None]
-        r = (c / denom).sum(axis=1)
-        grad_sims = c * (ratio - 1.0) + e * neg_w * (neg_scale * r)[:, None]
+        c = g / (n_valid * n_pos[pi])
+        # q / q_sum is the softmax over each anchor's negatives
+        grad_sims = q * (np.bincount(pi, c * (1.0 - rho), b) / q_sum)[:, None]
+        grad_sims[pi, pj] += c * (rho - 1.0)
         return (grad_sims + grad_sims.T) @ zv * inv_tau
 
     mean = Tensor(per_anchor.sum() * (1.0 / n_valid), ((z, vjp),), "infonce")

@@ -27,9 +27,7 @@ from .optim import SGDMomentum
 
 
 class NumericFailure(RuntimeError):
-    def __init__(self, message, weight_dump=None):
-        super().__init__(message)
-        self.weight_dump = weight_dump
+    """A forward or a weight that training cannot go on from (exit code 3)."""
 
 
 @dataclass
@@ -115,9 +113,11 @@ def check_forward(out, where: str, ids) -> None:
             "probabilities or an embedding that is not unit-norm")
 
 
-def evaluate_model(model: PointEncoder, samples) -> EvalReport:
+def evaluate_model(model: PointEncoder, samples, epoch: int) -> EvalReport:
     pts, labels = stack_points(samples)
     out = model.encode(pts)
+    check_forward(out, f"epoch {epoch} evaluation: the forward overflows on "
+                  "test sample", range(len(labels)))
     return evaluate(out.probs.values, labels)
 
 
@@ -140,7 +140,7 @@ def train(config: ExperimentConfig, dataset: DatasetSplit,
     record = RunRecord(config=json.loads(json.dumps(asdict(config),
                                                     allow_nan=False)))
 
-    report = evaluate_model(model, dataset.test)
+    report = evaluate_model(model, dataset.test, -1)
     record.epochs.append(EpochRecord(
         epoch=-1, lr=opt.lr, lam=config.lam_at(0), ce=None, nce=None,
         total=None, skipped_anchors=0,
@@ -165,7 +165,7 @@ def train(config: ExperimentConfig, dataset: DatasetSplit,
             check_forward(out, f"epoch {epoch}, batch {bi}: the forward "
                           "overflows on train sample", idx)
             ce = cross_entropy(out.probs, labels)
-            total, weights, nce = ce, None, None
+            total, nce = ce, None
             if config.arm != "ce_only":
                 weights = batch_weights(config, out.probs.values,
                                         out.embeddings.values, labels)
@@ -173,14 +173,6 @@ def train(config: ExperimentConfig, dataset: DatasetSplit,
                     ContrastiveBatch(out.embeddings, labels, config.temperature),
                     weights)
                 total = joint_loss(ce, nce, lam)
-            if not np.isfinite(total.values):
-                dump = None
-                if weights is not None:
-                    dump = {"w_pos": weights.w_pos.tolist(),
-                            "w_neg": weights.w_neg.tolist()}
-                raise NumericFailure(
-                    f"non-finite loss at epoch {epoch}, batch {bi}",
-                    weight_dump=dump)
             opt.zero_grad()
             backward(total)
             opt.step()
@@ -193,7 +185,7 @@ def train(config: ExperimentConfig, dataset: DatasetSplit,
             # free this step's graph before the next batch's forward builds one
             del out, ce, nce, total
 
-        report = evaluate_model(model, dataset.test)
+        report = evaluate_model(model, dataset.test, epoch)
         record.epochs.append(EpochRecord(
             epoch=epoch, lr=opt.lr, lam=lam,
             ce=sums["ce"] / max(n_batches, 1),

@@ -197,17 +197,32 @@ class TestTrain:
         assert match in capsys.readouterr().err
         assert not list(tmp_path.glob("*.ckpt"))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergent_run_is_numeric_failure(self, data_base, tmp_path,
                                               capsys):
+        # the overflow is reported once, by the error line, not by numpy
         code = main(["train", "--arm", "scc",
                      "--set", f"data={data_base}",
                      "--set", f"out_dir={tmp_path}",
                      "--set", "epochs=4", "--set", "batch_size=16",
                      "--set", "hidden_dims=8 16",
                      "--set", "lr_max=1e18", "--set", "lr_min=1e18"])
-        captured = capsys.readouterr()
+        err = capsys.readouterr().err
         assert code == EXIT_NUMERIC
-        assert "numeric failure" in captured.err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("arm", ["scc", "scc_cpcm", "scc_eaa", "full"])
+    def test_small_temperature_trains(self, tmp_path, capsys, arm):
+        # e^{s/tau} overflows a float here; the log-domain loss does not
+        base = tmp_path / "toy"
+        assert main(["gen-data", "--classes", "3", "--train", "20", "--test", "6",
+                     "--points", "64", "--seed", "0", "--out", str(base)]) == EXIT_OK
+        code = main(["train", "--arm", arm, "--set", f"data={base}",
+                     "--set", f"out_dir={tmp_path}", "--set", "epochs=5",
+                     "--set", "hidden_dims=8 16", "--set", "temperature=0.0005"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
 
 
 class TestEvalAnalyze:
@@ -377,6 +392,7 @@ def test_truncated_checkpoint_names_it(small_eval_files, tmp_path, capsys):
     assert f"{ckpt}: truncated values of 'point0.w'" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["eval", "analyze"])
 @pytest.mark.parametrize("name, value, scale", [
     # the scaled sample's squared projection norm overflows, so it normalises

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -46,6 +47,32 @@ def infonce_oracle(z, labels, tau=1.0, w_pos=None, w_neg=None):
         per_anchor[i] = total / len(pos)
         valid.append(i)
     return per_anchor, sum(per_anchor[i] for i in valid) / len(valid)
+
+
+def infonce_decimal_oracle(z, labels, tau, w_pos, w_neg):
+    """Mean of infonce_oracle's double loop in decimal.Decimal, whose exponent
+    range holds the e^{s/tau} that overflow a float at small tau."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        b = len(labels)
+        exp_sim = [[(Decimal(float(np.dot(z[i], z[j]))) / Decimal(tau)).exp()
+                    for j in range(b)] for i in range(b)]
+        anchors = []
+        for i in range(b):
+            pos = [j for j in range(b) if j != i and labels[j] == labels[i]]
+            neg = [k for k in range(b) if labels[k] != labels[i]]
+            if not pos:
+                continue
+            wp_mean = sum(Decimal(w_pos[i, j]) for j in pos) / len(pos)
+            ws = [Decimal(w_neg[i, k]) for k in neg]
+            block = (len(neg) * sum(w * exp_sim[i][k] for w, k in zip(ws, neg))
+                     / sum(ws)) if neg else Decimal(0)
+            total = Decimal(0)
+            for j in pos:
+                num = Decimal(w_pos[i, j]) / wp_mean * exp_sim[i][j]
+                total += -(num / (num + block)).ln()
+            anchors.append(total / len(pos))
+        return float(sum(anchors) / len(anchors))
 
 
 def unit_embeddings(rng, b, d):
@@ -182,6 +209,31 @@ class TestInfoNCE:
         assert (result.per_anchor >= 0).all()
         # symmetry bound: -log(1/(1+|N|)) with |N| = 3
         assert result.per_anchor[0] == pytest.approx(math.log(4), abs=1e-12)
+
+    @staticmethod
+    def small_tau_batch():
+        """12 samples of 3 classes with random positive pair weights."""
+        rng = np.random.default_rng(11)
+        weights = PairWeightMatrix(rng.uniform(0.5, 2.0, (12, 12)),
+                                   rng.uniform(0.5, 2.0, (12, 12)))
+        return unit_embeddings(rng, 12, 6), np.arange(12) % 3, weights
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tau", [1e-3, 1e-4, 1e-6])
+    def test_small_temperature_is_finite(self, tau):
+        z, labels, weights = self.small_tau_batch()
+        leaf = Parameter(z, "z")
+        result = supervised_infonce(ContrastiveBatch(leaf, labels, tau), weights)
+        backward(result.mean)
+        assert np.isfinite(result.per_anchor).all()
+        assert np.isfinite(float(result.mean.values))
+        assert np.isfinite(leaf.grad).all()
+
+    def test_small_temperature_matches_decimal_oracle(self):
+        z, labels, weights = self.small_tau_batch()
+        result = supervised_infonce(ContrastiveBatch(z, labels, 1e-4), weights)
+        mean = infonce_decimal_oracle(z, labels, 1e-4, weights.w_pos, weights.w_neg)
+        assert abs(float(result.mean.values) - mean) <= 1e-10 * abs(mean)
 
     def test_embedding_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)

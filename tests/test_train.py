@@ -172,21 +172,26 @@ class TestBatchWeights:
 
 
 class TestNumericFailure:
-    def test_carries_weight_dump(self):
-        exc = NumericFailure("boom",
-                             weight_dump={"w_pos": [[1.0]], "w_neg": [[2.0]]})
-        assert exc.weight_dump["w_neg"] == [[2.0]]
-
     @pytest.mark.parametrize("arm", ["ce_only", "scc", "scc_cpcm", "full"])
     def test_overflowed_embeddings_raise(self, arm):
-        # every embedding's squared norm overflows, which normalises it to an
-        # all-zero row
+        # every train embedding's squared norm overflows, which normalises it
+        # to an all-zero row
         split = build_dataset(default_shape_specs(), 4, 2, seed=1, n_points=32)
-        for s in split.train + split.test:
+        for s in split.train:
             s.points *= 1e160
         with pytest.raises(NumericFailure, match=r"^epoch 0, batch 0: the forward "
                                                  r"overflows on train sample \d+: "):
             train(small_config(arm=arm, n_points=32), split)
+
+    def test_overflowed_test_split_raises(self):
+        # the evaluation before the first step already sees the overflow
+        split = build_dataset(default_shape_specs(), 4, 2, seed=1, n_points=32)
+        for s in split.test:
+            s.points *= 1e160
+        with pytest.raises(NumericFailure, match=r"^epoch -1 evaluation: the "
+                                                 r"forward overflows on test "
+                                                 r"sample 0: "):
+            train(small_config(n_points=32), split)
 
     def test_divergent_lr_raises(self, tiny_dataset):
         config = small_config(arm="scc", epochs=4, lr_max=1e18, lr_min=1e18)
