@@ -3,10 +3,10 @@
 Everything is float64 numpy. The graph has two kinds of node: a `Parameter`
 owns a grad buffer, and every other `Tensor` owns none. `Tensor` is a node
 only, with no operators or methods: each op is a function that builds one
-node with a hand-written vjp. The ops below are the dense layer (with its
-relu in place), the max pool over points, the row softmax and the row
-l2-normalisation. The losses in `cedr.losses` build their own one-node ops
-the same way.
+node with a hand-written vjp. The ops below are the dense layer, the per-point
+MLP and max pool together (its backward runs on the critical points only),
+the row softmax and the row l2-normalisation. The losses in `cedr.losses`
+build their own one-node ops the same way.
 """
 
 from __future__ import annotations
@@ -97,10 +97,9 @@ def backward(loss: Tensor):
 # -- composite ops ---------------------------------------------------------
 
 
-def dense_forward(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+def dense_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b with b broadcast over rows, as one `dense` node whose bias is
-    added in place into the matmul output. With `relu`, a `relu` node clamps
-    that same buffer in place: the dense vjps never read the node's values."""
+    added in place into the matmul output."""
     xv, wv = x.values, w.values
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] \
             or b.shape != wv.shape[1:]:
@@ -108,12 +107,8 @@ def dense_forward(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor
                             f"weight {w.shape}, bias {b.shape}")
     out = xv @ wv
     out += b.values
-    node = Tensor(out, ((x, lambda g: g @ wv.T), (w, lambda g: xv.T @ g),
+    return Tensor(out, ((x, lambda g: g @ wv.T), (w, lambda g: xv.T @ g),
                         (b, lambda g: g.sum(axis=0))), "dense")
-    if not relu:
-        return node
-    np.maximum(out, 0.0, out=out)
-    return Tensor(out, ((node, lambda g: g * (out > 0)),), "relu")
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -139,16 +134,39 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
                        / norm),), "l2_normalize")
 
 
-def max_pool_points(h: Tensor, n_points: int) -> Tensor:
-    """Feature-wise max over each cloud's `n_points` consecutive rows of the
-    flat (batch * n_points, width) per-point buffer, as one `max_pool` node
-    with a (batch, width) result. Ties route gradient to the first maximum."""
-    per_cloud = h.values.reshape(-1, n_points, h.shape[1])
+def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
+    """relu(h @ w + b) for each `(w, b)` of `layers` over (batch, n_points,
+    dim) clouds, then the max over each cloud's points, as one `point_mlp`
+    node with a (batch, width) result; points are data and get no gradient.
+    The backward runs once per `g` (the tape hands each edge the same one) and
+    on the critical points alone: each cloud's first maximum per feature."""
+    batch, n_points, dim = points.shape
+    acts = [points.reshape(batch * n_points, dim)]
+    for w, b in layers:
+        out = acts[-1] @ w.values
+        out += b.values
+        np.maximum(out, 0.0, out=out)
+        acts.append(out)
+    per_cloud = acts[-1].reshape(batch, n_points, acts[-1].shape[1])
+    pooled = per_cloud.max(axis=1)
+    memo = [None, None]
 
-    def vjp(g):
-        idx = np.argmax(per_cloud, axis=1)[:, None, :]
-        full = np.zeros(per_cloud.shape)
-        np.put_along_axis(full, idx, g[:, None, :], axis=1)
-        return full.reshape(h.shape)
+    def grads(g):
+        if memo[0] is not g:
+            rows = np.argmax(per_cloud, axis=1) + n_points * np.arange(batch)[:, None]
+            crit, inv = np.unique(rows, return_inverse=True)
+            # each (cloud, feature) has its own (row, feature) slot
+            gz = np.zeros((len(crit), pooled.shape[1]))
+            gz[inv.reshape(rows.shape), np.arange(rows.shape[1])] = g * (pooled > 0)
+            out = [None] * (2 * len(layers))
+            for i in reversed(range(len(layers))):
+                a = acts[i][crit]
+                out[2 * i:2 * i + 2] = a.T @ gz, gz.sum(axis=0)
+                if i:
+                    gz = (gz @ layers[i][0].values.T) * (a > 0)
+            memo[:] = g, out
+        return memo[1]
 
-    return Tensor(per_cloud.max(axis=1), ((h, vjp),), "max_pool")
+    edges = [(p, lambda g, k=k: grads(g)[k])
+             for k, p in enumerate(p for layer in layers for p in layer)]
+    return Tensor(pooled, edges, "point_mlp")

@@ -17,7 +17,7 @@ from .autodiff import (
     Tensor,
     dense_forward,
     l2_normalize_rows,
-    max_pool_points,
+    pooled_point_mlp,
     softmax_rows,
 )
 
@@ -76,15 +76,12 @@ class PointEncoder:
 
     def encode(self, points: np.ndarray) -> ForwardOutputs:
         """points: (batch, n_points, 3) array."""
-        batch, n_points, pdim = points.shape
+        _, n_points, _ = points.shape
         if n_points < 1:
             raise ValueError("empty point cloud")
         if not np.all(np.isfinite(points)):
             raise ValueError("non-finite point coordinates")
-        h = Tensor(points.reshape(batch * n_points, pdim))
-        for w, b in self.point_layers:
-            h = dense_forward(h, w, b, relu=True)
-        global_features = max_pool_points(h, n_points)
+        global_features = pooled_point_mlp(points, self.point_layers)
         logits = dense_forward(global_features, *self.cls_head)
         probs = softmax_rows(logits)
         embeddings = l2_normalize_rows(dense_forward(global_features, *self.prj_head))

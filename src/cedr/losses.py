@@ -103,11 +103,10 @@ def cross_entropy(probs: Tensor, labels) -> Tensor:
 
 
 def pair_masks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(positive, negative) 0/1 masks over ordered pairs, diagonal excluded."""
+    """(positive, negative) bool masks over ordered pairs, diagonal excluded."""
     labels = np.asarray(labels)
     same = labels[:, None] == labels[None, :]
-    eye = np.eye(len(labels), dtype=bool)
-    return (same & ~eye).astype(np.float64), (~same).astype(np.float64)
+    return same & ~np.eye(len(labels), dtype=bool), ~same
 
 
 def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
@@ -127,7 +126,7 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     w_neg = np.ones((b, b)) if weights is None else np.asarray(weights.w_neg, float)
     if w_pos.shape != (b, b) or w_neg.shape != (b, b):
         raise ValueError("pair weight matrices must be batch x batch")
-    if (w_pos[pos_mask > 0] <= 0).any() or (w_neg[neg_mask > 0] <= 0).any():
+    if (w_pos[pos_mask] <= 0).any() or (w_neg[neg_mask] <= 0).any():
         raise ValueError("pair weights must be positive")
     if not valid.any():
         return InfoNCEResult(mean=Tensor(0.0), per_anchor=np.zeros(b),
@@ -138,13 +137,13 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     s = (zv @ zv.T) * inv_tau
     # positive pairs (row-major), a_ij = log wp_ij + s_ij with the weight over
     # its anchor's mean
-    pi, pj = np.nonzero(pos_mask > 0)
+    pi, pj = np.nonzero(pos_mask)
     w_p = w_pos[pi, pj]
     a = np.log(w_p * n_pos[pi] / np.bincount(pi, w_p, b)[pi]) + s[pi, pj]
 
     # shift each anchor's logsumexp by its largest negative similarity; the
     # clamp only touches entries off the negatives, whose weight is 0
-    shift = np.where(neg_mask > 0, s, -np.inf).max(axis=1)
+    shift = np.where(neg_mask, s, -np.inf).max(axis=1)
     neg_w = w_neg * neg_mask
     q = np.exp(np.minimum(s - shift[:, None], 0.0)) * neg_w
     has_neg = n_neg > 0

@@ -11,7 +11,7 @@ from cedr.autodiff import (
     backward,
     dense_forward,
     l2_normalize_rows,
-    max_pool_points,
+    pooled_point_mlp,
     softmax_rows,
 )
 from cedr.encoder import EncoderConfig, PointEncoder
@@ -69,29 +69,6 @@ class TestDense:
             dense_forward(Tensor(np.zeros(x_shape)), Tensor(np.zeros((3, 2))),
                           Tensor(np.zeros(b_shape)))
 
-    def test_fused_relu_matches_finite_differences(self):
-        rng = np.random.default_rng(7)
-        xv = rng.standard_normal((6, 4))
-        wv = rng.standard_normal((4, 3))
-        bv = rng.standard_normal(3)
-        bv[1] = -100.0  # unit 1 is negative on every row
-        up = rng.standard_normal((6, 3))
-
-        def value(xa, wa, ba):
-            out = dense_forward(Tensor(xa), Tensor(wa), Tensor(ba), relu=True)
-            return float(weighted_sum(out, up).values)
-
-        x, w, b = Parameter(xv, "x"), Parameter(wv, "w"), Parameter(bv, "b")
-        backward(weighted_sum(dense_forward(x, w, b, relu=True), up))
-        assert max_rel_err(x.grad, fd_gradient(lambda v: value(v, wv, bv),
-                                                xv.copy())) < 1e-6
-        assert max_rel_err(w.grad, fd_gradient(lambda v: value(xv, v, bv),
-                                                wv.copy())) < 1e-6
-        assert max_rel_err(b.grad, fd_gradient(lambda v: value(xv, wv, v),
-                                                bv.copy())) < 1e-6
-        assert np.array_equal(w.grad[:, 1], np.zeros(4))
-        assert b.grad[1] == 0.0
-
 
 class TestElementwise:
     def test_l2_normalize_345(self):
@@ -112,14 +89,16 @@ class TestElementwise:
         assert np.allclose(out.values.sum(axis=1), 1.0, atol=1e-12)
 
     def test_relu_clamps(self):
-        out = dense_forward(Tensor([[-1.0, 0.0, 2.0]]), Tensor(np.eye(3)),
-                            Tensor(np.zeros(3)), relu=True)
+        out = pooled_point_mlp(np.array([[[-1.0, 0.0, 2.0]]]),
+                               [(Tensor(np.eye(3)), Tensor(np.zeros(3)))])
         assert np.array_equal(out.values, [[0.0, 0.0, 2.0]])
 
     def test_max_pool_singleton(self):
+        # the pool over one point passes the relu'd layer through
         x = np.random.default_rng(3).standard_normal((2, 5))
-        out = max_pool_points(Tensor(x), 1)
-        assert np.array_equal(out.values, x)
+        out = pooled_point_mlp(x[:, None, :],
+                               [(Tensor(np.eye(5)), Tensor(np.zeros(5)))])
+        assert np.array_equal(out.values, np.maximum(x, 0.0))
 
 
 class TestBackward:
@@ -151,30 +130,41 @@ class TestBackward:
         with pytest.raises(AutodiffError, match="non-finite"):
             backward(Tensor(np.nan))
 
+    # The node gives the points no gradient. Each point here carries a one-hot
+    # row tag that an identity-on-features `w` ignores, so `w.grad`'s tag rows
+    # hold the gradient that reached each point's row.
+
     def test_max_pool_tie_routes_to_first_maximum(self):
-        h = Parameter(np.array([[1.0, 5.0], [3.0, 5.0], [3.0, 2.0]]), "h")
-        backward(weighted_sum(max_pool_points(h, 3), [[1.0, 2.0]]))
-        assert np.array_equal(h.grad, [[0.0, 2.0], [1.0, 0.0], [0.0, 0.0]])
+        h = np.array([[1.0, 5.0], [3.0, 5.0], [3.0, 2.0]])
+        w = Parameter(np.vstack([np.eye(2), np.zeros((3, 2))]), "w")
+        out = pooled_point_mlp(np.hstack([h, np.eye(3)])[None],
+                               [(w, Tensor(np.zeros(2)))])
+        backward(weighted_sum(out, [[1.0, 2.0]]))
+        assert np.array_equal(w.grad[2:], [[0.0, 2.0], [1.0, 0.0], [0.0, 0.0]])
 
     def test_max_pool_ties_route_to_each_clouds_first_maximum(self):
-        # two clouds of three points, each with a tie in both units
-        h = Parameter(np.array([[1.0, 5.0], [3.0, 5.0], [3.0, 2.0],
-                                [4.0, 0.0], [4.0, 0.0], [2.0, 0.0]]), "h")
-        out = max_pool_points(h, 3)
-        assert np.array_equal(out.values, [[3.0, 5.0], [4.0, 0.0]])
+        # two clouds of three points, each with a tie in both units; the bias
+        # lifts unit 1 above the relu in the second cloud
+        h = np.array([[1.0, 5.0], [3.0, 5.0], [3.0, 2.0],
+                      [4.0, 0.0], [4.0, 0.0], [2.0, 0.0]])
+        w = Parameter(np.vstack([np.eye(2), np.zeros((6, 2))]), "w")
+        b = Tensor([0.0, 1.0])
+        out = pooled_point_mlp(np.hstack([h, np.eye(6)]).reshape(2, 3, 8),
+                               [(w, b)])
+        assert np.array_equal(out.values, [[3.0, 5.0], [4.0, 0.0]] + b.values)
         backward(weighted_sum(out, [[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(h.grad, [[0.0, 2.0], [1.0, 0.0], [0.0, 0.0],
-                                       [3.0, 4.0], [0.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(w.grad[2:], [[0.0, 2.0], [1.0, 0.0], [0.0, 0.0],
+                                           [3.0, 4.0], [0.0, 0.0], [0.0, 0.0]])
 
     def test_unit_negative_at_every_point_gets_zero_gradient(self):
         # relu makes unit 1 zero at every point; the pool routes its gradient
         # to the first point, where the relu mask stops it
         rng = np.random.default_rng(8)
-        x = Tensor(rng.standard_normal((2 * 4, 3)))
+        x = rng.standard_normal((2, 4, 3))
         w = Parameter(rng.standard_normal((3, 5)), "w")
         # unit 1 is negative at every point, the others positive
         b = Parameter(np.array([100.0, -100.0, 100.0, 100.0, 100.0]), "b")
-        pooled = max_pool_points(dense_forward(x, w, b, relu=True), 4)
+        pooled = pooled_point_mlp(x, [(w, b)])
         assert np.array_equal(pooled.values[:, 1], np.zeros(2))
         backward(weighted_sum(pooled, rng.standard_normal((2, 5))))
         assert np.array_equal(w.grad[:, 1], np.zeros(3))
@@ -182,10 +172,14 @@ class TestBackward:
         assert np.all(b.grad[[0, 2, 3, 4]] != 0.0)
 
     def test_relu_gradient_is_zero_at_signed_zeros(self):
-        x = Parameter(np.array([[0.0], [-0.0], [-1.0], [1e-300]]), "x")
-        out = dense_forward(x, Tensor([[1.0]]), Tensor([0.0]), relu=True)
+        # four one-point clouds whose hidden unit is relu(x) for x in
+        # (0, -0, -1, 1e-300); the top layer adds 1, so it passes every g
+        x = np.array([0.0, -0.0, -1.0, 1e-300])[:, None, None]
+        w0, b0 = Parameter([[1.0]], "w0"), Parameter([-0.0], "b0")
+        out = pooled_point_mlp(x, [(w0, b0), (Tensor([[1.0]]), Tensor([1.0]))])
         backward(weighted_sum(out))
-        assert np.array_equal(x.grad.ravel(), [0.0, 0.0, 0.0, 1.0])
+        # only the 1e-300 point passes the hidden relu
+        assert b0.grad[0] == 1.0 and w0.grad[0, 0] == 1e-300
 
     def test_only_leaves_hold_grads(self):
         model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
@@ -216,10 +210,9 @@ class TestBackward:
         w2 = rng.standard_normal((5, 3))
 
         def loss_of(w1):
-            # every node of the training loss: dense + relu, pool, dense,
+            # every node of the training loss: per-point MLP and pool, dense,
             # l2-normalize, softmax, cross-entropy, InfoNCE, joint
-            h = dense_forward(Tensor(x.reshape(6, 4)), w1, Tensor(b1), relu=True)
-            pooled = max_pool_points(h, 2)
+            pooled = pooled_point_mlp(x, [(w1, Tensor(b1))])
             z = l2_normalize_rows(dense_forward(pooled, Tensor(w2),
                                                 Tensor(np.zeros(3))))
             ce = cross_entropy(softmax_rows(z), np.array([0, 1, 2]))
@@ -231,6 +224,94 @@ class TestBackward:
 
         fd = fd_gradient(lambda v: float(loss_of(Tensor(v)).values), w1.copy())
         assert max_rel_err(w1p.grad, fd) < 1e-4
+
+
+def full_buffer_grads(points, layers, g):
+    """Plain-numpy reference: each layer's (w-grad, b-grad) from the backward
+    over the whole (batch * n_points, width) buffer, with the pool's gradient
+    at each cloud's first maximum and the relu masks on every row."""
+    batch, n_points, dim = points.shape
+    acts = [points.reshape(batch * n_points, dim)]
+    for w, b in layers:
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    per_cloud = acts[-1].reshape(batch, n_points, -1)
+    full = np.zeros(per_cloud.shape)
+    np.put_along_axis(full, np.argmax(per_cloud, axis=1)[:, None, :],
+                      g[:, None, :], axis=1)
+    gh, grads = full.reshape(batch * n_points, -1), []
+    for i in reversed(range(len(layers))):
+        gz = gh * (acts[i + 1] > 0)
+        grads[:0] = [acts[i].T @ gz, gz.sum(axis=0)]
+        gh = gz @ layers[i][0].T
+    return grads
+
+
+def random_layers(rng, dims):
+    """He-initialised (w, b) arrays, with small random biases."""
+    return [(rng.standard_normal((a, b)) * np.sqrt(2.0 / a),
+             rng.standard_normal(b) * 0.1) for a, b in zip(dims[:-1], dims[1:])]
+
+
+class TestPooledPointMLP:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("hidden", [[8, 16], [8, 12, 16]])
+    def test_matches_full_buffer_backward(self, seed, hidden):
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((5, 20, 3))
+        arrays = random_layers(rng, [3] + hidden)
+        up = rng.standard_normal((5, hidden[-1]))
+        layers = [(Parameter(w, f"w{k}"), Parameter(b, f"b{k}"))
+                  for k, (w, b) in enumerate(arrays)]
+        out = pooled_point_mlp(points, layers)
+        backward(weighted_sum(out, up))
+        expect = full_buffer_grads(points, arrays, up)
+        for p, ref in zip([p for layer in layers for p in layer], expect):
+            assert np.abs(p.grad - ref).max() <= 1e-12 * np.abs(ref).max(), p.name
+        per_cloud = points.reshape(100, 3)
+        for w, b in arrays:
+            per_cloud = np.maximum(per_cloud @ w + b, 0.0)
+        assert np.array_equal(out.values, per_cloud.reshape(5, 20, -1).max(axis=1))
+
+    def test_matches_finite_differences_with_ties(self):
+        rng = np.random.default_rng(7)
+        # each cloud holds every point twice, so every feature ties
+        half = rng.standard_normal((3, 4, 3))
+        points = np.concatenate([half, half], axis=1)
+        arrays = [a for layer in random_layers(rng, [3, 6, 5]) for a in layer]
+        arrays[1][1] = -100.0  # hidden unit 1 is negative at every point
+        arrays[3][2] = -100.0  # and so is top unit 2
+        up = rng.standard_normal((3, 5))
+
+        def value(k, v):
+            held = [Tensor(v if j == k else a) for j, a in enumerate(arrays)]
+            out = pooled_point_mlp(points, [held[:2], held[2:]])
+            return float(weighted_sum(out, up).values)
+
+        params = [Parameter(a, f"p{k}") for k, a in enumerate(arrays)]
+        backward(weighted_sum(pooled_point_mlp(points, [params[:2], params[2:]]), up))
+        for k, p in enumerate(params):
+            fd = fd_gradient(lambda v: value(k, v), arrays[k].copy())
+            assert max_rel_err(p.grad, fd) < 1e-6, k
+        w0, b0, w1, b1 = (p.grad for p in params)
+        assert not w0[:, 1].any() and b0[1] == 0.0 and not w1[1].any()
+        assert not w1[:, 2].any() and b1[2] == 0.0
+
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_constant_layer_gets_no_edge(self, constant):
+        rng = np.random.default_rng(9)
+        points = rng.standard_normal((4, 10, 3))
+        arrays = random_layers(rng, [3, 8, 6])
+        up = rng.standard_normal((4, 6))
+        layers = [(Parameter(w, f"w{k}"), Parameter(b, f"b{k}"))
+                  for k, (w, b) in enumerate(arrays)]
+        layers[constant] = tuple(Tensor(a) for a in arrays[constant])
+        out = pooled_point_mlp(points, layers)
+        trained = layers[1 - constant]
+        assert out.parents == trained
+        backward(weighted_sum(out, up))
+        expect = full_buffer_grads(points, arrays, up)[2 * (1 - constant):][:2]
+        for p, ref in zip(trained, expect):
+            assert np.abs(p.grad - ref).max() <= 1e-12 * np.abs(ref).max(), p.name
 
 
 class TestTapeRule:

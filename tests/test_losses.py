@@ -272,11 +272,13 @@ class TestJointLoss:
 def test_pair_masks_partition():
     labels = np.array([0, 1, 0, 2])
     pos, neg = pair_masks(labels)
-    assert pos[0, 2] == 1 and pos[2, 0] == 1
-    assert np.all(np.diag(pos) == 0) and np.all(np.diag(neg) == 0)
+    assert pos.dtype == bool and neg.dtype == bool
+    assert pos[0, 2] and pos[2, 0]
+    assert not np.diag(pos).any() and not np.diag(neg).any()
     # every off-diagonal pair is exactly one of positive / negative
     off = ~np.eye(4, dtype=bool)
-    assert np.array_equal((pos + neg)[off], np.ones(12))
+    assert (pos ^ neg)[off].all()
+    assert not (pos & neg).any()
 
 
 # Finite differences with eps 1e-5 carry about 1e-10 of rounding noise where
