@@ -35,7 +35,7 @@ from .metrics import (
 )
 from .train import (
     NumericFailure,
-    check_forward,
+    encode_split,
     run_ablation,
     run_lambda_grid,
     train,
@@ -106,7 +106,8 @@ def model_from_checkpoint(path) -> PointEncoder:
 
 
 def _encode_test_split(args):
-    """Forward of the --data test split through the --checkpoint model."""
+    """Probabilities, embeddings and labels of the --data test split under the
+    --checkpoint model, and the class names."""
     model = model_from_checkpoint(args.checkpoint)
     dataset = read_dataset(args.data)
     if model.config.num_classes != len(dataset.class_names):
@@ -118,10 +119,9 @@ def _encode_test_split(args):
         raise ConfigError(f"{args.command} needs at least 2 classes, "
                           f"dataset {args.data} has {len(dataset.class_names)}")
     pts, labels = stack_points(dataset.test)
-    out = model.encode(pts)
-    check_forward(out, f"checkpoint {args.checkpoint} on {args.data} "
-                  "overflows on test sample", range(len(labels)))
-    return out, labels, dataset.class_names
+    probs, emb = encode_split(model, pts, f"checkpoint {args.checkpoint} on "
+                              f"{args.data} overflows on test sample")
+    return probs, emb, labels, dataset.class_names
 
 
 def cmd_gen_data(args) -> int:
@@ -184,16 +184,15 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out, labels, _ = _encode_test_split(args)
-    report = evaluate(out.probs.values, labels)
+    probs, _, labels, _ = _encode_test_split(args)
+    report = evaluate(probs, labels)
     for key, value in report.summary().items():
         print(f"{key} = {value:.6f}")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    out, labels, class_names = _encode_test_split(args)
-    probs, emb = out.probs.values, out.embeddings.values
+    probs, emb, labels, class_names = _encode_test_split(args)
     report = evaluate(probs, labels)
     dist = center_distance_report(emb, labels, len(class_names))
     out_dir = Path(args.out)

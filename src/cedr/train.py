@@ -113,12 +113,38 @@ def check_forward(out, where: str, ids) -> None:
             "probabilities or an embedding that is not unit-norm")
 
 
+# point rows (clouds x points) per evaluation forward: a chunk's per-point
+# buffers stay in cache, a large split's do not (the sweep is in ROADMAP.md)
+EVAL_CHUNK_ROWS = 8192
+
+
+def encode_split(model: PointEncoder, points: np.ndarray,
+                 where: str) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and embeddings of a stacked split, encoded chunk by
+    chunk and checked under the split's own sample indices. Each chunk's tape
+    is dropped before the next forward. No chunk of a larger split holds a
+    single cloud: a one-row matmul takes another BLAS path and changes the
+    last bits, so the results equal one whole-split forward bit for bit."""
+    n, n_points = len(points), points.shape[1]
+    step = max(2, EVAL_CHUNK_ROWS // max(n_points, 1))
+    bounds = list(range(0, n, step)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    probs, embeddings = [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        out = model.encode(points[lo:hi])
+        check_forward(out, where, range(lo, hi))
+        probs.append(out.probs.values)
+        embeddings.append(out.embeddings.values)
+        del out
+    return np.concatenate(probs), np.concatenate(embeddings)
+
+
 def evaluate_model(model: PointEncoder, samples, epoch: int) -> EvalReport:
     pts, labels = stack_points(samples)
-    out = model.encode(pts)
-    check_forward(out, f"epoch {epoch} evaluation: the forward overflows on "
-                  "test sample", range(len(labels)))
-    return evaluate(out.probs.values, labels)
+    probs, _ = encode_split(model, pts, f"epoch {epoch} evaluation: the "
+                            "forward overflows on test sample")
+    return evaluate(probs, labels)
 
 
 def train(config: ExperimentConfig, dataset: DatasetSplit,

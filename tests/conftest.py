@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -57,3 +58,12 @@ def tiny_dataset():
 def clean_dataset():
     return build_dataset(default_shape_specs(), 4, 2, seed=3,
                          perturb=PerturbationConfig.none(), n_points=64)
+
+
+@pytest.fixture
+def eval_chunk_rows(monkeypatch):
+    """Setter of cedr.train's row budget per evaluation chunk, undone after
+    the test. cedr/__init__.py rebinds the package attribute `cedr.train` to
+    the train() function, so the module is looked up in sys.modules."""
+    return lambda rows: monkeypatch.setattr(sys.modules["cedr.train"],
+                                            "EVAL_CHUNK_ROWS", rows)

@@ -19,6 +19,7 @@ from cedr.data import (
     write_dataset,
 )
 from cedr.encoder import EncoderConfig, PointEncoder
+from cedr.train import EVAL_CHUNK_ROWS
 
 from conftest import strict_json
 
@@ -402,7 +403,8 @@ def test_truncated_checkpoint_names_it(small_eval_files, tmp_path, capsys):
     ("cls.w", 1e300, 1e10),
 ])
 def test_overflowing_forward_is_numeric_failure(small_eval_files, tmp_path, capsys,
-                                                command, name, value, scale):
+                                                eval_chunk_rows, command, name,
+                                                value, scale):
     d, _ = small_eval_files
     split = read_dataset(d / "toy")
     split.test[4].points *= scale
@@ -411,10 +413,14 @@ def test_overflowing_forward_is_numeric_failure(small_eval_files, tmp_path, caps
     next(p for p in model.params if p.name == name).values[...] = value
     save_checkpoint(tmp_path / "m.ckpt", model.params)
     extra = ["--out", str(tmp_path / "out")] if command == "analyze" else []
-    assert main([command, "--checkpoint", str(tmp_path / "m.ckpt"),
-                 "--data", str(tmp_path / "toy"), *extra]) == EXIT_NUMERIC
-    assert "overflows on test sample 4" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # the 6 clouds of 32 points in one chunk, then 2 clouds a chunk, which
+    # puts sample 4 in the third chunk
+    for rows in (EVAL_CHUNK_ROWS, 64):
+        eval_chunk_rows(rows)
+        assert main([command, "--checkpoint", str(tmp_path / "m.ckpt"),
+                     "--data", str(tmp_path / "toy"), *extra]) == EXIT_NUMERIC
+        assert "overflows on test sample 4:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestAblateCommand:

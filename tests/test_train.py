@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from cedr.checkpoint import load_checkpoint
 from cedr.config import ExperimentConfig
-from cedr.data import build_dataset, default_shape_specs
+from cedr.data import build_dataset, default_shape_specs, stack_points
 from cedr.eaa import shannon_entropy
-from cedr.encoder import PointEncoder
+from cedr.encoder import EncoderConfig, PointEncoder
 from cedr.train import (
     AblationResult,
     NumericFailure,
     batch_weights,
+    encode_split,
     run_ablation,
     run_lambda_grid,
     train,
@@ -119,6 +120,67 @@ class TestTrainLoop:
         assert payload["config"]["arm"] == "full"
 
 
+class TestEncodeSplit:
+    @pytest.fixture
+    def chunk_sizes(self, monkeypatch):
+        """The cloud count of every `encode` call."""
+        sizes = []
+        encode = PointEncoder.encode
+
+        def counted(self, points):
+            sizes.append(len(points))
+            return encode(self, points)
+
+        monkeypatch.setattr(PointEncoder, "encode", counted)
+        return sizes
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    # 7, 13 and 9 clouds leave a trailing single cloud at most of the budgets
+    @pytest.mark.parametrize("n_clouds, n_points, hidden", [
+        (7, 32, [8, 16]), (13, 64, [16, 32]), (9, 128, [32, 64])])
+    # the budget in clouds: half a cloud and one cloud still give 2 a chunk
+    @pytest.mark.parametrize("clouds", [0.5, 1, 3, 4, 100])
+    def test_chunks_equal_one_whole_split_forward(self, eval_chunk_rows,
+                                                  chunk_sizes, seed, n_clouds,
+                                                  n_points, hidden, clouds):
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((n_clouds, n_points, 3)) * rng.uniform(0.5, 2.0)
+        model = PointEncoder(EncoderConfig(num_classes=4, hidden_dims=hidden),
+                             seed=seed)
+        whole = model.encode(pts)
+        chunk_sizes.clear()
+        eval_chunk_rows(int(clouds * n_points))
+        probs, emb = encode_split(model, pts, "test sample")
+        assert np.array_equal(probs, whole.probs.values)
+        assert np.array_equal(emb, whole.embeddings.values)
+        # full chunks, then a last one that took in a trailing single cloud
+        step = max(2, int(clouds))
+        *full, last = chunk_sizes
+        assert full == [step] * len(full) and 2 <= last <= step + 1
+        assert sum(chunk_sizes) == n_clouds
+        assert len(chunk_sizes) > 1 or clouds == 100
+
+    def test_chunk_graph_freed_before_next_forward(self, tiny_dataset,
+                                                   monkeypatch, eval_chunk_rows):
+        # a chunk is a view of the whole split, so each forward gets an input
+        # of its own; the per-point buffers on the chunk's tape hold it
+        inputs = []
+        encode = PointEncoder.encode
+
+        def tracked(self, points):
+            assert all(ref() is None for ref in inputs)
+            points = points.copy()
+            inputs.append(weakref.ref(points))
+            return encode(self, points)
+
+        monkeypatch.setattr(PointEncoder, "encode", tracked)
+        eval_chunk_rows(3 * 64)
+        model = PointEncoder(EncoderConfig(num_classes=8, hidden_dims=[8, 16]))
+        pts, _ = stack_points(tiny_dataset.test)
+        encode_split(model, pts, "test sample")
+        assert len(inputs) >= 3
+
+
 class TestBatchWeights:
     def setup_batch(self):
         rng = np.random.default_rng(0)
@@ -191,6 +253,17 @@ class TestNumericFailure:
         with pytest.raises(NumericFailure, match=r"^epoch -1 evaluation: the "
                                                  r"forward overflows on test "
                                                  r"sample 0: "):
+            train(small_config(n_points=32), split)
+
+    def test_overflow_past_the_first_chunk_names_its_test_sample(
+            self, eval_chunk_rows):
+        split = build_dataset(default_shape_specs(), 4, 2, seed=1, n_points=32)
+        split.test[4].points *= 1e160
+        # 2 clouds a chunk, which puts sample 4 in the third chunk
+        eval_chunk_rows(64)
+        with pytest.raises(NumericFailure, match=r"^epoch -1 evaluation: the "
+                                                 r"forward overflows on test "
+                                                 r"sample 4: "):
             train(small_config(n_points=32), split)
 
     def test_divergent_lr_raises(self, tiny_dataset):
