@@ -3,10 +3,11 @@
 Everything is float64 numpy. The graph has two kinds of node: a `Parameter`
 owns a grad buffer, and every other `Tensor` owns none. `Tensor` is a node
 only, with no operators or methods: each op is a function that builds one
-node with a hand-written vjp. The ops below are the dense layer, the per-point
-MLP and max pool together (its backward runs on the critical points only),
-the row softmax and the row l2-normalisation. The losses in `cedr.losses`
-build their own one-node ops the same way.
+node with one hand-written vjp, which maps the node's gradient to one
+gradient per parent. The ops below are the dense layer, the per-point MLP
+and max pool together (its backward runs on the critical points only), the
+row softmax and the row l2-normalisation. The losses in `cedr.losses` build
+their own one-node ops the same way.
 """
 
 from __future__ import annotations
@@ -20,20 +21,23 @@ class AutodiffError(RuntimeError):
 
 class Tensor:
     """Node in the recorded graph; it owns no grad. `Tensor(x)`, with no
-    edges, is a constant leaf (inputs, stop-gradient weights). An op result is
-    built from `(parent, vjp)` edges and keeps an edge only when that parent
-    has parents or owns a grad, so a result of constants alone is a constant.
-    `vjps[k]` maps this node's gradient to `parents[k]`'s."""
+    inputs, is a constant leaf (inputs, stop-gradient weights). An op result
+    has one `vjp` that maps its gradient to one gradient per input, in input
+    order. An input with no parents and no grad is a constant: it and its
+    gradient are dropped, so a result of constants alone is a constant."""
 
-    __slots__ = ("values", "grad", "parents", "vjps", "op")
+    __slots__ = ("values", "grad", "parents", "vjp", "op")
 
-    def __init__(self, values, edges=(), op="leaf"):
+    def __init__(self, values, inputs=(), vjp=None, op="leaf"):
         self.values = np.asarray(values, dtype=np.float64)
         self.op = op
         self.grad = None
-        edges = [(p, f) for p, f in edges if p.parents or p.grad is not None]
-        self.parents = tuple(p for p, _ in edges)
-        self.vjps = tuple(f for _, f in edges)
+        keep = [bool(p.parents) or p.grad is not None for p in inputs]
+        self.parents = tuple(p for p, k in zip(inputs, keep) if k)
+        if self.parents and not all(keep):
+            self.vjp = lambda g: [pg for pg, k in zip(vjp(g), keep) if k]
+        else:
+            self.vjp = vjp if self.parents else None
 
     @property
     def shape(self):
@@ -85,8 +89,9 @@ def backward(loss: Tensor):
             raise AutodiffError(f"non-finite gradient at op '{node.op}'")
         if node.grad is not None:
             node.grad += g.reshape(node.grad.shape)
-        for parent, vjp in zip(node.parents, node.vjps):
-            pg = vjp(g)
+        if not node.parents:
+            continue
+        for parent, pg in zip(node.parents, node.vjp(g)):
             key = id(parent)
             if key in grads:
                 grads[key] = grads[key] + pg
@@ -107,8 +112,8 @@ def dense_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                             f"weight {w.shape}, bias {b.shape}")
     out = xv @ wv
     out += b.values
-    return Tensor(out, ((x, lambda g: g @ wv.T), (w, lambda g: xv.T @ g),
-                        (b, lambda g: g.sum(axis=0))), "dense")
+    return Tensor(out, (x, w, b),
+                  lambda g: (g @ wv.T, xv.T @ g, g.sum(axis=0)), "dense")
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -117,7 +122,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     xv = x.values
     e = np.exp(xv - xv.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
-    return Tensor(p, ((x, lambda g: p * (g - (g * p).sum(axis=1, keepdims=True))),),
+    return Tensor(p, (x,), lambda g: (p * (g - (g * p).sum(axis=1, keepdims=True)),),
                   "softmax")
 
 
@@ -130,16 +135,16 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
         raise AutodiffError(f"cannot l2-normalize all-zero row {zero_rows[0]}")
     norm = np.sqrt(sq)
     y = xv / norm
-    return Tensor(y, ((x, lambda g: (g - y * (g * y).sum(axis=1, keepdims=True))
-                       / norm),), "l2_normalize")
+    return Tensor(y, (x,), lambda g: ((g - y * (g * y).sum(axis=1, keepdims=True))
+                                      / norm,), "l2_normalize")
 
 
 def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
     """relu(h @ w + b) for each `(w, b)` of `layers` over (batch, n_points,
     dim) clouds, then the max over each cloud's points, as one `point_mlp`
     node with a (batch, width) result; points are data and get no gradient.
-    The backward runs once per `g` (the tape hands each edge the same one) and
-    on the critical points alone: each cloud's first maximum per feature."""
+    The backward runs on the critical points alone: each cloud's first
+    maximum per feature."""
     batch, n_points, dim = points.shape
     acts = [points.reshape(batch * n_points, dim)]
     for w, b in layers:
@@ -149,24 +154,19 @@ def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
         acts.append(out)
     per_cloud = acts[-1].reshape(batch, n_points, acts[-1].shape[1])
     pooled = per_cloud.max(axis=1)
-    memo = [None, None]
 
-    def grads(g):
-        if memo[0] is not g:
-            rows = np.argmax(per_cloud, axis=1) + n_points * np.arange(batch)[:, None]
-            crit, inv = np.unique(rows, return_inverse=True)
-            # each (cloud, feature) has its own (row, feature) slot
-            gz = np.zeros((len(crit), pooled.shape[1]))
-            gz[inv.reshape(rows.shape), np.arange(rows.shape[1])] = g * (pooled > 0)
-            out = [None] * (2 * len(layers))
-            for i in reversed(range(len(layers))):
-                a = acts[i][crit]
-                out[2 * i:2 * i + 2] = a.T @ gz, gz.sum(axis=0)
-                if i:
-                    gz = (gz @ layers[i][0].values.T) * (a > 0)
-            memo[:] = g, out
-        return memo[1]
+    def vjp(g):
+        rows = np.argmax(per_cloud, axis=1) + n_points * np.arange(batch)[:, None]
+        crit, inv = np.unique(rows, return_inverse=True)
+        # each (cloud, feature) has its own (row, feature) slot
+        gz = np.zeros((len(crit), pooled.shape[1]))
+        gz[inv.reshape(rows.shape), np.arange(rows.shape[1])] = g * (pooled > 0)
+        out = [None] * (2 * len(layers))
+        for i in reversed(range(len(layers))):
+            a = acts[i][crit]
+            out[2 * i:2 * i + 2] = a.T @ gz, gz.sum(axis=0)
+            if i:
+                gz = (gz @ layers[i][0].values.T) * (a > 0)
+        return out
 
-    edges = [(p, lambda g, k=k: grads(g)[k])
-             for k, p in enumerate(p for layer in layers for p in layer)]
-    return Tensor(pooled, edges, "point_mlp")
+    return Tensor(pooled, [p for layer in layers for p in layer], vjp, "point_mlp")

@@ -10,8 +10,6 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from .autodiff import AutodiffError
 from .checkpoint import load_checkpoint
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
@@ -257,9 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # an overflow ends in a NumericFailure that names it, not in a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+        return args.func(args)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

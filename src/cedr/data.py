@@ -9,7 +9,7 @@ a spherical occlusion hole.
 
 Every sample draws its own generator from (seed, class, split, index), so
 generation order never affects the bytes. Coordinates are quantized to
-float32 at creation (the storage precision) and kept as float64 in memory.
+float32 at creation (the storage precision) and held as float64 in RAM.
 """
 
 from __future__ import annotations

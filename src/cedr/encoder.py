@@ -30,7 +30,6 @@ class EncoderConfig:
 
 @dataclass
 class ForwardOutputs:
-    logits: Tensor       # batch x |C|
     probs: Tensor        # batch x |C|, rows sum to 1
     embeddings: Tensor   # batch x hidden_dims[-1], unit rows
 
@@ -82,7 +81,6 @@ class PointEncoder:
         if not np.all(np.isfinite(points)):
             raise ValueError("non-finite point coordinates")
         global_features = pooled_point_mlp(points, self.point_layers)
-        logits = dense_forward(global_features, *self.cls_head)
-        probs = softmax_rows(logits)
+        probs = softmax_rows(dense_forward(global_features, *self.cls_head))
         embeddings = l2_normalize_rows(dense_forward(global_features, *self.prj_head))
-        return ForwardOutputs(logits, probs, embeddings)
+        return ForwardOutputs(probs, embeddings)

@@ -96,9 +96,9 @@ def cross_entropy(probs: Tensor, labels) -> Tensor:
         # the floor passes no gradient below 1e-12
         grad = np.zeros((n, n_classes))
         grad[rows, labels] = -g * (picked >= CE_EPS) / (n * floored)
-        return grad
+        return (grad,)
 
-    return Tensor(-(np.log(floored).sum() * (1.0 / n)), ((probs, vjp),),
+    return Tensor(-(np.log(floored).sum() * (1.0 / n)), (probs,), vjp,
                   "cross_entropy")
 
 
@@ -163,9 +163,9 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
         # q / q_sum is the softmax over each anchor's negatives
         grad_sims = q * (np.bincount(pi, c * (1.0 - rho), b) / q_sum)[:, None]
         grad_sims[pi, pj] += c * (rho - 1.0)
-        return (grad_sims + grad_sims.T) @ zv * inv_tau
+        return ((grad_sims + grad_sims.T) @ zv * inv_tau,)
 
-    mean = Tensor(per_anchor.sum() * (1.0 / n_valid), ((z, vjp),), "infonce")
+    mean = Tensor(per_anchor.sum() * (1.0 / n_valid), (z,), vjp, "infonce")
     return InfoNCEResult(mean=mean, per_anchor=per_anchor,
                          skipped_anchors=int(b - n_valid))
 
@@ -174,5 +174,5 @@ def joint_loss(ce: Tensor, nce: InfoNCEResult, lam: float) -> Tensor:
     """Scalar total = ce + lambda * nce."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    return Tensor(ce.values + nce.mean.values * lam,
-                  ((ce, lambda g: g), (nce.mean, lambda g: g * lam)), "joint")
+    return Tensor(ce.values + nce.mean.values * lam, (ce, nce.mean),
+                  lambda g: (g, g * lam), "joint")

@@ -132,7 +132,9 @@ def encode_split(model: PointEncoder, points: np.ndarray,
         del bounds[-2]
     probs, embeddings = [], []
     for lo, hi in zip(bounds, bounds[1:]):
-        out = model.encode(points[lo:hi])
+        # an overflow ends in a NumericFailure that names it, not in a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = model.encode(points[lo:hi])
         check_forward(out, where, range(lo, hi))
         probs.append(out.probs.values)
         embeddings.append(out.embeddings.values)
@@ -187,21 +189,22 @@ def train(config: ExperimentConfig, dataset: DatasetSplit,
             if len(idx) < 2:
                 continue
             labels = train_labels[idx]
-            out = model.encode(train_pts[idx])
-            check_forward(out, f"epoch {epoch}, batch {bi}: the forward "
-                          "overflows on train sample", idx)
-            ce = cross_entropy(out.probs, labels)
-            total, nce = ce, None
-            if config.arm != "ce_only":
-                weights = batch_weights(config, out.probs.values,
-                                        out.embeddings.values, labels)
-                nce = supervised_infonce(
-                    ContrastiveBatch(out.embeddings, labels, config.temperature),
-                    weights)
-                total = joint_loss(ce, nce, lam)
-            opt.zero_grad()
-            backward(total)
-            opt.step()
+            # an overflow ends in an error that names it, not in a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = model.encode(train_pts[idx])
+                check_forward(out, f"epoch {epoch}, batch {bi}: the forward "
+                              "overflows on train sample", idx)
+                ce = cross_entropy(out.probs, labels)
+                total, nce = ce, None
+                if config.arm != "ce_only":
+                    weights = batch_weights(config, out.probs.values,
+                                            out.embeddings.values, labels)
+                    nce = supervised_infonce(ContrastiveBatch(
+                        out.embeddings, labels, config.temperature), weights)
+                    total = joint_loss(ce, nce, lam)
+                opt.zero_grad()
+                backward(total)
+                opt.step()
             sums["ce"] += float(ce.values)
             sums["total"] += float(total.values)
             if nce is not None:

@@ -37,7 +37,7 @@ def weighted_sum(node: Tensor, upstream=1.0) -> Tensor:
     """Scalar sum(upstream * node) as one tape node: backward hands `node`
     the fixed array `upstream` (broadcast to its shape) as its gradient."""
     up = np.broadcast_to(np.asarray(upstream, dtype=np.float64), node.shape)
-    return Tensor((node.values * up).sum(), ((node, lambda g: g * up),),
+    return Tensor((node.values * up).sum(), (node,), lambda g: (g * up,),
                   "weighted_sum")
 
 

@@ -108,11 +108,11 @@ class TestBackward:
         assert np.array_equal(p.grad, np.ones((3, 4)))
 
     def test_quadratic_gives_param(self):
-        # 0.5 * sum(w * w) with one edge per factor: both edges reach w
+        # 0.5 * sum(w * w) with w as both inputs: both gradients reach w
         w = Parameter(np.random.default_rng(1).standard_normal((4, 3)), "w")
         half = 0.5 * w.values
-        square = Tensor((w.values * w.values).sum() * 0.5,
-                        ((w, lambda g: g * half), (w, lambda g: g * half)), "square")
+        square = Tensor((w.values * w.values).sum() * 0.5, (w, w),
+                        lambda g: (g * half, g * half), "square")
         backward(square)
         assert np.allclose(w.grad, w.values, atol=1e-12)
 
@@ -185,7 +185,7 @@ class TestBackward:
         model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
         pts = np.random.default_rng(5).standard_normal((2, 5, 3))
         out = model.encode(pts)
-        roots = [weighted_sum(out.logits), weighted_sum(out.embeddings)]
+        roots = [weighted_sum(out.probs), weighted_sum(out.embeddings)]
         for root in roots:
             backward(root)
         seen, stack, inner = set(), list(roots), 0
@@ -318,17 +318,26 @@ class TestTapeRule:
     """Constants, and nodes built from constants alone, stay off the tape."""
 
     def test_constants_never_hold_grads(self):
-        p = Parameter(np.array([[1.0, -2.0]]), "p")
         c = Tensor([3.0, 4.0])
         # 2c - 1 = [5, 7], from constants alone
         folded = dense_forward(Tensor([c.values]), Tensor(2.0 * np.eye(2)),
                                Tensor([-1.0, -1.0]))
-        # p * exp(folded) + c
-        out = dense_forward(p, Tensor(np.diag(np.exp(folded.values[0]))), c)
-        backward(weighted_sum(out))
-        for node in (c, folded):
-            assert node.grad is None and node.parents == ()
-        assert np.allclose(p.grad, np.exp([[5.0, 7.0]]), rtol=1e-15)
+        # x * exp(folded) + c with one of x, w, b trained and the other two
+        # constants, so the node keeps one of its three gradients
+        x, w = np.array([[1.0, -2.0]]), np.diag(np.exp(folded.values[0]))
+        g = np.ones((1, 2))
+        for trained, expect in (("x", g @ w.T), ("w", x.T @ g), ("b", g.sum(axis=0))):
+            p = Parameter({"x": x, "w": w, "b": c.values}[trained], trained)
+            out = dense_forward(p if trained == "x" else Tensor(x),
+                                p if trained == "w" else Tensor(w),
+                                p if trained == "b" else c)
+            assert out.parents == (p,)
+            backward(weighted_sum(out))
+            for node in (c, folded):
+                assert node.grad is None and node.parents == ()
+            assert np.allclose(p.grad, expect, rtol=1e-15), trained
+            if trained == "x":
+                assert np.allclose(p.grad, np.exp([[5.0, 7.0]]), rtol=1e-15)
 
     def test_loss_graph_reaches_only_leaves_with_grads(self):
         model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
