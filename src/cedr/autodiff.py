@@ -140,23 +140,30 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
 
 
 def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
-    """relu(h @ w + b) for each `(w, b)` of `layers` over (batch, n_points,
-    dim) clouds, then the max over each cloud's points, as one `point_mlp`
-    node with a (batch, width) result; points are data and get no gradient.
-    The backward runs on the critical points alone: each cloud's first
-    maximum per feature."""
+    """A shared per-point MLP over (batch, n_points, dim) clouds, then the max
+    over each cloud's points, as one `point_mlp` node with a (batch, width)
+    result; points are data and get no gradient. Each lower `(w, b)` of
+    `layers` is relu(h @ w + b) per point. The top layer is pooled before its
+    bias and relu, relu(max_p (h @ w)_p + b), which gives the same bits
+    because fl(x + b) and relu never decrease as x grows. The backward runs
+    on the critical points alone: per feature, the cloud's first point with
+    the largest pre-bias value, or row 0 where relu zeroes the feature at
+    every point (it carries no gradient). So where fl(h_p + b) ties for
+    unequal h_p, the larger h_p gets the gradient."""
     batch, n_points, dim = points.shape
     acts = [points.reshape(batch * n_points, dim)]
-    for w, b in layers:
+    for w, b in layers[:-1]:
         out = acts[-1] @ w.values
         out += b.values
         np.maximum(out, 0.0, out=out)
         acts.append(out)
-    per_cloud = acts[-1].reshape(batch, n_points, acts[-1].shape[1])
-    pooled = per_cloud.max(axis=1)
+    per_cloud = (acts[-1] @ layers[-1][0].values).reshape(batch, n_points, -1)
+    top = per_cloud.max(axis=1)
+    pooled = np.maximum(top + layers[-1][1].values, 0.0)
 
     def vjp(g):
-        rows = np.argmax(per_cloud, axis=1) + n_points * np.arange(batch)[:, None]
+        rows = (per_cloud == top[:, None, :]).argmax(axis=1) * (pooled > 0)
+        rows += n_points * np.arange(batch)[:, None]
         crit, inv = np.unique(rows, return_inverse=True)
         # each (cloud, feature) has its own (row, feature) slot
         gz = np.zeros((len(crit), pooled.shape[1]))

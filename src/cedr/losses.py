@@ -126,7 +126,8 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     w_neg = np.ones((b, b)) if weights is None else np.asarray(weights.w_neg, float)
     if w_pos.shape != (b, b) or w_neg.shape != (b, b):
         raise ValueError("pair weight matrices must be batch x batch")
-    if (w_pos[pos_mask] <= 0).any() or (w_neg[neg_mask] <= 0).any():
+    # ~(w > 0) is also True for NaN
+    if (~(w_pos > 0) & pos_mask).any() or (~(w_neg > 0) & neg_mask).any():
         raise ValueError("pair weights must be positive")
     if not valid.any():
         return InfoNCEResult(mean=Tensor(0.0), per_anchor=np.zeros(b),
@@ -137,7 +138,7 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     s = (zv @ zv.T) * inv_tau
     # positive pairs (row-major), a_ij = log wp_ij + s_ij with the weight over
     # its anchor's mean
-    pi, pj = np.nonzero(pos_mask)
+    pi, pj = divmod(np.flatnonzero(pos_mask), b)
     w_p = w_pos[pi, pj]
     a = np.log(w_p * n_pos[pi] / np.bincount(pi, w_p, b)[pi]) + s[pi, pj]
 

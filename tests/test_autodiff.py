@@ -253,13 +253,19 @@ def random_layers(rng, dims):
 
 
 class TestPooledPointMLP:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    # the dead cases give every third top unit a bias of -10, so relu zeroes
+    # it at every point of every cloud
+    @pytest.mark.parametrize("seed, dead", [(0, False), (1, False), (2, False),
+                                            (0, True), (1, True), (2, True)],
+                             ids=["0", "1", "2", "0-dead", "1-dead", "2-dead"])
     @pytest.mark.parametrize("hidden", [[8, 16], [8, 12, 16]])
-    def test_matches_full_buffer_backward(self, seed, hidden):
+    def test_matches_full_buffer_backward(self, seed, dead, hidden):
         rng = np.random.default_rng(seed)
         points = rng.standard_normal((5, 20, 3))
         arrays = random_layers(rng, [3] + hidden)
         up = rng.standard_normal((5, hidden[-1]))
+        cols = np.arange(0, hidden[-1], 3) if dead else []
+        arrays[-1][1][cols] = -10.0
         layers = [(Parameter(w, f"w{k}"), Parameter(b, f"b{k}"))
                   for k, (w, b) in enumerate(arrays)]
         out = pooled_point_mlp(points, layers)
@@ -271,6 +277,18 @@ class TestPooledPointMLP:
         for w, b in arrays:
             per_cloud = np.maximum(per_cloud @ w + b, 0.0)
         assert np.array_equal(out.values, per_cloud.reshape(5, 20, -1).max(axis=1))
+        assert not out.values[:, cols].any() and not layers[-1][1].grad[cols].any()
+
+    def test_tie_after_the_bias_routes_to_the_larger_pre_bias_value(self):
+        # hidden values 0.5 and 1.0 both give 1e16 after the top bias; the
+        # gradient follows the larger pre-bias value, the second point
+        points = np.array([[[0.5, 0.0, 0.0], [1.0, 0.0, 0.0]]])
+        w1, b1 = Parameter([[1.0], [0.0], [0.0]], "w1"), Parameter([0.0], "b1")
+        w2, b2 = Parameter([[1.0]], "w2"), Parameter([1e16], "b2")
+        out = pooled_point_mlp(points, [(w1, b1), (w2, b2)])
+        assert np.array_equal(out.values, [[1e16]])
+        backward(weighted_sum(out))
+        assert np.array_equal(w2.grad, [[1.0]]) and w1.grad[0] == 1.0
 
     def test_matches_finite_differences_with_ties(self):
         rng = np.random.default_rng(7)

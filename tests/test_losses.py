@@ -186,6 +186,30 @@ class TestInfoNCE:
         backward(joint_loss(Tensor(1.5), result, 0.2))
         assert np.array_equal(leaf.grad, np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("which", ["w_pos", "w_neg"])
+    def test_nonpositive_weight_on_a_pair_rejected(self, which, bad):
+        z = unit_embeddings(np.random.default_rng(12), 4, 3)
+        labels = np.array([0, 0, 1, 1])
+        w = {"w_pos": np.ones((4, 4)), "w_neg": np.ones((4, 4))}
+        w[which][0, 1 if which == "w_pos" else 2] = bad
+        with pytest.raises(ValueError, match="pair weights must be positive"):
+            supervised_infonce(ContrastiveBatch(z, labels), PairWeightMatrix(**w))
+
+    def test_weight_off_its_pair_set_ignored(self):
+        z = unit_embeddings(np.random.default_rng(12), 4, 3)
+        labels = np.array([0, 0, 1, 1])
+        w_pos, w_neg = np.ones((4, 4)), np.ones((4, 4))
+        # (0, 2) is a negative pair and (0, 1) a positive one; each diagonal
+        # entry is on neither set
+        w_pos[0, 2] = w_neg[0, 1] = 0.0
+        np.fill_diagonal(w_pos, np.nan)
+        np.fill_diagonal(w_neg, -1.0)
+        result = supervised_infonce(ContrastiveBatch(z, labels),
+                                    PairWeightMatrix(w_pos, w_neg))
+        unit = supervised_infonce(ContrastiveBatch(z, labels))
+        assert np.array_equal(result.per_anchor, unit.per_anchor)
+
     def test_positive_similarity_decreases_loss(self):
         rng = np.random.default_rng(5)
         z = unit_embeddings(rng, 6, 8)
