@@ -5,9 +5,11 @@ owns a grad buffer, and every other `Tensor` owns none. `Tensor` is a node
 only, with no operators or methods: each op is a function that builds one
 node with one hand-written vjp, which maps the node's gradient to one
 gradient per parent. The ops below are the dense layer, the per-point MLP
-and max pool together (its backward runs on the critical points only), the
-row softmax and the row l2-normalisation. The losses in `cedr.losses` build
-their own one-node ops the same way.
+and max pool together (its top layer is laid out as (batch, width, points),
+one argmax finds each cloud's first maximum per feature, and its backward
+runs on those critical points only), the row softmax and the row
+l2-normalisation. The losses in `cedr.losses` build their own one-node ops
+the same way.
 """
 
 from __future__ import annotations
@@ -143,13 +145,18 @@ def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
     """A shared per-point MLP over (batch, n_points, dim) clouds, then the max
     over each cloud's points, as one `point_mlp` node with a (batch, width)
     result; points are data and get no gradient. Each lower `(w, b)` of
-    `layers` is relu(h @ w + b) per point. The top layer is pooled before its
-    bias and relu, relu(max_p (h @ w)_p + b), which gives the same bits
-    because fl(x + b) and relu never decrease as x grows. The backward runs
-    on the critical points alone: per feature, the cloud's first point with
-    the largest pre-bias value, or row 0 where relu zeroes the feature at
-    every point (it carries no gradient). So where fl(h_p + b) ties for
-    unequal h_p, the larger h_p gets the gradient."""
+    `layers` is relu(h @ w + b) per point. The top layer is one batched
+    matmul laid out as (batch, width, n_points), contiguous along the points,
+    and it is pooled before its bias and relu, relu(max_p (h @ w)_p + b),
+    which gives the same bits because fl(x + b) and relu never decrease as x
+    grows. One argmax over the points finds each (cloud, feature)'s critical
+    point, the first point with the largest pre-bias value, and the max is
+    read there. The backward runs on the critical points alone, or on row 0
+    where relu zeroes the feature at every point (it carries no gradient).
+    So where fl(h_p + b) ties for unequal h_p, the larger h_p gets the
+    gradient. With one point per cloud the batched matmul is a BLAS
+    matrix-vector product per cloud, whose last bits may differ from those
+    of one (batch, width) matrix product."""
     batch, n_points, dim = points.shape
     acts = [points.reshape(batch * n_points, dim)]
     for w, b in layers[:-1]:
@@ -157,17 +164,23 @@ def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
         out += b.values
         np.maximum(out, 0.0, out=out)
         acts.append(out)
-    per_cloud = (acts[-1] @ layers[-1][0].values).reshape(batch, n_points, -1)
-    top = per_cloud.max(axis=1)
+    per_cloud = np.matmul(layers[-1][0].values.T,
+                          acts[-1].reshape(batch, n_points, -1).transpose(0, 2, 1))
+    first = per_cloud.argmax(axis=2)
+    top = np.take_along_axis(per_cloud, first[..., None], 2)[..., 0]
     pooled = np.maximum(top + layers[-1][1].values, 0.0)
 
     def vjp(g):
-        rows = (per_cloud == top[:, None, :]).argmax(axis=1) * (pooled > 0)
+        rows = first * (pooled > 0)
         rows += n_points * np.arange(batch)[:, None]
-        crit, inv = np.unique(rows, return_inverse=True)
+        # the sorted critical rows, and each (cloud, feature)'s index into them
+        flag = np.zeros(batch * n_points, dtype=bool)
+        flag[rows] = True
+        crit = np.flatnonzero(flag)
+        inv = np.cumsum(flag)[rows] - 1
         # each (cloud, feature) has its own (row, feature) slot
         gz = np.zeros((len(crit), pooled.shape[1]))
-        gz[inv.reshape(rows.shape), np.arange(rows.shape[1])] = g * (pooled > 0)
+        gz[inv, np.arange(rows.shape[1])] = g * (pooled > 0)
         out = [None] * (2 * len(layers))
         for i in reversed(range(len(layers))):
             a = acts[i][crit]

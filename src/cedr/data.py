@@ -330,6 +330,10 @@ def write_samples(path, samples: list[PointCloudSample], class_names: list[str])
             f.write(struct.pack("<5f", *s.meta.as_tuple()))
 
 
+# a flipped byte can leave a float32 signalling NaN in the points; its cast to
+# float64 then warns, and the NaN is left to the finiteness check below (one
+# errstate per file: one per sample costs more than the cast)
+@np.errstate(invalid="ignore")
 def read_samples(path) -> tuple[list[PointCloudSample], list[str]]:
     r = Reader(path, DatasetFormatError)
     (magic,) = r.fields("4s", "magic")

@@ -92,7 +92,7 @@ def eaa_pair_weights(a: np.ndarray) -> PairWeightMatrix:
     """Apply the pair selection rule to every ordered pair, both pair sets:
     max when neither sample is down-weighted (a >= 1), min otherwise."""
     a = np.asarray(a, dtype=np.float64)
-    if (a <= 0).any():
+    if (~(a > 0)).any():
         raise ValueError("sample weights must be positive")
     ai = a[:, None]
     aj = a[None, :]

@@ -89,10 +89,12 @@ def batch_weights(config: ExperimentConfig, probs: np.ndarray,
     profile = eaa.classify_samples(probs, labels)
     a = eaa.sample_weight(profile, config.eaa_mode)
     # a wrong, exactly one-hot prediction has entropy 0, so its weight is 0
-    zero = np.flatnonzero(a <= 0)
-    if zero.size:
-        raise NumericFailure(f"batch sample {zero[0]} is a wrong prediction "
-                             "with zero entropy, which gives it attention weight 0")
+    bad = np.flatnonzero(~(a > 0))
+    if bad.size:
+        why = ("is a wrong prediction with zero entropy, which gives it"
+               if a[bad[0]] == 0 else "has")
+        raise NumericFailure(f"batch sample {bad[0]} {why} attention weight "
+                             f"{a[bad[0]]:g}")
     eaa_w = eaa.eaa_pair_weights(a)
     if config.arm == "scc_eaa":
         return eaa_w

@@ -255,15 +255,18 @@ def random_layers(rng, dims):
 class TestPooledPointMLP:
     # the dead cases give every third top unit a bias of -10, so relu zeroes
     # it at every point of every cloud
-    @pytest.mark.parametrize("seed, dead", [(0, False), (1, False), (2, False),
-                                            (0, True), (1, True), (2, True)],
-                             ids=["0", "1", "2", "0-dead", "1-dead", "2-dead"])
+    @pytest.mark.parametrize("seed, dead, shape", [
+        (0, False, (5, 20)), (1, False, (5, 20)), (2, False, (5, 20)),
+        (0, True, (5, 20)), (1, True, (5, 20)), (2, True, (5, 20)),
+        (3, False, (1, 5)), (4, False, (3, 1)), (3, True, (1, 5)), (4, True, (3, 1))],
+        ids=["0", "1", "2", "0-dead", "1-dead", "2-dead",
+             "1x5", "3x1", "1x5-dead", "3x1-dead"])
     @pytest.mark.parametrize("hidden", [[8, 16], [8, 12, 16]])
-    def test_matches_full_buffer_backward(self, seed, dead, hidden):
+    def test_matches_full_buffer_backward(self, seed, dead, shape, hidden):
         rng = np.random.default_rng(seed)
-        points = rng.standard_normal((5, 20, 3))
+        points = rng.standard_normal((*shape, 3))
         arrays = random_layers(rng, [3] + hidden)
-        up = rng.standard_normal((5, hidden[-1]))
+        up = rng.standard_normal((shape[0], hidden[-1]))
         cols = np.arange(0, hidden[-1], 3) if dead else []
         arrays[-1][1][cols] = -10.0
         layers = [(Parameter(w, f"w{k}"), Parameter(b, f"b{k}"))
@@ -273,11 +276,54 @@ class TestPooledPointMLP:
         expect = full_buffer_grads(points, arrays, up)
         for p, ref in zip([p for layer in layers for p in layer], expect):
             assert np.abs(p.grad - ref).max() <= 1e-12 * np.abs(ref).max(), p.name
-        per_cloud = points.reshape(100, 3)
+        per_cloud = points.reshape(-1, 3)
         for w, b in arrays:
             per_cloud = np.maximum(per_cloud @ w + b, 0.0)
-        assert np.array_equal(out.values, per_cloud.reshape(5, 20, -1).max(axis=1))
+        full = per_cloud.reshape(*shape, -1).max(axis=1)
+        if shape[1] > 1:
+            assert np.array_equal(out.values, full)
+        else:  # a one-point cloud's top layer is a matrix-vector product
+            assert np.allclose(out.values, full, rtol=1e-14, atol=1e-14)
         assert not out.values[:, cols].any() and not layers[-1][1].grad[cols].any()
+
+    # exact ties: every cloud holds its first three points twice
+    @pytest.mark.parametrize("shape, case", [((1, 7), ""), ((1, 1), ""),
+                                             ((3, 6), "ties"), ((3, 6), "dead"),
+                                             ((4, 1), "")],
+                             ids=["1x7", "1x1", "ties", "dead", "4x1"])
+    def test_forward_matches_point_major_formula(self, shape, case):
+        """The (batch, width, n_points) top layer gives the bits of the
+        (batch * n_points, width) one, relu(max_p (h @ w)_p + b), and so do
+        the probabilities computed from it. For one-point clouds in a batch
+        the top layer is a BLAS matrix-vector product per cloud, not one
+        matrix product, and it may differ in the last bits; it stays within
+        the rounding bound of a dot product of length 16."""
+        rng = np.random.default_rng(5)
+        batch, n_points = shape
+        points = rng.standard_normal((batch, n_points, 3))
+        if case == "ties":
+            points[:, 3:] = points[:, :3]
+        model = PointEncoder(EncoderConfig(num_classes=4, hidden_dims=[8, 16]), seed=3)
+        w, b = model.point_layers[-1]
+        if case == "dead":
+            b.values[::3] = -10.0
+        h = points.reshape(batch * n_points, 3)
+        for lw, lb in model.point_layers[:-1]:
+            h = np.maximum(h @ lw.values + lb.values, 0.0)
+        expect = np.maximum((h @ w.values).reshape(batch, n_points, -1).max(axis=1)
+                            + b.values, 0.0)
+        pooled = pooled_point_mlp(points, model.point_layers).values
+        probs = softmax_rows(dense_forward(Tensor(expect), *model.cls_head)).values
+        got = model.encode(points).probs.values
+        if batch > 1 and n_points == 1:
+            bound = 16 * np.finfo(float).eps * (np.abs(h) @ np.abs(w.values)).max()
+            assert np.abs(pooled - expect).max() <= bound
+            assert np.allclose(got, probs, rtol=1e-13, atol=0.0)
+        else:
+            assert np.array_equal(pooled, expect)
+            assert np.array_equal(got, probs)
+        if case == "dead":
+            assert not pooled[:, ::3].any()
 
     def test_tie_after_the_bias_routes_to_the_larger_pre_bias_value(self):
         # hidden values 0.5 and 1.0 both give 1e16 after the top bias; the

@@ -1,10 +1,11 @@
 import csv
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cedr.autodiff import Parameter
@@ -278,6 +279,8 @@ def small_eval_files(tmp_path_factory):
 @given(target=st.sampled_from(["m.ckpt", "toy.train.cpcd", "toy.test.cpcd"]),
        cut=st.booleans(), where=st.floats(0.0, 1.0, exclude_max=True),
        mask=st.integers(1, 255))
+# this flip leaves a float32 signalling NaN in a coordinate
+@example(target="toy.test.cpcd", cut=False, where=0.125, mask=64)
 def test_eval_survives_corrupt_files(small_eval_files, target, cut, where, mask):
     """Truncating a file at any offset or flipping any byte of it gives a
     documented exit code, never an escaping exception."""
@@ -291,6 +294,30 @@ def test_eval_survives_corrupt_files(small_eval_files, target, cut, where, mask)
     code = main(["eval", "--checkpoint", str(d / "work" / "m.ckpt"),
                  "--data", str(d / "work" / "toy")])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+
+
+def test_eval_rejects_a_signalling_nan_coordinate(small_eval_files, capsys):
+    """A float32 signalling NaN, as a flipped byte can leave one, is a
+    non-finite coordinate: exit 2 naming it, and no warning from its cast."""
+    d, files = small_eval_files
+    data = files["toy.test.cpcd"]
+    names = [spec.name.encode() for spec in default_shape_specs()[:3]]
+    # magic, version and class count, the names, the sample count; then
+    # sample 0 (header, 32 points, record) and sample 1's header
+    at = 8 + sum(2 + len(n) for n in names) + 4 + (6 + 32 * 12 + 20) + 6
+    snan = np.array([0x7FA00000], dtype="<u4").tobytes()
+    assert np.isnan(np.frombuffer(snan, dtype="<f4")[0])
+    for name, raw in files.items():
+        if name == "toy.test.cpcd":
+            raw = data[:at] + snan + data[at + 4:]
+        (d / "work" / name).write_bytes(raw)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["eval", "--checkpoint", str(d / "work" / "m.ckpt"),
+                     "--data", str(d / "work" / "toy")])
+    assert code == EXIT_CONFIG and not caught
+    assert (f"toy.test.cpcd: sample 1 has a non-finite coordinate in its points "
+            f"at offset {at}") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("num_classes, replace, code, match", [

@@ -218,8 +218,9 @@ class TestPairSelect:
                 assert pw.w_neg[i, j] == pw.w_pos[i, j] == expected
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            eaa_pair_weights(np.array([0.0, 1.0]))
+        for a in ([0.0, 1.0], [1.0, np.nan, 0.5]):
+            with pytest.raises(ValueError, match="sample weights must be positive"):
+                eaa_pair_weights(np.array(a))
 
 
 class TestPairWeights:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cedr import eaa
 from cedr.checkpoint import load_checkpoint
 from cedr.config import ExperimentConfig
 from cedr.data import build_dataset, default_shape_specs, stack_points
@@ -231,6 +232,20 @@ class TestBatchWeights:
             return
         for m in (w.w_pos, w.w_neg):
             assert np.isfinite(m).all() and (m > 0).all()
+
+    @pytest.mark.parametrize("arm", ["scc_eaa", "full"])
+    def test_nan_attention_weight_raises(self, monkeypatch, arm):
+        probs, z, labels = self.setup_batch()
+        weight = eaa.sample_weight
+
+        def with_nan(profile, mode):
+            a = weight(profile, mode)
+            a[5] = np.nan
+            return a
+
+        monkeypatch.setattr(eaa, "sample_weight", with_nan)
+        with pytest.raises(NumericFailure, match="batch sample 5 has attention weight nan"):
+            batch_weights(small_config(arm=arm), probs, z, labels)
 
 
 class TestNumericFailure:
