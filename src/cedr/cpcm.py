@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import PairWeightMatrix
-
 NEAREST_MARGIN = 0.8  # required gap between nearest and second-nearest class
 
 
@@ -55,8 +53,9 @@ def class_pair_weights(centers: ClassCenters) -> ClassPairWeights:
 
 
 def cpcm_negative_weights(labels: np.ndarray, pair_weights: ClassPairWeights,
-                          method: str = "all_pairs") -> PairWeightMatrix:
-    """Expand class-pair weights to sample-pair weights over negatives.
+                          method: str = "all_pairs") -> np.ndarray:
+    """Expand class-pair weights to a (batch, batch) array of sample-pair
+    weights: class weights on the negative pairs, 1 on same-class pairs.
 
     all_pairs: every cross-class pair gets its class weight. nearest_only:
     only each class's nearest class pair is weighted, and only when the
@@ -71,7 +70,7 @@ def cpcm_negative_weights(labels: np.ndarray, pair_weights: ClassPairWeights,
 
     n_classes = pair_weights.w_minus.shape[0]
     if method == "all_pairs":
-        class_w = pair_weights.w_minus
+        class_w = pair_weights.w_minus.copy()
     elif method == "nearest_only":
         class_w = np.ones((n_classes, n_classes))
         defined = np.flatnonzero(pair_weights.mask)
@@ -88,9 +87,6 @@ def cpcm_negative_weights(labels: np.ndarray, pair_weights: ClassPairWeights,
     else:
         raise ValueError(f"unknown mining method '{method}'")
 
-    w_neg = class_w[labels[:, None], labels[None, :]]
-    # same-class entries sit outside the negative pair set; neutralize them
-    same = labels[:, None] == labels[None, :]
-    w_neg = np.where(same, 1.0, w_neg)
-    b = len(labels)
-    return PairWeightMatrix(np.ones((b, b)), w_neg)
+    # a class with itself gives the same-class pairs, which mining leaves at 1
+    np.fill_diagonal(class_w, 1.0)
+    return class_w[labels[:, None], labels[None, :]]

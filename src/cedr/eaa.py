@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import PairWeightMatrix
-
 REFERENCE_CLASSES = 15
 LOW_THRESHOLD = 1.0     # bits, at 15 classes
 HIGH_THRESHOLD = 2.5    # bits, at 15 classes
@@ -88,30 +86,30 @@ def sample_weight(profile: EntropyProfile, mode: str = "varying") -> np.ndarray:
     return a
 
 
-def eaa_pair_weights(a: np.ndarray) -> PairWeightMatrix:
-    """Apply the pair selection rule to every ordered pair, both pair sets:
-    max when neither sample is down-weighted (a >= 1), min otherwise."""
+def eaa_pair_weights(a: np.ndarray) -> np.ndarray:
+    """(batch, batch) pair weights from the sample weights a, by one rule on
+    both pair sets: max(a_i, a_j) when neither sample is down-weighted
+    (a >= 1), min(a_i, a_j) otherwise."""
     a = np.asarray(a, dtype=np.float64)
     if (~(a > 0)).any():
         raise ValueError("sample weights must be positive")
     ai = a[:, None]
     aj = a[None, :]
-    w = np.where((ai >= 1) & (aj >= 1), np.maximum(ai, aj), np.minimum(ai, aj))
-    return PairWeightMatrix(w, w)
+    return np.where((ai >= 1) & (aj >= 1), np.maximum(ai, aj), np.minimum(ai, aj))
 
 
-def fuse_weights(cpcm: PairWeightMatrix, eaa: PairWeightMatrix) -> PairWeightMatrix:
-    """Combine the two weight fields on negatives by their quadratic mean,
-    sqrt(c**2 + e**2) / sqrt(2), so two neutral (=1) inputs map to 1;
-    positives carry the attention weights alone (mining defines none).
+def fuse_weights(cpcm: np.ndarray, eaa: np.ndarray,
+                 labels: np.ndarray) -> np.ndarray:
+    """Combine the mining and attention pair weights of one batch. Negative
+    pairs get their quadratic mean, sqrt(c**2 + e**2) / sqrt(2), so two
+    neutral (=1) inputs map to 1; same-class pairs carry the attention
+    weights alone (mining defines none).
 
     supervised_infonce divides each anchor's negative weights by their sum,
     so the 1/sqrt(2) leaves training unchanged; it keeps the fused weights
     on the scale of their inputs.
     """
-    if cpcm.w_neg.shape != eaa.w_neg.shape:
-        raise ValueError(
-            f"pair sets differ: {cpcm.w_neg.shape} vs {eaa.w_neg.shape}"
-        )
-    w_neg = np.sqrt(cpcm.w_neg**2 + eaa.w_neg**2) / np.sqrt(2.0)
-    return PairWeightMatrix(eaa.w_pos, w_neg)
+    if cpcm.shape != eaa.shape:
+        raise ValueError(f"pair sets differ: {cpcm.shape} vs {eaa.shape}")
+    return np.where(labels[:, None] != labels[None, :],
+                    np.sqrt(cpcm**2 + eaa**2) / np.sqrt(2.0), eaa)

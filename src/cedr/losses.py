@@ -1,9 +1,11 @@
 """Cross-entropy, weighted supervised InfoNCE, and the joint objective.
 
 The contrastive loss treats every same-class sample in the batch as a
-positive for its anchor and every other-class sample as a negative. Pair
-weights (from class-confusion mining, entropy attention, or their fusion)
-enter as constants: gradients never flow through batch statistics.
+positive for its anchor and every other-class sample as a negative. The pair
+weights (from class-confusion mining, entropy attention, or their fusion) are
+one (batch, batch) array w, read as wp on the positive pairs and as wn on the
+negative pairs; the diagonal is on neither set and is ignored. They enter as
+constants: gradients never flow through batch statistics.
 
 For anchor i with positives P_i and negatives N_i, each positive j
 contributes
@@ -41,16 +43,6 @@ import numpy as np
 from .autodiff import Tensor
 
 CE_EPS = 1e-12
-
-
-@dataclass
-class PairWeightMatrix:
-    """Per-pair multipliers fed to the weighted InfoNCE. Entries are only
-    meaningful on their pair set (w_pos on positive pairs, w_neg on negative
-    pairs); everything else is ignored by the loss."""
-
-    w_pos: np.ndarray   # batch x batch
-    w_neg: np.ndarray   # batch x batch
 
 
 @dataclass
@@ -112,7 +104,8 @@ def pair_masks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     """Weighted supervised InfoNCE over a batch.
 
-    weights: optional PairWeightMatrix (see .eaa); absent entries default to 1.
+    weights: optional (batch, batch) pair weights (see .cpcm and .eaa), each
+    > 0 on its pair; None means all ones.
     """
     z = batch.embeddings
     labels = batch.labels
@@ -122,13 +115,16 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     n_neg = neg_mask.sum(axis=1)
     valid = n_pos > 0
 
-    w_pos = np.ones((b, b)) if weights is None else np.asarray(weights.w_pos, float)
-    w_neg = np.ones((b, b)) if weights is None else np.asarray(weights.w_neg, float)
-    if w_pos.shape != (b, b) or w_neg.shape != (b, b):
-        raise ValueError("pair weight matrices must be batch x batch")
+    w = np.ones((b, b)) if weights is None else np.asarray(weights, float)
+    if w.shape != (b, b):
+        raise ValueError(f"pair weights have shape {w.shape}, not {(b, b)}")
     # ~(w > 0) is also True for NaN
-    if (~(w_pos > 0) & pos_mask).any() or (~(w_neg > 0) & neg_mask).any():
-        raise ValueError("pair weights must be positive")
+    bad = ~(w > 0) & (pos_mask | neg_mask)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        kind = "positive" if pos_mask[i, j] else "negative"
+        raise ValueError(f"pair weight w[{i}, {j}] = {w[i, j]:g} on a {kind} "
+                         "pair is not positive")
     if not valid.any():
         return InfoNCEResult(mean=Tensor(0.0), per_anchor=np.zeros(b),
                              skipped_anchors=b)
@@ -139,13 +135,14 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     # positive pairs (row-major), a_ij = log wp_ij + s_ij with the weight over
     # its anchor's mean
     pi, pj = divmod(np.flatnonzero(pos_mask), b)
-    w_p = w_pos[pi, pj]
+    w_p = w[pi, pj]
     a = np.log(w_p * n_pos[pi] / np.bincount(pi, w_p, b)[pi]) + s[pi, pj]
 
     # shift each anchor's logsumexp by its largest negative similarity; the
     # clamp only touches entries off the negatives, whose weight is 0
     shift = np.where(neg_mask, s, -np.inf).max(axis=1)
-    neg_w = w_neg * neg_mask
+    # where, not a product: a NaN off the negatives (the diagonal) stays out
+    neg_w = np.where(neg_mask, w, 0.0)
     q = np.exp(np.minimum(s - shift[:, None], 0.0)) * neg_w
     has_neg = n_neg > 0
     q_sum = np.where(has_neg, q.sum(axis=1), 1.0)

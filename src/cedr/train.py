@@ -17,7 +17,6 @@ from .data import DatasetSplit, stack_points
 from .encoder import EncoderConfig, PointEncoder
 from .losses import (
     ContrastiveBatch,
-    PairWeightMatrix,
     cross_entropy,
     joint_loss,
     supervised_infonce,
@@ -72,9 +71,10 @@ class RunRecord:
 
 def batch_weights(config: ExperimentConfig, probs: np.ndarray,
                   embeddings: np.ndarray,
-                  labels: np.ndarray) -> PairWeightMatrix | None:
-    """Assemble the pair weights for the configured arm. All inputs are
-    plain arrays from the current forward pass; nothing here is on the tape."""
+                  labels: np.ndarray) -> np.ndarray | None:
+    """Assemble the (batch, batch) pair weights for the configured arm, or
+    None (unit weights) for ce_only and scc. All inputs are plain arrays from
+    the current forward pass; nothing here is on the tape."""
     if config.arm in ("ce_only", "scc"):
         return None
 
@@ -98,7 +98,7 @@ def batch_weights(config: ExperimentConfig, probs: np.ndarray,
     eaa_w = eaa.eaa_pair_weights(a)
     if config.arm == "scc_eaa":
         return eaa_w
-    return eaa.fuse_weights(cpcm_w, eaa_w)
+    return eaa.fuse_weights(cpcm_w, eaa_w, labels)
 
 
 def check_forward(out, where: str, ids) -> None:

@@ -28,7 +28,6 @@ from cedr.eaa import eaa_pair_weights, fuse_weights, shannon_entropy
 from cedr.encoder import EncoderConfig, PointEncoder
 from cedr.losses import (
     ContrastiveBatch,
-    PairWeightMatrix,
     cross_entropy,
     joint_loss,
     supervised_infonce,
@@ -36,7 +35,8 @@ from cedr.losses import (
 from cedr.metrics import center_distance_report
 from cedr.train import batch_weights, run_ablation, run_lambda_grid, train
 
-from test_losses import infonce_oracle, unit_embeddings
+from test_losses import (WEIGHT_SOURCES, infonce_oracle, one_matrix,
+                         unit_embeddings)
 
 ARMS = ("ce_only", "scc", "scc_cpcm", "scc_eaa", "full")
 
@@ -129,7 +129,7 @@ def test_criterion_2_weight_identity(tiny_dataset):
     base = float(supervised_infonce(ContrastiveBatch(z, labels)).mean.values)
     max_dev = 0.0
     for c in (0.2, 1.0, 3.7):
-        w = PairWeightMatrix(np.full((10, 10), c), np.full((10, 10), c))
+        w = np.full((10, 10), c)
         got = float(supervised_infonce(ContrastiveBatch(z, labels), w).mean.values)
         max_dev = max(max_dev, abs(got - base))
 
@@ -159,8 +159,7 @@ def test_criterion_3_formula_oracles():
     for i, ai in enumerate(grid):
         for j, aj in enumerate(grid):
             expected = max(ai, aj) if (ai >= 1 and aj >= 1) else min(ai, aj)
-            dev_sel = max(dev_sel, abs(pw.w_neg[i, j] - expected),
-                          abs(pw.w_pos[i, j] - expected))
+            dev_sel = max(dev_sel, abs(pw[i, j] - expected))
 
     # loop entropy on 1000 random rows
     rng = np.random.default_rng(2)
@@ -170,12 +169,13 @@ def test_criterion_3_formula_oracles():
                      for row in probs])
     dev_ent = float(np.max(np.abs(shannon_entropy(probs) - loop)))
 
-    # quadratic-mean fusion on 1024 weight pairs
+    # quadratic-mean fusion on 1024 weight pairs: 32 classes of one sample,
+    # so every pair but the diagonal is negative; the diagonal keeps b
     a = rng.uniform(1.0, 2.0, (32, 32))
     b = rng.uniform(0.5, 2.0, (32, 32))
-    fused = fuse_weights(PairWeightMatrix(np.ones((32, 32)), a),
-                         PairWeightMatrix(np.ones((32, 32)), b))
-    dev_fuse = float(np.max(np.abs(fused.w_neg - np.sqrt((a**2 + b**2) / 2))))
+    fused = fuse_weights(a, b, np.arange(32))
+    expected = np.where(np.eye(32, dtype=bool), b, np.sqrt((a**2 + b**2) / 2))
+    dev_fuse = float(np.max(np.abs(fused - expected)))
 
     worst = max(dev_w, dev_sel, dev_ent, dev_fuse)
     report(3, worst < 1e-12,
@@ -184,8 +184,8 @@ def test_criterion_3_formula_oracles():
 
 def test_criterion_4_pairwise_loss_oracle():
     worst = 0.0
-    for source in ("unit", "random_pos", "random_neg", "both"):
-        rng = np.random.default_rng(abs(hash(source)) % 2**32)
+    for seed, source in enumerate(WEIGHT_SOURCES):
+        rng = np.random.default_rng(seed)
         for b in (4, 6, 8, 10):
             z = unit_embeddings(rng, b, 5)
             labels = rng.integers(0, 3, b)
@@ -197,7 +197,7 @@ def test_criterion_4_pairwise_loss_oracle():
                          if source in ("random_pos", "both") else np.ones((b, b)))
                 w_neg = (rng.uniform(0.5, 2.0, (b, b))
                          if source in ("random_neg", "both") else np.ones((b, b)))
-                weights = PairWeightMatrix(w_pos, w_neg)
+                weights = one_matrix(labels, w_pos, w_neg)
             result = supervised_infonce(ContrastiveBatch(z, labels, 0.6), weights)
             per_anchor, mean = infonce_oracle(z, labels, 0.6, w_pos, w_neg)
             worst = max(worst,

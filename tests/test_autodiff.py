@@ -17,7 +17,6 @@ from cedr.autodiff import (
 from cedr.encoder import EncoderConfig, PointEncoder
 from cedr.losses import (
     ContrastiveBatch,
-    PairWeightMatrix,
     cross_entropy,
     joint_loss,
     supervised_infonce,
@@ -408,10 +407,8 @@ class TestTapeRule:
         rng = np.random.default_rng(6)
         labels = np.array([0, 0, 1, 1, 2])
         out = model.encode(rng.standard_normal((5, 7, 3)))
-        weights = PairWeightMatrix(rng.uniform(0.5, 2.0, (5, 5)),
-                                   rng.uniform(0.5, 2.0, (5, 5)))
         nce = supervised_infonce(ContrastiveBatch(out.embeddings, labels, 0.5),
-                                 weights)
+                                 rng.uniform(0.5, 2.0, (5, 5)))
         loss = joint_loss(cross_entropy(out.probs, labels), nce, 1.0)
         seen, stack, leaves = set(), [loss], []
         while stack:

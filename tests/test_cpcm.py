@@ -82,8 +82,8 @@ class TestNegativeWeights:
         pw = class_pair_weights(compute_centers(emb, labels, 2))
         result = cpcm_negative_weights(labels, pw, "all_pairs")
         neg = labels[:, None] != labels[None, :]
-        assert np.allclose(result.w_neg[neg], 2.0, atol=1e-12)
-        assert np.allclose(result.w_pos, 1.0)
+        assert np.allclose(result[neg], 2.0, atol=1e-12)
+        assert (result[~neg] == 1.0).all()
 
     def test_distant_centers_weight_near_one(self):
         emb = np.array([[0.0, 0.0], [0.0, 0.0], [50.0, 0.0], [50.0, 0.0]])
@@ -91,7 +91,7 @@ class TestNegativeWeights:
         pw = class_pair_weights(compute_centers(emb, labels, 2))
         result = cpcm_negative_weights(labels, pw, "all_pairs")
         neg = labels[:, None] != labels[None, :]
-        assert np.max(np.abs(result.w_neg[neg] - 1.0)) < 1e-12
+        assert np.max(np.abs(result[neg] - 1.0)) < 1e-12
 
     def test_nearest_only_margin_rule(self):
         centers = centers_from_distances(1.0, 3.0, 3.5)
@@ -102,10 +102,10 @@ class TestNegativeWeights:
         assert np.allclose(pw.dist[0, 1], 1.0, atol=1e-12)
         result = cpcm_negative_weights(labels, pw, "nearest_only")
         # only the d=1.0 pair clears the 0.8 margin over its runner-up
-        assert result.w_neg[0, 1] == pytest.approx(1.0 + math.exp(-2.0), abs=1e-12)
-        assert result.w_neg[1, 0] == pytest.approx(1.0 + math.exp(-2.0), abs=1e-12)
-        assert result.w_neg[0, 2] == 1.0
-        assert result.w_neg[1, 2] == 1.0
+        assert result[0, 1] == pytest.approx(1.0 + math.exp(-2.0), abs=1e-12)
+        assert result[1, 0] == pytest.approx(1.0 + math.exp(-2.0), abs=1e-12)
+        assert result[0, 2] == 1.0
+        assert result[1, 2] == 1.0
 
     def test_nearest_only_margin_not_met(self):
         # no class sees a nearest/second-nearest gap above 0.8
@@ -113,7 +113,7 @@ class TestNegativeWeights:
         labels = np.array([0, 1, 2])
         pw = class_pair_weights(compute_centers(centers, labels, 3))
         result = cpcm_negative_weights(labels, pw, "nearest_only")
-        assert np.allclose(result.w_neg, 1.0)
+        assert np.allclose(result, 1.0)
 
     def test_method1_dominates_method2(self):
         rng = np.random.default_rng(1)
@@ -123,7 +123,7 @@ class TestNegativeWeights:
         pw = class_pair_weights(compute_centers(emb, labels, 4))
         m1 = cpcm_negative_weights(labels, pw, "all_pairs")
         m2 = cpcm_negative_weights(labels, pw, "nearest_only")
-        assert (m1.w_neg >= m2.w_neg - 1e-12).all()
+        assert (m1 >= m2 - 1e-12).all()
 
     def test_missing_center_rejected(self):
         pw = class_pair_weights(

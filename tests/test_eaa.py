@@ -15,10 +15,7 @@ from cedr.eaa import (
     sample_weight,
     shannon_entropy,
 )
-from cedr.losses import ContrastiveBatch, PairWeightMatrix, supervised_infonce
-
-def unit(b):
-    return PairWeightMatrix(np.ones((b, b)), np.ones((b, b)))
+from cedr.losses import ContrastiveBatch, supervised_infonce
 
 
 def entropy_loop(probs):
@@ -191,16 +188,16 @@ class TestSampleWeight:
 class TestPairSelect:
     def test_both_above_one_takes_max(self):
         pw = eaa_pair_weights(np.array([1.5, 1.3]))
-        assert pw.w_neg[0, 1] == pw.w_pos[0, 1] == 1.5
+        assert pw[0, 1] == 1.5
 
     def test_mixed_takes_min(self):
         pw = eaa_pair_weights(np.array([1.5, 0.5]))
-        assert pw.w_neg[0, 1] == pw.w_pos[0, 1] == 0.5
-        assert pw.w_neg[1, 0] == pw.w_pos[1, 0] == 0.5
+        assert pw[0, 1] == 0.5
+        assert pw[1, 0] == 0.5
 
     def test_both_below_one_takes_min(self):
         pw = eaa_pair_weights(np.array([0.5, 0.3]))
-        assert pw.w_neg[0, 1] == pw.w_pos[0, 1] == 0.3
+        assert pw[0, 1] == 0.3
 
     def test_matches_literal_four_case_table(self):
         grid = np.linspace(0.05, 2.0, 40)
@@ -215,7 +212,7 @@ class TestPairSelect:
                     expected = min(ai, aj)
                 else:
                     expected = min(ai, aj)
-                assert pw.w_neg[i, j] == pw.w_pos[i, j] == expected
+                assert pw[i, j] == expected
 
     def test_nonpositive_rejected(self):
         for a in ([0.0, 1.0], [1.0, np.nan, 0.5]):
@@ -228,7 +225,7 @@ class TestPairWeights:
         profile = profile_with([1.5] * 4, ["normal"] * 4)
         labels = np.array([0, 0, 1, 1])
         pw = eaa_pair_weights(sample_weight(profile, "varying"))
-        assert np.allclose(pw.w_pos, 1.0) and np.allclose(pw.w_neg, 1.0)
+        assert np.allclose(pw, 1.0)
         rng = np.random.default_rng(2)
         z = rng.standard_normal((4, 5))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
@@ -240,8 +237,8 @@ class TestPairWeights:
         profile = profile_with([0.4, 1.5, 3.0, 1.5],
                                ["outlier", "normal", "unstable", "normal"])
         pw = eaa_pair_weights(sample_weight(profile, "varying"))
-        assert (pw.w_neg[0, 1:] < 1.0).all()
-        assert (pw.w_neg[1:, 0] < 1.0).all()
+        assert (pw[0, 1:] < 1.0).all()
+        assert (pw[1:, 0] < 1.0).all()
 
     def test_matches_per_pair_oracle(self):
         profile = profile_with(
@@ -253,8 +250,7 @@ class TestPairWeights:
             for j in range(6):
                 expected = (max(a[i], a[j]) if (a[i] >= 1 and a[j] >= 1)
                             else min(a[i], a[j]))
-                assert pw.w_neg[i, j] == expected
-                assert pw.w_pos[i, j] == expected
+                assert pw[i, j] == expected
 
     def test_lower_outlier_weight_shrinks_negative_contribution(self):
         rng = np.random.default_rng(3)
@@ -266,43 +262,44 @@ class TestPairWeights:
             pw = eaa_pair_weights(np.array([a_out, 1.0, 1.0, 1.0]))
             sims = np.exp(z @ z.T)
             neg = labels[:, None] != labels[None, :]
-            w = pw.w_neg * neg
+            w = pw * neg
             return (w * sims)[2].sum()  # anchor 2 pairs with the outlier
 
         assert weighted_negative_sum(0.3) < weighted_negative_sum(0.6)
 
 
 class TestFuse:
+    # two classes of one sample each: (0, 1) and (1, 0) are negative pairs
+    LABELS = np.array([0, 1])
+
     def test_three_four_five(self):
-        a = PairWeightMatrix(np.ones((1, 1)), np.full((1, 1), 3.0))
-        b = PairWeightMatrix(np.ones((1, 1)), np.full((1, 1), 4.0))
-        assert fuse_weights(a, b).w_neg[0, 0] == pytest.approx(
-            5.0 / math.sqrt(2.0), abs=1e-12)
+        fused = fuse_weights(np.full((2, 2), 3.0), np.full((2, 2), 4.0), self.LABELS)
+        assert fused[0, 1] == pytest.approx(5.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_renormalized_neutral_maps_to_one(self):
-        fused = fuse_weights(unit(2), unit(2))
-        assert np.allclose(fused.w_neg, 1.0, atol=1e-12)
+        fused = fuse_weights(np.ones((2, 2)), np.ones((2, 2)), self.LABELS)
+        assert np.allclose(fused, 1.0, atol=1e-12)
 
     def test_direct_evaluation(self):
-        a = PairWeightMatrix(np.ones((1, 1)), np.full((1, 1), 2.0))
-        b = PairWeightMatrix(np.ones((1, 1)), np.full((1, 1), 1.8))
-        assert fuse_weights(a, b).w_neg[0, 0] == pytest.approx(
-            math.sqrt(3.62), abs=1e-12)
+        fused = fuse_weights(np.full((2, 2), 2.0), np.full((2, 2), 1.8), self.LABELS)
+        assert fused[0, 1] == pytest.approx(math.sqrt(3.62), abs=1e-12)
 
     def test_positive_pairs_keep_attention_weights(self):
-        eaa_w = PairWeightMatrix(np.full((2, 2), 1.7), np.ones((2, 2)))
-        fused = fuse_weights(unit(2), eaa_w)
-        assert np.allclose(fused.w_pos, 1.7)
+        # (0, 1) is a positive pair, (0, 2) a negative one
+        fused = fuse_weights(np.full((3, 3), 2.0), np.full((3, 3), 1.7),
+                             np.array([0, 0, 1]))
+        assert fused[0, 1] == fused[1, 0] == 1.7
+        assert fused[0, 2] == pytest.approx(math.sqrt(3.445), abs=1e-12)
 
     def test_fused_lies_between_inputs(self):
         # a quadratic mean lies between the smaller and the larger input
         rng = np.random.default_rng(4)
-        a = PairWeightMatrix(np.ones((3, 3)), rng.uniform(1.0, 2.0, (3, 3)))
-        b = PairWeightMatrix(np.ones((3, 3)), rng.uniform(0.5, 2.0, (3, 3)))
-        fused = fuse_weights(a, b)
-        assert (fused.w_neg >= np.minimum(a.w_neg, b.w_neg)).all()
-        assert (fused.w_neg <= np.maximum(a.w_neg, b.w_neg)).all()
+        a = rng.uniform(1.0, 2.0, (3, 3))
+        b = rng.uniform(0.5, 2.0, (3, 3))
+        fused = fuse_weights(a, b, np.arange(3))
+        assert (fused >= np.minimum(a, b)).all()
+        assert (fused <= np.maximum(a, b)).all()
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError, match="pair sets"):
-            fuse_weights(unit(2), unit(3))
+            fuse_weights(np.ones((2, 2)), np.ones((3, 3)), self.LABELS)

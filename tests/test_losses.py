@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -11,7 +12,6 @@ from cedr.autodiff import Parameter, Tensor, backward
 from cedr.losses import (
     ContrastiveBatch,
     InfoNCEResult,
-    PairWeightMatrix,
     cross_entropy,
     joint_loss,
     pair_masks,
@@ -19,6 +19,9 @@ from cedr.losses import (
 )
 
 from conftest import fd_gradient, max_rel_err
+
+# the weight sources of the pairwise oracle checks; each one's index is its seed
+WEIGHT_SOURCES = ("unit", "random_pos", "random_neg", "both")
 
 
 def infonce_oracle(z, labels, tau=1.0, w_pos=None, w_neg=None):
@@ -75,6 +78,13 @@ def infonce_decimal_oracle(z, labels, tau, w_pos, w_neg):
         return float(sum(anchors) / len(anchors))
 
 
+def one_matrix(labels, w_pos, w_neg):
+    """The (b, b) pair weights supervised_infonce takes: w_pos on same-class
+    pairs and w_neg elsewhere, the entries infonce_oracle reads of each."""
+    labels = np.asarray(labels)
+    return np.where(labels[:, None] == labels[None, :], w_pos, w_neg)
+
+
 def unit_embeddings(rng, b, d):
     z = rng.standard_normal((b, d))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -114,9 +124,9 @@ class TestInfoNCE:
         assert result.per_anchor[1] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_constant_weights_cancel(self):
-        """A constant on both weight fields, or on the negative weights alone
-        (fuse_weights' 1/sqrt(2) is one), changes neither the loss nor its
-        embedding gradient."""
+        """A constant on every pair weight, or on the negative pairs' weights
+        alone (fuse_weights' 1/sqrt(2) is one), changes neither the loss nor
+        its embedding gradient."""
         rng = np.random.default_rng(1)
         z = unit_embeddings(rng, 8, 6)
         labels = rng.integers(0, 3, 8)
@@ -129,9 +139,9 @@ class TestInfoNCE:
             backward(result.mean)
             return result, leaf.grad
 
-        cases = [(None, PairWeightMatrix(np.full((8, 8), c), np.full((8, 8), c)))
-                 for c in (0.25, 1.0, 7.5)]
-        cases += [(PairWeightMatrix(w_pos, w_neg), PairWeightMatrix(w_pos, w_neg * c))
+        cases = [(None, np.full((8, 8), c)) for c in (0.25, 1.0, 7.5)]
+        cases += [(one_matrix(labels, w_pos, w_neg),
+                   one_matrix(labels, w_pos, w_neg * c))
                   for c in (1 / math.sqrt(2.0), 0.25, 7.5)]
         for weights, scaled_weights in cases:
             base, base_grad = run(weights)
@@ -140,9 +150,10 @@ class TestInfoNCE:
             assert np.allclose(scaled.per_anchor, base.per_anchor, rtol=0, atol=1e-12)
             assert np.allclose(scaled_grad, base_grad, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("source", ["unit", "random_pos", "random_neg", "both"])
-    def test_matches_pairwise_oracle(self, source):
-        rng = np.random.default_rng(hash(source) % 2**32)
+    @pytest.mark.parametrize("seed, source", enumerate(WEIGHT_SOURCES),
+                             ids=WEIGHT_SOURCES)
+    def test_matches_pairwise_oracle(self, seed, source):
+        rng = np.random.default_rng(seed)
         for b, d, tau in [(4, 3, 1.0), (8, 5, 0.5), (10, 4, 2.0)]:
             z = unit_embeddings(rng, b, d)
             labels = rng.integers(0, 3, b)
@@ -155,7 +166,7 @@ class TestInfoNCE:
                          ("random_pos", "both") else np.ones((b, b)))
                 w_neg = (rng.uniform(0.5, 2.0, (b, b)) if source in
                          ("random_neg", "both") else np.ones((b, b)))
-                weights = PairWeightMatrix(w_pos, w_neg)
+                weights = one_matrix(labels, w_pos, w_neg)
             result = supervised_infonce(ContrastiveBatch(z, labels, tau), weights)
             per_anchor, mean = infonce_oracle(z, labels, tau, w_pos, w_neg)
             assert np.max(np.abs(result.per_anchor - per_anchor)) < 1e-10
@@ -186,29 +197,34 @@ class TestInfoNCE:
         backward(joint_loss(Tensor(1.5), result, 0.2))
         assert np.array_equal(leaf.grad, np.zeros((3, 4)))
 
+    # (0, 1) is a positive pair, read as w_pos, and (0, 2) a negative one
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
-    @pytest.mark.parametrize("which", ["w_pos", "w_neg"])
-    def test_nonpositive_weight_on_a_pair_rejected(self, which, bad):
+    @pytest.mark.parametrize("pair, kind", [((0, 1), "positive"), ((0, 2), "negative")],
+                             ids=["w_pos", "w_neg"])
+    def test_nonpositive_weight_on_a_pair_rejected(self, pair, kind, bad):
         z = unit_embeddings(np.random.default_rng(12), 4, 3)
         labels = np.array([0, 0, 1, 1])
-        w = {"w_pos": np.ones((4, 4)), "w_neg": np.ones((4, 4))}
-        w[which][0, 1 if which == "w_pos" else 2] = bad
-        with pytest.raises(ValueError, match="pair weights must be positive"):
-            supervised_infonce(ContrastiveBatch(z, labels), PairWeightMatrix(**w))
+        w = np.ones((4, 4))
+        w[pair] = bad
+        message = f"pair weight w[{pair[0]}, {pair[1]}] = {bad:g} on a {kind} pair"
+        with pytest.raises(ValueError, match=re.escape(message) + " is not positive$"):
+            supervised_infonce(ContrastiveBatch(z, labels), w)
 
     def test_weight_off_its_pair_set_ignored(self):
         z = unit_embeddings(np.random.default_rng(12), 4, 3)
         labels = np.array([0, 0, 1, 1])
-        w_pos, w_neg = np.ones((4, 4)), np.ones((4, 4))
-        # (0, 2) is a negative pair and (0, 1) a positive one; each diagonal
-        # entry is on neither set
-        w_pos[0, 2] = w_neg[0, 1] = 0.0
-        np.fill_diagonal(w_pos, np.nan)
-        np.fill_diagonal(w_neg, -1.0)
-        result = supervised_infonce(ContrastiveBatch(z, labels),
-                                    PairWeightMatrix(w_pos, w_neg))
         unit = supervised_infonce(ContrastiveBatch(z, labels))
-        assert np.array_equal(result.per_anchor, unit.per_anchor)
+        # each diagonal entry is on neither pair set
+        for bad in (np.nan, -1.0):
+            w = np.ones((4, 4))
+            np.fill_diagonal(w, bad)
+            result = supervised_infonce(ContrastiveBatch(z, labels), w)
+            assert np.array_equal(result.per_anchor, unit.per_anchor)
+
+    def test_weight_shape_mismatch_rejected(self):
+        z = unit_embeddings(np.random.default_rng(12), 4, 3)
+        with pytest.raises(ValueError, match=re.escape("shape (4, 3), not (4, 4)")):
+            supervised_infonce(ContrastiveBatch(z, [0, 0, 1, 1]), np.ones((4, 3)))
 
     def test_positive_similarity_decreases_loss(self):
         rng = np.random.default_rng(5)
@@ -238,9 +254,11 @@ class TestInfoNCE:
     def small_tau_batch():
         """12 samples of 3 classes with random positive pair weights."""
         rng = np.random.default_rng(11)
-        weights = PairWeightMatrix(rng.uniform(0.5, 2.0, (12, 12)),
-                                   rng.uniform(0.5, 2.0, (12, 12)))
-        return unit_embeddings(rng, 12, 6), np.arange(12) % 3, weights
+        w_pos = rng.uniform(0.5, 2.0, (12, 12))
+        w_neg = rng.uniform(0.5, 2.0, (12, 12))
+        labels = np.arange(12) % 3
+        return (unit_embeddings(rng, 12, 6), labels,
+                one_matrix(labels, w_pos, w_neg))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("tau", [1e-3, 1e-4, 1e-6])
@@ -256,15 +274,15 @@ class TestInfoNCE:
     def test_small_temperature_matches_decimal_oracle(self):
         z, labels, weights = self.small_tau_batch()
         result = supervised_infonce(ContrastiveBatch(z, labels, 1e-4), weights)
-        mean = infonce_decimal_oracle(z, labels, 1e-4, weights.w_pos, weights.w_neg)
+        mean = infonce_decimal_oracle(z, labels, 1e-4, weights, weights)
         assert abs(float(result.mean.values) - mean) <= 1e-10 * abs(mean)
 
     def test_embedding_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         z = unit_embeddings(rng, 6, 4)
         labels = np.array([0, 0, 1, 1, 2, 2])
-        w = PairWeightMatrix(rng.uniform(0.5, 1.5, (6, 6)),
-                             rng.uniform(0.5, 1.5, (6, 6)))
+        w = one_matrix(labels, rng.uniform(0.5, 1.5, (6, 6)),
+                       rng.uniform(0.5, 1.5, (6, 6)))
 
         def value(v):
             return float(supervised_infonce(
@@ -330,7 +348,8 @@ def test_infonce_gradient_property(labels, data):
     b = len(labels)
     labels = np.array(labels)
     z = data.draw(arrays(np.float64, (b, 3), elements=st.floats(-1, 1)))
-    weights = PairWeightMatrix(
+    weights = one_matrix(
+        labels,
         data.draw(arrays(np.float64, (b, b), elements=st.floats(0.5, 2.0))),
         data.draw(arrays(np.float64, (b, b), elements=st.floats(0.5, 2.0))))
 

@@ -1,4 +1,5 @@
 import csv
+import json
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ from cedr.config import ExperimentConfig
 from cedr.data import build_dataset, default_shape_specs, stack_points
 from cedr.eaa import shannon_entropy
 from cedr.encoder import EncoderConfig, PointEncoder
+from cedr.losses import pair_masks
 from cedr.train import (
     AblationResult,
     NumericFailure,
@@ -21,6 +23,8 @@ from cedr.train import (
     run_lambda_grid,
     train,
 )
+
+from conftest import strict_json
 
 
 def small_config(**overrides):
@@ -61,6 +65,17 @@ class TestTrainLoop:
         epoch = record.epochs[1]
         assert epoch.skipped_anchors > 0
         assert np.isfinite([epoch.ce, epoch.nce, epoch.total]).all()
+
+    def test_full_arm_trains_under_nearest_only_and_fixed(self, tiny_dataset):
+        record, _ = train(small_config(epochs=1, cpcm_method="nearest_only",
+                                       eaa_mode="fixed"), tiny_dataset)
+        epoch = record.epochs[1]
+        assert np.isfinite([epoch.ce, epoch.nce, epoch.total]).all()
+        text = record.canonical_json()
+        payload = strict_json(text)
+        assert payload["config"]["cpcm_method"] == "nearest_only"
+        assert payload["config"]["eaa_mode"] == "fixed"
+        assert json.dumps(payload, sort_keys=True, separators=(",", ":")) == text
 
     def test_same_seed_is_deterministic(self, tiny_dataset):
         a, _ = train(small_config(), tiny_dataset)
@@ -192,27 +207,52 @@ class TestBatchWeights:
         labels = np.repeat(np.arange(8), 2)
         return probs, z, labels
 
+    def confusable_batch(self):
+        """setup_batch with classes 0 and 1 sharing one embedding, far from
+        the other classes: nearest_only weights exactly their cross pairs and
+        leaves every other cross-class pair at 1."""
+        probs, z, labels = self.setup_batch()
+        v = -z[4:].sum(axis=0)
+        z[:4] = v / np.linalg.norm(v)
+        return probs, z, labels
+
     def test_plain_arms_have_no_weights(self):
         probs, z, labels = self.setup_batch()
         for arm in ("ce_only", "scc"):
             assert batch_weights(small_config(arm=arm), probs, z, labels) is None
 
-    def test_cpcm_arm_leaves_positive_pairs_alone(self):
-        probs, z, labels = self.setup_batch()
-        w = batch_weights(small_config(arm="scc_cpcm"), probs, z, labels)
-        assert np.allclose(w.w_pos, 1.0)
-        neg = labels[:, None] != labels[None, :]
-        assert (w.w_neg[neg] > 1.0).all()
+    @staticmethod
+    def arm_weights(arm, cpcm_method, eaa_mode, batch):
+        config = small_config(arm=arm, cpcm_method=cpcm_method, eaa_mode=eaa_mode)
+        return batch_weights(config, *batch)
 
-    def test_full_arm_fuses_both_sources(self):
-        probs, z, labels = self.setup_batch()
-        cpcm_only = batch_weights(small_config(arm="scc_cpcm"), probs, z, labels)
-        eaa_only = batch_weights(small_config(arm="scc_eaa"), probs, z, labels)
-        fused = batch_weights(small_config(arm="full"), probs, z, labels)
-        neg = labels[:, None] != labels[None, :]
-        expected = np.sqrt((cpcm_only.w_neg**2 + eaa_only.w_neg**2) / 2)
-        assert np.allclose(fused.w_neg[neg], expected[neg], atol=1e-12)
-        assert np.allclose(fused.w_pos, eaa_only.w_pos)
+    @pytest.mark.parametrize("eaa_mode", ["varying", "fixed"])
+    @pytest.mark.parametrize("cpcm_method", ["all_pairs", "nearest_only"])
+    def test_cpcm_arm_leaves_positive_pairs_alone(self, cpcm_method, eaa_mode):
+        batch = self.confusable_batch()
+        w = self.arm_weights("scc_cpcm", cpcm_method, eaa_mode, batch)
+        pos, neg = pair_masks(batch[2])
+        assert (w[pos] == 1.0).all()
+        if cpcm_method == "all_pairs":
+            assert (w[neg] > 1.0).all()
+        else:
+            assert (w[neg] >= 1.0).all()
+            assert (w[neg] == 1.0).any() and (w[neg] > 1.0).any()
+
+    @pytest.mark.parametrize("eaa_mode", ["varying", "fixed"])
+    @pytest.mark.parametrize("cpcm_method", ["all_pairs", "nearest_only"])
+    def test_full_arm_fuses_both_sources(self, cpcm_method, eaa_mode):
+        batch = self.confusable_batch()
+        cpcm_only, eaa_only, fused = (
+            self.arm_weights(arm, cpcm_method, eaa_mode, batch)
+            for arm in ("scc_cpcm", "scc_eaa", "full"))
+        pos, neg = pair_masks(batch[2])
+        if cpcm_method == "nearest_only":
+            # a cross-class pair at exactly 1.0 must still fuse as a negative
+            assert (cpcm_only[neg] == 1.0).any()
+        assert np.array_equal(fused[pos], eaa_only[pos])
+        expected = np.sqrt((cpcm_only**2 + eaa_only**2) / 2)
+        assert np.allclose(fused[neg], expected[neg], rtol=0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(arm=st.sampled_from(["scc_eaa", "full"]), row=st.integers(0, 15),
@@ -230,8 +270,7 @@ class TestBatchWeights:
         except NumericFailure as exc:
             assert f"batch sample {row} " in str(exc)
             return
-        for m in (w.w_pos, w.w_neg):
-            assert np.isfinite(m).all() and (m > 0).all()
+        assert np.isfinite(w).all() and (w > 0).all()
 
     @pytest.mark.parametrize("arm", ["scc_eaa", "full"])
     def test_nan_attention_weight_raises(self, monkeypatch, arm):
