@@ -87,7 +87,7 @@ def backward(loss: Tensor):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise AutodiffError(f"non-finite gradient at op '{node.op}'")
         if node.grad is not None:
             node.grad += g.reshape(node.grad.shape)
@@ -180,13 +180,18 @@ def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
         inv = np.cumsum(flag)[rows] - 1
         # each (cloud, feature) has its own (row, feature) slot
         gz = np.zeros((len(crit), pooled.shape[1]))
-        gz[inv, np.arange(rows.shape[1])] = g * (pooled > 0)
+        g_top = g * (pooled > 0)
+        gz[inv, np.arange(rows.shape[1])] = g_top
+        # the top bias gradient sums g_top over the clouds: the scatter's
+        # nonzero terms in the same order, so the same bits up to signed zeros
         out = [None] * (2 * len(layers))
+        out[-1] = g_top.sum(axis=0)
         for i in reversed(range(len(layers))):
             a = acts[i][crit]
-            out[2 * i:2 * i + 2] = a.T @ gz, gz.sum(axis=0)
+            out[2 * i] = a.T @ gz
             if i:
                 gz = (gz @ layers[i][0].values.T) * (a > 0)
+                out[2 * i - 1] = gz.sum(axis=0)
         return out
 
     return Tensor(pooled, [p for layer in layers for p in layer], vjp, "point_mlp")

@@ -63,9 +63,9 @@ def cpcm_negative_weights(labels: np.ndarray, pair_weights: ClassPairWeights,
     everything else stays at 1.
     """
     labels = np.asarray(labels)
-    present = np.unique(labels)
-    missing = [int(c) for c in present if not pair_weights.mask[c]]
-    if missing:
+    undefined = ~pair_weights.mask[labels]
+    if undefined.any():
+        missing = [int(c) for c in np.unique(labels[undefined])]
         raise ValueError(f"no center defined for class(es) {missing}")
 
     n_classes = pair_weights.w_minus.shape[0]
@@ -89,4 +89,6 @@ def cpcm_negative_weights(labels: np.ndarray, pair_weights: ClassPairWeights,
 
     # a class with itself gives the same-class pairs, which mining leaves at 1
     np.fill_diagonal(class_w, 1.0)
-    return class_w[labels[:, None], labels[None, :]]
+    # rows, then columns: two 1-D gathers beat one 2-D fancy gather; the
+    # transposes keep the result C-contiguous, like the arrays it meets later
+    return class_w.T[labels][:, labels].T

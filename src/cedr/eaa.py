@@ -93,9 +93,13 @@ def eaa_pair_weights(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if (~(a > 0)).any():
         raise ValueError("sample weights must be positive")
-    ai = a[:, None]
-    aj = a[None, :]
-    return np.where((ai >= 1) & (aj >= 1), np.maximum(ai, aj), np.minimum(ai, aj))
+    w = np.maximum.outer(a, a)
+    # the rows and columns of the few down-weighted samples take the min
+    low = np.flatnonzero(a < 1)
+    if low.size:
+        w[low] = np.minimum.outer(a[low], a)
+        w[:, low] = w[low].T
+    return w
 
 
 def fuse_weights(cpcm: np.ndarray, eaa: np.ndarray,

@@ -23,6 +23,12 @@ anchor without positives is skipped (it contributes 0 and is not counted in
 the mean); a batch in which no anchor has a positive gives a constant loss
 of 0.
 
+Without weights (the scc arm) no (batch, batch) weight array is built, and
+the loss has the bits of explicit unit weights. The Gram matrix z z^T is
+numpy's SYRK product. A GEMM against a contiguous z^T is faster at batch
+512, but under OpenBLAS 0.3.31 its last bits differ from SYRK's at most
+batch sizes that are not a multiple of 8.
+
 Each loss is one tape node with a closed-form vjp. For upstream g:
 
     cross-entropy   d/dp_{i,y_i} = -g / (n p_{i,y_i}) where p_{i,y_i} >= 1e-12,
@@ -55,6 +61,8 @@ class ContrastiveBatch:
         if not isinstance(self.embeddings, Tensor):
             self.embeddings = Tensor(self.embeddings)
         self.labels = np.asarray(self.labels)
+        if self.labels.dtype.kind not in "iu" or (self.labels < 0).any():
+            raise ValueError("labels must be nonnegative integer class ids")
         if len(self.labels) != self.embeddings.shape[0]:
             raise ValueError("labels and embeddings disagree on batch size")
         if len(self.labels) < 2:
@@ -94,61 +102,76 @@ def cross_entropy(probs: Tensor, labels) -> Tensor:
                   "cross_entropy")
 
 
-def pair_masks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(positive, negative) bool masks over ordered pairs, diagonal excluded."""
-    labels = np.asarray(labels)
-    same = labels[:, None] == labels[None, :]
-    return same & ~np.eye(len(labels), dtype=bool), ~same
-
-
 def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     """Weighted supervised InfoNCE over a batch.
 
     weights: optional (batch, batch) pair weights (see .cpcm and .eaa), each
-    > 0 on its pair; None means all ones.
+    > 0 on its pair; None means all ones, and no weight array is built.
     """
     z = batch.embeddings
     labels = batch.labels
     b = len(labels)
-    pos_mask, neg_mask = pair_masks(labels)
-    n_pos = pos_mask.sum(axis=1)
-    n_neg = neg_mask.sum(axis=1)
+    class_sizes = np.bincount(labels)
+    # compared as the smallest unsigned type that holds them, which numpy
+    # does several times faster than int64
+    small = labels.astype(np.min_scalar_type(len(class_sizes) - 1))
+    same = small[:, None] == small
+    counts = class_sizes[labels]
+    n_pos = counts - 1
+    n_neg = b - counts
     valid = n_pos > 0
 
-    w = np.ones((b, b)) if weights is None else np.asarray(weights, float)
-    if w.shape != (b, b):
-        raise ValueError(f"pair weights have shape {w.shape}, not {(b, b)}")
-    # ~(w > 0) is also True for NaN
-    bad = ~(w > 0) & (pos_mask | neg_mask)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        kind = "positive" if pos_mask[i, j] else "negative"
-        raise ValueError(f"pair weight w[{i}, {j}] = {w[i, j]:g} on a {kind} "
-                         "pair is not positive")
+    if weights is not None:
+        w = np.asarray(weights, float)
+        if w.shape != (b, b):
+            raise ValueError(f"pair weights have shape {w.shape}, not {(b, b)}")
+        # every off-diagonal pair is positive or negative; w > 0 is also
+        # False for NaN
+        ok = w > 0
+        ok.flat[::b + 1] = True
+        if not ok.all():
+            i, j = np.argwhere(~ok)[0]
+            kind = "positive" if same[i, j] else "negative"
+            raise ValueError(f"pair weight w[{i}, {j}] = {w[i, j]:g} on a "
+                             f"{kind} pair is not positive")
     if not valid.any():
         return InfoNCEResult(mean=Tensor(0.0), per_anchor=np.zeros(b),
                              skipped_anchors=b)
 
     zv = z.values
     inv_tau = 1.0 / batch.temperature
-    s = (zv @ zv.T) * inv_tau
-    # positive pairs (row-major), a_ij = log wp_ij + s_ij with the weight over
-    # its anchor's mean
-    pi, pj = divmod(np.flatnonzero(pos_mask), b)
-    w_p = w[pi, pj]
-    a = np.log(w_p * n_pos[pi] / np.bincount(pi, w_p, b)[pi]) + s[pi, pj]
-
-    # shift each anchor's logsumexp by its largest negative similarity; the
-    # clamp only touches entries off the negatives, whose weight is 0
-    shift = np.where(neg_mask, s, -np.inf).max(axis=1)
-    # where, not a product: a NaN off the negatives (the diagonal) stays out
-    neg_w = np.where(neg_mask, w, 0.0)
-    q = np.exp(np.minimum(s - shift[:, None], 0.0)) * neg_w
+    s = zv @ zv.T
+    s *= inv_tau
+    # -inf off the negatives; shift each anchor's logsumexp by its largest
+    # negative similarity (0 at an anchor without negatives, whose row stays
+    # -inf)
+    q = np.where(same, -np.inf, s)
+    shift = q.max(axis=1)
     has_neg = n_neg > 0
+    q -= np.where(has_neg, shift, 0.0)[:, None]
+    np.exp(q, out=q)
+    if weights is None:
+        neg_w_sum = n_neg
+    else:
+        # where, not a product: a NaN off the negatives (the diagonal) stays out
+        neg_w = np.where(same, 0.0, w)
+        q *= neg_w
+        neg_w_sum = neg_w.sum(axis=1)
     q_sum = np.where(has_neg, q.sum(axis=1), 1.0)
     # lse_i = log(|N_i| S_i), -inf at the anchors without negatives
-    lse = shift + np.log(n_neg * q_sum / np.where(has_neg, neg_w.sum(axis=1), 1.0),
+    lse = shift + np.log(n_neg * q_sum / np.where(has_neg, neg_w_sum, 1.0),
                          where=has_neg, out=np.full(b, -np.inf))
+
+    # positive pairs by flat index, row-major, so anchor i has n_pos[i] in a
+    # run; a_ij = log wp_ij + s_ij with the weight over its anchor's mean
+    # (log 1 = 0 for unit weights)
+    same.flat[::b + 1] = False
+    pos = np.flatnonzero(same)
+    pi = np.repeat(np.arange(b), n_pos)
+    a = s.take(pos)
+    if weights is not None:
+        w_p = w.take(pos)
+        a = np.log(w_p * n_pos[pi] / np.bincount(pi, w_p, b)[pi]) + a
 
     x = lse[pi] - a   # the pair loss is softplus(x)
     pair_loss = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
@@ -160,7 +183,7 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
         c = g / (n_valid * n_pos[pi])
         # q / q_sum is the softmax over each anchor's negatives
         grad_sims = q * (np.bincount(pi, c * (1.0 - rho), b) / q_sum)[:, None]
-        grad_sims[pi, pj] += c * (rho - 1.0)
+        np.add.at(grad_sims.ravel(), pos, c * (rho - 1.0))
         return ((grad_sims + grad_sims.T) @ zv * inv_tau,)
 
     mean = Tensor(per_anchor.sum() * (1.0 / n_valid), (z,), vjp, "infonce")

@@ -45,7 +45,7 @@ class SGDMomentum:
             v *= self.momentum
             v += p.grad + self.weight_decay * p.values
             p.values -= lr * v
-            if not np.all(np.isfinite(p.values)):
+            if not np.isfinite(p.values).all():
                 raise FloatingPointError(f"non-finite values in parameter '{p.name}'")
 
     def zero_grad(self):

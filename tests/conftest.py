@@ -41,6 +41,13 @@ def weighted_sum(node: Tensor, upstream=1.0) -> Tensor:
                   "weighted_sum")
 
 
+def pair_masks(labels) -> tuple[np.ndarray, np.ndarray]:
+    """(positive, negative) bool masks over ordered pairs, diagonal excluded."""
+    labels = np.asarray(labels)
+    same = labels[:, None] == labels[None, :]
+    return same & ~np.eye(len(labels), dtype=bool), ~same
+
+
 def strict_json(text: str):
     """json.loads that rejects NaN and Infinity, which standard JSON lacks."""
     def reject(name):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,27 @@ class TestNegativeWeights:
         m1 = cpcm_negative_weights(labels, pw, "all_pairs")
         m2 = cpcm_negative_weights(labels, pw, "nearest_only")
         assert (m1 >= m2 - 1e-12).all()
+
+    @pytest.mark.parametrize("method", ["all_pairs", "nearest_only"])
+    def test_expansion_is_the_class_matrix_gathered(self, method):
+        """Gathering rows, then columns gives the bits of one 2-D gather of the
+        class weights, and a C-contiguous array."""
+        rng = np.random.default_rng(8)
+        labels = rng.permutation(np.arange(30) % 3)
+        # classes 0 and 1 are each other's nearest, by more than the margin
+        emb = centers_from_distances(1.0, 3.0, 3.5)[labels]
+        pw = class_pair_weights(compute_centers(emb, labels, 3))
+        class_w = cpcm_negative_weights(np.arange(3), pw, method)
+        assert (class_w > 1.0).sum() == (6 if method == "all_pairs" else 2)
+        result = cpcm_negative_weights(labels, pw, method)
+        assert result.flags.c_contiguous
+        assert np.array_equal(result, class_w[labels[:, None], labels[None, :]])
+
+    def test_missing_centers_named_once_in_order(self):
+        pw = class_pair_weights(
+            compute_centers(np.ones((2, 3)), np.array([0, 0]), 4))
+        with pytest.raises(ValueError, match=re.escape("class(es) [2, 3]")):
+            cpcm_negative_weights(np.array([3, 0, 2, 3]), pw)
 
     def test_missing_center_rejected(self):
         pw = class_pair_weights(

@@ -214,6 +214,23 @@ class TestPairSelect:
                     expected = min(ai, aj)
                 assert pw[i, j] == expected
 
+    @pytest.mark.parametrize("a", [
+        [1.0, 1.3, 2.0, 1.0, 1.3],      # no sample below 1, two exactly 1
+        [1.2, 0.4, 1.0, 1.7, 1.0],      # one
+        [0.3, 0.9, 0.5, 0.99, 0.3],     # every one
+        np.random.default_rng(6).choice([0.2, 0.7, 1.0, 1.4, 2.6], 64),
+    ], ids=["none_below_one", "one_below_one", "all_below_one", "b64"])
+    def test_matches_the_broadcast_where(self, a):
+        """The max outer product with the min written over the down-weighted
+        rows and columns has the bits of the rule as one np.where."""
+        a = np.asarray(a, dtype=np.float64)
+        ai, aj = a[:, None], a[None, :]
+        expected = np.where((ai >= 1) & (aj >= 1), np.maximum(ai, aj),
+                            np.minimum(ai, aj))
+        pw = eaa_pair_weights(a)
+        assert pw.flags.c_contiguous
+        assert np.array_equal(pw, expected)
+
     def test_nonpositive_rejected(self):
         for a in ([0.0, 1.0], [1.0, np.nan, 0.5]):
             with pytest.raises(ValueError, match="sample weights must be positive"):

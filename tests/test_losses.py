@@ -14,11 +14,10 @@ from cedr.losses import (
     InfoNCEResult,
     cross_entropy,
     joint_loss,
-    pair_masks,
     supervised_infonce,
 )
 
-from conftest import fd_gradient, max_rel_err
+from conftest import fd_gradient, max_rel_err, pair_masks
 
 # the weight sources of the pairwise oracle checks; each one's index is its seed
 WEIGHT_SOURCES = ("unit", "random_pos", "random_neg", "both")
@@ -220,6 +219,40 @@ class TestInfoNCE:
             np.fill_diagonal(w, bad)
             result = supervised_infonce(ContrastiveBatch(z, labels), w)
             assert np.array_equal(result.per_anchor, unit.per_anchor)
+
+    @pytest.mark.parametrize("labels", [
+        [0, 0, 1, 1, 2],                # anchor 4 is skipped
+        [1, 1, 1],                      # no anchor has a negative
+        [3, 0, 3, 3, 0, 5, 5, 0],
+        np.random.default_rng(1).integers(0, 8, 32),
+    ], ids=["skipped", "no_negatives", "mixed", "b32"])
+    def test_no_weights_equal_unit_weights(self, labels):
+        """weights=None builds no weight array; its loss, per-anchor losses
+        and gradient keep the bits of explicit unit weights, also with a NaN
+        on the diagonal, which no pair reads."""
+        labels = np.asarray(labels)
+        b = len(labels)
+        z = unit_embeddings(np.random.default_rng(b), b, 6)
+        nan_diagonal = np.ones((b, b))
+        np.fill_diagonal(nan_diagonal, np.nan)
+        results = []
+        for weights in (None, np.ones((b, b)), nan_diagonal):
+            leaf = Parameter(z, "z")
+            result = supervised_infonce(ContrastiveBatch(leaf, labels, 0.6), weights)
+            backward(result.mean)
+            results.append((result, leaf.grad))
+        (plain, grad), others = results[0], results[1:]
+        assert np.isfinite(plain.mean.values) and np.isfinite(grad).all()
+        for result, other_grad in others:
+            assert np.array_equal(result.mean.values, plain.mean.values)
+            assert np.array_equal(result.per_anchor, plain.per_anchor)
+            assert result.skipped_anchors == plain.skipped_anchors
+            assert np.array_equal(other_grad, grad)
+
+    @pytest.mark.parametrize("labels", [[0, -1], [0.0, 1.0]])
+    def test_labels_must_be_class_ids(self, labels):
+        with pytest.raises(ValueError, match="nonnegative integer class ids"):
+            ContrastiveBatch(np.eye(2), labels)
 
     def test_weight_shape_mismatch_rejected(self):
         z = unit_embeddings(np.random.default_rng(12), 4, 3)

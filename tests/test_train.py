@@ -1,30 +1,31 @@
 import csv
 import json
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cedr import eaa
+from cedr import cpcm, eaa
 from cedr.checkpoint import load_checkpoint
 from cedr.config import ExperimentConfig
 from cedr.data import build_dataset, default_shape_specs, stack_points
 from cedr.eaa import shannon_entropy
 from cedr.encoder import EncoderConfig, PointEncoder
-from cedr.losses import pair_masks
 from cedr.train import (
     AblationResult,
     NumericFailure,
     batch_weights,
+    check_forward,
     encode_split,
     run_ablation,
     run_lambda_grid,
     train,
 )
 
-from conftest import strict_json
+from conftest import pair_masks, strict_json
 
 
 def small_config(**overrides):
@@ -254,6 +255,28 @@ class TestBatchWeights:
         expected = np.sqrt((cpcm_only**2 + eaa_only**2) / 2)
         assert np.allclose(fused[neg], expected[neg], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("eaa_mode", ["varying", "fixed"])
+    @pytest.mark.parametrize("cpcm_method", ["all_pairs", "nearest_only"])
+    def test_full_arm_matches_the_broadcast_formulas(self, cpcm_method, eaa_mode):
+        """The full arm keeps the bits of each formula written as (b, b)
+        broadcasts: a 2-D gather of the class weights, the attention rule as
+        one np.where, and their quadratic mean on the cross-class pairs."""
+        probs, z, labels = batch = self.confusable_batch()
+        # a confident wrong prediction: an outlier, weighted below 1
+        probs[3] = 0.01
+        probs[3, 5] = 0.93
+        pw = cpcm.class_pair_weights(cpcm.compute_centers(z, labels, 8))
+        class_w = cpcm.cpcm_negative_weights(np.arange(8), pw, cpcm_method)
+        c = class_w[labels[:, None], labels[None, :]]
+        a = eaa.sample_weight(eaa.classify_samples(probs, labels), eaa_mode)
+        assert (a < 1).sum() == 1
+        ai, aj = a[:, None], a[None, :]
+        e = np.where((ai >= 1) & (aj >= 1), np.maximum(ai, aj), np.minimum(ai, aj))
+        fused = np.where(labels[:, None] != labels[None, :],
+                         np.sqrt(c**2 + e**2) / np.sqrt(2.0), e)
+        assert np.array_equal(self.arm_weights("full", cpcm_method, eaa_mode, batch),
+                              fused)
+
     @settings(max_examples=60, deadline=None)
     @given(arm=st.sampled_from(["scc_eaa", "full"]), row=st.integers(0, 15),
            spread=st.floats(0.0, 1e-305))
@@ -287,7 +310,42 @@ class TestBatchWeights:
             batch_weights(small_config(arm=arm), probs, z, labels)
 
 
+def forward_of(embeddings, probs=None):
+    """The two arrays of a forward that check_forward reads."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    if probs is None:
+        probs = np.full((len(embeddings), 2), 0.5)
+    return SimpleNamespace(probs=SimpleNamespace(values=probs),
+                           embeddings=SimpleNamespace(values=embeddings))
+
+
 class TestNumericFailure:
+    def test_unit_norm_bound_is_iscloses(self):
+        """check_forward accepts a squared norm exactly where np.isclose(sq,
+        1.0) does: here the last floats inside 1 +- 1.001e-5 and the first
+        ones outside, on both sides of 1."""
+        # 80 consecutive floats around each edge
+        xs = np.concatenate([edge + np.arange(-40, 40) * np.spacing(edge) for edge
+                             in (np.sqrt(1.0 + 1.001e-5), np.sqrt(1.0 - 1.001e-5))])
+        sq = xs ** 2
+        accepted = []
+        for i, x in enumerate(xs):
+            try:
+                check_forward(forward_of([[x]]), "sample", [i])
+                accepted.append(True)
+            except NumericFailure:
+                accepted.append(False)
+        assert accepted == list(np.isclose(sq, 1.0))
+        assert 0 < sum(accepted[:80]) < 80 and 0 < sum(accepted[80:]) < 80
+
+    @pytest.mark.parametrize("row, probs_row", [
+        ([np.nan, 0.0], [0.5, 0.5]), ([np.inf, 0.0], [0.5, 0.5]),
+        ([0.0, 0.0], [0.5, 0.5]), ([1.0, 0.0], [np.nan, 0.5])])
+    def test_non_finite_or_zero_rows_fail(self, row, probs_row):
+        out = forward_of([[0.6, 0.8], row], np.array([[0.5, 0.5], probs_row]))
+        with pytest.raises(NumericFailure, match="^train sample 8: non-finite"):
+            check_forward(out, "train sample", [7, 8])
+
     @pytest.mark.parametrize("arm", ["ce_only", "scc", "scc_cpcm", "full"])
     def test_overflowed_embeddings_raise(self, arm):
         # every train embedding's squared norm overflows, which normalises it
