@@ -14,9 +14,8 @@ float32 at creation (the storage precision) and held as float64 in RAM.
 
 from __future__ import annotations
 
-import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from .binio import Reader
 
 MAGIC = b"CPCD"
-VERSION = 1
+VERSION = 2
 CLUTTER_INFLATE = 1.5   # bbox inflation for clutter points
 OCCLUSION_RETRIES = 8   # occlusion centers drawn before giving up
 TILT_MAX_DEG = 15.0     # bound of each tilt angle of a rotated sample
@@ -56,30 +55,9 @@ class PerturbationConfig:
 
 
 @dataclass
-class PerturbationRecord:
-    shift: float = 0.0        # max per-axis |translation| / bbox extent
-    rotation: float = 0.0     # yaw, radians
-    scale: float = 1.0
-    clutter_fraction: float = 0.0
-    occlusion_fraction: float = 0.0
-
-    def as_tuple(self):
-        return (self.shift, self.rotation, self.scale,
-                self.clutter_fraction, self.occlusion_fraction)
-
-    def is_valid(self) -> bool:
-        """Finite, shift >= 0, scale > 0 and both fractions in [0, 1]."""
-        return (all(math.isfinite(v) for v in self.as_tuple())
-                and self.shift >= 0 and self.scale > 0
-                and 0 <= self.clutter_fraction <= 1
-                and 0 <= self.occlusion_fraction <= 1)
-
-
-@dataclass
 class PointCloudSample:
     points: np.ndarray              # n x 3 float64
     label: int
-    meta: PerturbationRecord = field(default_factory=PerturbationRecord)
 
 
 @dataclass
@@ -215,7 +193,7 @@ def _frustum(rng, n, r_bottom, r_top, h):
 
 # -- perturbation pipeline -------------------------------------------------
 
-def _yaw_tilt_matrix(rng) -> tuple[np.ndarray, float]:
+def _yaw_tilt_matrix(rng) -> np.ndarray:
     yaw = rng.uniform(0.0, 2 * np.pi)
     tilt = np.deg2rad(rng.uniform(-TILT_MAX_DEG, TILT_MAX_DEG, size=2))
     cz, sz = np.cos(yaw), np.sin(yaw)
@@ -224,7 +202,7 @@ def _yaw_tilt_matrix(rng) -> tuple[np.ndarray, float]:
     rx = np.array([[1.0, 0, 0], [0, cx, -sx], [0, sx, cx]])
     cy, sy = np.cos(tilt[1]), np.sin(tilt[1])
     ry = np.array([[cy, 0, sy], [0, 1.0, 0], [-sy, 0, cy]])
-    return rz @ rx @ ry, yaw
+    return rz @ rx @ ry
 
 
 def generate_sample(spec: ShapeSpec, perturb: PerturbationConfig,
@@ -233,21 +211,16 @@ def generate_sample(spec: ShapeSpec, perturb: PerturbationConfig,
         raise ValueError("need at least 32 points per sample")
     size = rng.uniform(np.asarray(spec.size_low), np.asarray(spec.size_high))
     pts = _surface_points(spec.primitive, size, rng, n_points)
-    extent = pts.max(axis=0) - pts.min(axis=0)
-    rec = PerturbationRecord()
 
     if perturb.translate_frac > 0:
-        shift = rng.uniform(-perturb.translate_frac, perturb.translate_frac, 3) * extent
-        pts = pts + shift
-        rec.shift = float(np.max(np.abs(shift) / np.maximum(extent, 1e-12)))
+        extent = pts.max(axis=0) - pts.min(axis=0)
+        pts = pts + rng.uniform(-perturb.translate_frac, perturb.translate_frac,
+                                3) * extent
     if perturb.rotate:
-        rot, yaw = _yaw_tilt_matrix(rng)
-        pts = pts @ rot.T
-        rec.rotation = float(yaw)
+        pts = pts @ _yaw_tilt_matrix(rng).T
     lo, hi = perturb.scale_range
     if (lo, hi) != (1.0, 1.0):
-        rec.scale = float(rng.uniform(lo, hi))
-        pts = pts * rec.scale
+        pts = pts * rng.uniform(lo, hi)
     if perturb.clutter_fraction > 0:
         k = int(round(perturb.clutter_fraction * n_points))
         if k > 0:
@@ -256,7 +229,6 @@ def generate_sample(spec: ShapeSpec, perturb: PerturbationConfig,
             half = half * CLUTTER_INFLATE
             idx = rng.permutation(n_points)[:k]
             pts[idx] = rng.uniform(center - half, center + half, size=(k, 3))
-            rec.clutter_fraction = k / n_points
     if perturb.occlusion_radius_frac > 0:
         bb_lo, bb_hi = pts.min(axis=0), pts.max(axis=0)
         radius = perturb.occlusion_radius_frac * float(np.linalg.norm(bb_hi - bb_lo))
@@ -274,11 +246,9 @@ def generate_sample(spec: ShapeSpec, perturb: PerturbationConfig,
             kept = pts[survive]
             refill = kept[rng.integers(0, len(kept), size=removed)]
             pts = np.concatenate([kept, refill])
-            rec.occlusion_fraction = removed / n_points
 
     pts = pts.astype(np.float32).astype(np.float64)
-    rec = PerturbationRecord(*(float(np.float32(v)) for v in rec.as_tuple()))
-    return PointCloudSample(pts, spec.class_id, rec)
+    return PointCloudSample(pts, spec.class_id)
 
 
 # -- dataset assembly ------------------------------------------------------
@@ -316,6 +286,10 @@ def build_dataset(specs: list[ShapeSpec], n_train: int, n_test: int,
 # -- file format -----------------------------------------------------------
 
 def write_samples(path, samples: list[PointCloudSample], class_names: list[str]):
+    """Magic, version, the class-name table, u32 sample and point counts, the
+    u16 labels, then every sample's float32 xyz points: one file holds clouds
+    of one size."""
+    pts, labels = stack_points(samples)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<HH", VERSION, len(class_names)))
@@ -323,16 +297,13 @@ def write_samples(path, samples: list[PointCloudSample], class_names: list[str])
             raw = name.encode("utf-8")
             f.write(struct.pack("<H", len(raw)))
             f.write(raw)
-        f.write(struct.pack("<I", len(samples)))
-        for s in samples:
-            f.write(struct.pack("<HI", s.label, len(s.points)))
-            f.write(np.ascontiguousarray(s.points, dtype="<f4").tobytes())
-            f.write(struct.pack("<5f", *s.meta.as_tuple()))
+        f.write(struct.pack("<II", *pts.shape[:2]))
+        f.write(labels.astype("<u2").tobytes())
+        f.write(pts.astype("<f4").tobytes())
 
 
 # a flipped byte can leave a float32 signalling NaN in the points; its cast to
-# float64 then warns, and the NaN is left to the finiteness check below (one
-# errstate per file: one per sample costs more than the cast)
+# float64 then warns, and the NaN is left to the finiteness check below
 @np.errstate(invalid="ignore")
 def read_samples(path) -> tuple[list[PointCloudSample], list[str]]:
     r = Reader(path, DatasetFormatError)
@@ -346,27 +317,23 @@ def read_samples(path) -> tuple[list[PointCloudSample], list[str]]:
     for _ in range(n_classes):
         (ln,) = r.fields("H", "class name length")
         names.append(r.text(ln, "class name"))
-    (count,) = r.fields("I", "sample count")
-    samples = []
-    for i in range(count):
-        start = r.off
-        label, n = r.fields("HI", "sample header")
-        if label >= n_classes:
-            raise r.error(f"sample label {label} at offset {start} "
-                          f"is outside the {n_classes}-class table")
-        pts_start = r.off
-        pts = r.array("<f4", (n, 3), "sample points")
-        if not np.isfinite(pts).all():
-            raise r.error(f"sample {i} has a non-finite coordinate "
-                          f"in its points at offset {pts_start}")
-        rec_start = r.off
-        rec = PerturbationRecord(*r.fields("5f", "perturbation record"))
-        if not rec.is_valid():
-            raise r.error(f"sample {i} has an invalid perturbation record at "
-                          f"offset {rec_start}: {rec}")
-        samples.append(PointCloudSample(pts, int(label), rec))
+    count, n = r.fields("II", "sample and point counts")
+    labels_start = r.off
+    labels = r.array("<u2", (count,), "labels").astype(int)
+    bad = np.flatnonzero(labels >= n_classes)
+    if bad.size:
+        raise r.error(f"sample label {labels[bad[0]]} at offset "
+                      f"{labels_start + 2 * bad[0]} is outside the "
+                      f"{n_classes}-class table")
+    pts_start = r.off
+    pts = r.array("<f4", (count, n, 3), "points")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=(1, 2)))
+    if bad.size:
+        raise r.error(f"sample {bad[0]} has a non-finite coordinate in its "
+                      f"points at offset {pts_start + 12 * n * bad[0]}")
     r.expect_end()
-    return samples, names
+    return [PointCloudSample(p, label)
+            for p, label in zip(pts, labels.tolist())], names
 
 
 def dataset_paths(base) -> tuple[Path, Path]:

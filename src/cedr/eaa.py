@@ -115,5 +115,7 @@ def fuse_weights(cpcm: np.ndarray, eaa: np.ndarray,
     """
     if cpcm.shape != eaa.shape:
         raise ValueError(f"pair sets differ: {cpcm.shape} vs {eaa.shape}")
-    return np.where(labels[:, None] != labels[None, :],
+    # compared as the smallest unsigned type that holds them (see supervised_infonce)
+    small = labels.astype(np.min_scalar_type(labels.max()))
+    return np.where(small[:, None] != small,
                     np.sqrt(cpcm**2 + eaa**2) / np.sqrt(2.0), eaa)

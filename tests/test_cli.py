@@ -302,9 +302,9 @@ def test_eval_rejects_a_signalling_nan_coordinate(small_eval_files, capsys):
     d, files = small_eval_files
     data = files["toy.test.cpcd"]
     names = [spec.name.encode() for spec in default_shape_specs()[:3]]
-    # magic, version and class count, the names, the sample count; then
-    # sample 0 (header, 32 points, record) and sample 1's header
-    at = 8 + sum(2 + len(n) for n in names) + 4 + (6 + 32 * 12 + 20) + 6
+    # magic, version and class count, the names, the sample and point counts,
+    # the 6 labels, then sample 0's 32 points
+    at = 8 + sum(2 + len(n) for n in names) + 8 + 6 * 2 + 32 * 12
     snan = np.array([0x7FA00000], dtype="<u4").tobytes()
     assert np.isnan(np.frombuffer(snan, dtype="<f4")[0])
     for name, raw in files.items():
@@ -397,18 +397,20 @@ def test_one_class_dataset_is_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_invalid_perturbation_record_is_config_error(tmp_path, capsys):
-    split = build_dataset(default_shape_specs()[:3], 2, 2, seed=0, n_points=32)
-    meta = split.train[1].meta
-    meta.shift, meta.scale, meta.clutter_fraction = np.nan, -5.0, 7.0
-    write_dataset(split, tmp_path / "toy")
-    out = tmp_path / "out"
-    assert main(["train", "--set", f"data={tmp_path / 'toy'}",
-                 "--set", f"out_dir={out}"]) == EXIT_CONFIG
+def test_eval_rejects_a_version_1_dataset(small_eval_files, capsys):
+    """A file of the format before the fixed-shape layout is refused, not
+    misread: exit 2 naming the version field."""
+    d, files = small_eval_files
+    for name, raw in files.items():
+        if name.endswith(".cpcd"):
+            raw = raw[:4] + b"\x01\x00" + raw[6:]
+        (d / "work" / name).write_bytes(raw)
+    assert main(["eval", "--checkpoint", str(d / "work" / "m.ckpt"),
+                 "--data", str(d / "work" / "toy")]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"{tmp_path / 'toy'}.train.cpcd: sample 1 has an invalid " \
-           "perturbation record at offset" in err
-    assert not out.exists()
+    assert (f"{d / 'work' / 'toy'}.train.cpcd: unsupported version 1 at offset 4"
+            in err)
+    assert "Traceback" not in err
 
 
 def test_truncated_checkpoint_names_it(small_eval_files, tmp_path, capsys):

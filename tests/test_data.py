@@ -5,9 +5,9 @@ from cedr.data import (
     CONFUSABLE_PAIRS,
     DatasetFormatError,
     PerturbationConfig,
-    PerturbationRecord,
     PointCloudSample,
     ShapeSpec,
+    _surface_points,
     build_dataset,
     default_shape_specs,
     generate_sample,
@@ -22,14 +22,18 @@ from cedr.encoder import EncoderConfig, PointEncoder
 from cedr.metrics import center_distance_report
 
 
-def set_record_field(data: bytes, record_offset: int, value: float,
-                     field: int = 0) -> bytes:
-    at = record_offset + 4 * field
-    return data[:at] + np.float32(value).tobytes() + data[at + 4:]
-
-
 def fixed_box_spec(w=1.0, d=0.8, h=0.6):
     return ShapeSpec(0, "box", "box", (w, d, h), (w, d, h))
+
+
+def box_face_residual(pts, w=1.0, d=0.8, h=0.6):
+    """Each point's distance to the nearest of the six face planes of a
+    centred w x d x h box."""
+    return np.minimum.reduce([
+        np.abs(np.abs(pts[:, 0]) - w / 2),
+        np.abs(np.abs(pts[:, 1]) - d / 2),
+        np.abs(np.abs(pts[:, 2]) - h / 2),
+    ])
 
 
 class TestGenerate:
@@ -38,20 +42,21 @@ class TestGenerate:
         sample = generate_sample(fixed_box_spec(w, d, h),
                                  PerturbationConfig.none(),
                                  sample_rng(0, 0, 0, 0), n_points=256)
-        pts = sample.points
-        # distance to the nearest of the six face planes; coordinates are
-        # quantized to float32 at creation, so the residual floor is ~1e-7
-        residual = np.minimum.reduce([
-            np.abs(np.abs(pts[:, 0]) - w / 2),
-            np.abs(np.abs(pts[:, 1]) - d / 2),
-            np.abs(np.abs(pts[:, 2]) - h / 2),
-        ])
-        assert residual.max() < 1e-6
+        # coordinates are quantized to float32 at creation, so the residual
+        # floor is ~1e-7
+        assert box_face_residual(sample.points, w, d, h).max() < 1e-6
 
-    def test_unperturbed_meta_is_neutral(self):
-        sample = generate_sample(fixed_box_spec(), PerturbationConfig.none(),
+    def test_unperturbed_sample_is_the_surface_draw(self):
+        """The none preset draws nothing after the surface: the points are
+        the sampler's, quantized to float32."""
+        rng = sample_rng(0, 0, 0, 0)
+        spec = fixed_box_spec()
+        size = rng.uniform(np.asarray(spec.size_low), np.asarray(spec.size_high))
+        drawn = _surface_points(spec.primitive, size, rng, 64)
+        sample = generate_sample(spec, PerturbationConfig.none(),
                                  sample_rng(0, 0, 0, 0), n_points=64)
-        assert sample.meta.as_tuple() == (0.0, 0.0, 1.0, 0.0, 0.0)
+        assert np.array_equal(sample.points,
+                              drawn.astype(np.float32).astype(np.float64))
 
     def test_full_clutter_leaves_no_structure(self):
         config = PerturbationConfig(translate_frac=0.0, rotate=False,
@@ -60,14 +65,7 @@ class TestGenerate:
         sample = generate_sample(fixed_box_spec(), config,
                                  sample_rng(1, 0, 0, 0), n_points=128)
         # no face structure survives: residuals are spread through the volume
-        pts = sample.points
-        residual = np.minimum.reduce([
-            np.abs(np.abs(pts[:, 0]) - 0.5),
-            np.abs(np.abs(pts[:, 1]) - 0.4),
-            np.abs(np.abs(pts[:, 2]) - 0.3),
-        ])
-        assert (residual > 1e-4).mean() > 0.9
-        assert sample.meta.clutter_fraction == 1.0
+        assert (box_face_residual(sample.points) > 1e-4).mean() > 0.9
 
     def test_fixed_seed_is_bitwise_reproducible(self):
         spec = default_shape_specs()[2]
@@ -76,7 +74,6 @@ class TestGenerate:
         b = generate_sample(spec, PerturbationConfig(), sample_rng(5, 2, 0, 3),
                             n_points=128)
         assert np.array_equal(a.points, b.points)
-        assert a.meta.as_tuple() == b.meta.as_tuple()
 
     def test_point_count_and_finiteness(self):
         for spec in default_shape_specs():
@@ -87,21 +84,44 @@ class TestGenerate:
             assert np.isfinite(sample.points).all()
 
     def test_perturbation_bounds(self):
+        """A centred box shifted by up to translate_frac of its extent per
+        axis: the bounding-box centre stays inside that bound, and reaches
+        past half of it in some sample."""
+        config = PerturbationConfig(translate_frac=0.75, rotate=False,
+                                    scale_range=(1.0, 1.0), clutter_fraction=0.0,
+                                    occlusion_radius_frac=0.0)
+        reach = []
         for i in range(20):
-            sample = generate_sample(default_shape_specs()[0],
-                                     PerturbationConfig(),
-                                     sample_rng(11, 0, 0, i), n_points=64)
-            assert sample.meta.shift <= 0.75 + 1e-6
-            assert 0.8 - 1e-6 <= sample.meta.scale <= 1.2 + 1e-6
+            pts = generate_sample(fixed_box_spec(), config,
+                                  sample_rng(11, 0, 0, i), n_points=64).points
+            lo, hi = pts.min(axis=0), pts.max(axis=0)
+            shift = np.abs((lo + hi) / 2) / (hi - lo)
+            assert (shift <= 0.75 + 1e-6).all()
+            reach.append(shift.max())
+        assert max(reach) > 0.375
+
+    @pytest.mark.parametrize("s", [0.8, 1.2])
+    def test_fixed_scale_puts_the_faces_at_scaled_offsets(self, s):
+        config = PerturbationConfig(translate_frac=0.0, rotate=False,
+                                    scale_range=(s, s), clutter_fraction=0.0,
+                                    occlusion_radius_frac=0.0)
+        sample = generate_sample(fixed_box_spec(), config,
+                                 sample_rng(12, 0, 0, 0), n_points=128)
+        w, d, h = s * 1.0, s * 0.8, s * 0.6
+        assert box_face_residual(sample.points, w, d, h).max() < 1e-6
+        assert np.abs(sample.points).max(axis=0) == pytest.approx(
+            [w / 2, d / 2, h / 2], abs=1e-6)
 
     def test_declared_clutter_fraction_matches_count(self):
+        """Clutter replaces round(fraction * n) points, drawn through the
+        inflated bounding box, so that many points leave the box faces."""
         config = PerturbationConfig(translate_frac=0.0, rotate=False,
                                     scale_range=(1.0, 1.0),
                                     clutter_fraction=0.25,
                                     occlusion_radius_frac=0.0)
         sample = generate_sample(fixed_box_spec(), config,
                                  sample_rng(13, 0, 0, 0), n_points=200)
-        assert sample.meta.clutter_fraction == pytest.approx(0.25, abs=1 / 200)
+        assert (box_face_residual(sample.points) > 1e-4).sum() == 50
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="32"):
@@ -133,7 +153,6 @@ class TestDataset:
                               loaded.train + loaded.test):
             assert orig.label == back.label
             assert np.array_equal(orig.points, back.points)
-            assert orig.meta.as_tuple() == back.meta.as_tuple()
 
     def test_file_bytes_are_deterministic(self, tmp_path):
         specs = default_shape_specs()
@@ -148,12 +167,11 @@ class TestDataset:
     def test_file_size_formula(self, tmp_path, tiny_dataset):
         path = tmp_path / "sized.cpcd"
         write_samples(path, tiny_dataset.train, tiny_dataset.class_names)
-        # magic, version, class count, the name table and the sample count;
-        # then per sample a u16 label, a u32 point count, float32 xyz points
-        # and five float32 perturbation fields
+        # magic, version, class count, the name table, the sample and point
+        # counts; then a u16 label and float32 xyz points per sample
         names = tiny_dataset.class_names
-        header = 4 + 2 + 2 + sum(2 + len(n.encode("utf-8")) for n in names) + 4
-        body = sum(2 + 4 + 12 * len(s.points) + 5 * 4 for s in tiny_dataset.train)
+        header = 4 + 2 + 2 + sum(2 + len(n.encode("utf-8")) for n in names) + 8
+        body = sum(2 + 12 * len(s.points) for s in tiny_dataset.train)
         assert path.stat().st_size == header + body
 
     def test_corrupt_magic_rejected(self, tmp_path):
@@ -163,10 +181,13 @@ class TestDataset:
             read_samples(path)
 
     def test_bad_version_rejected(self, tmp_path):
+        # version 1 files carried a per-sample header and perturbation record
         path = tmp_path / "bad.cpcd"
-        path.write_bytes(b"CPCD\x07\x00\x00\x00")
-        with pytest.raises(DatasetFormatError, match="offset 4"):
-            read_samples(path)
+        for version in (1, 7):
+            path.write_bytes(b"CPCD" + bytes([version]) + b"\x00\x00\x00")
+            with pytest.raises(DatasetFormatError,
+                               match=f"unsupported version {version} at offset 4"):
+                read_samples(path)
 
     def test_truncated_file_rejected(self, tmp_path, tiny_dataset):
         path = tmp_path / "trunc.cpcd"
@@ -176,33 +197,21 @@ class TestDataset:
         with pytest.raises(DatasetFormatError):
             read_samples(path)
 
+    # two 2-point samples in a 2-class file: the counts at offset 14, the
+    # labels at 22, sample 0's points at 26 and sample 1's at 50, the end at 74
     @pytest.mark.parametrize("edit, match", [
         (lambda b: b[:6], "truncated header at offset 4"),
         (lambda b: b[:12], "truncated class name length at offset 11"),
-        (lambda b: b[:60], "truncated perturbation record at offset 48"),
-        (lambda b: b + b"xyz", "3 trailing bytes at offset 118"),
-        (lambda b: b[:68] + b"\x02\x00" + b[70:],
-         "sample label 2 at offset 68 is outside the 2-class table"),
-        (lambda b: b[:24] + np.float32(np.inf).tobytes() + b[28:],
-         "sample 0 has a non-finite coordinate in its points at offset 24"),
-        (lambda b: b[:90] + np.float32(np.nan).tobytes() + b[94:],
-         "sample 1 has a non-finite coordinate in its points at offset 74"),
-        # perturbation records: sample 0's is at offset 48, sample 1's at 98;
-        # the fields are shift, rotation, scale, clutter and occlusion
-        (lambda b: set_record_field(b, 98, np.nan),
-         r"sample 1 has an invalid perturbation record at offset 98: .*shift=nan"),
-        (lambda b: set_record_field(b, 98, -5.0, field=2),
-         r"sample 1 .* offset 98: .*scale=-5\.0"),
-        (lambda b: set_record_field(b, 98, 7.0, field=3),
-         r"sample 1 .* offset 98: .*clutter_fraction=7\.0"),
-        (lambda b: set_record_field(b, 48, -0.5),
-         r"sample 0 has an invalid perturbation record at offset 48: .*shift=-0\.5"),
-        (lambda b: set_record_field(b, 48, np.inf, field=1),
-         r"sample 0 .* offset 48: .*rotation=inf"),
-        (lambda b: set_record_field(b, 48, 0.0, field=2),
-         r"sample 0 .* offset 48: .*scale=0\.0"),
-        (lambda b: set_record_field(b, 48, -0.25, field=4),
-         r"sample 0 .* offset 48: .*occlusion_fraction=-0\.25"),
+        (lambda b: b[:20], "truncated sample and point counts at offset 14"),
+        (lambda b: b[:24], "truncated labels at offset 22"),
+        (lambda b: b[:60], "truncated points at offset 26"),
+        (lambda b: b + b"xyz", "3 trailing bytes at offset 74"),
+        (lambda b: b[:24] + b"\x02\x00" + b[26:],
+         "sample label 2 at offset 24 is outside the 2-class table"),
+        (lambda b: b[:26] + np.float32(np.inf).tobytes() + b[30:],
+         "sample 0 has a non-finite coordinate in its points at offset 26"),
+        (lambda b: b[:66] + np.float32(np.nan).tobytes() + b[70:],
+         "sample 1 has a non-finite coordinate in its points at offset 50"),
     ])
     def test_malformed_file_names_the_offset(self, tmp_path, edit, match):
         path = tmp_path / "small.cpcd"
@@ -213,14 +222,12 @@ class TestDataset:
             read_samples(path)
         assert str(err.value).startswith(f"{path}: ")
 
-    def test_perturbation_record_bounds_are_inclusive(self, tmp_path):
-        path = tmp_path / "edge.cpcd"
-        record = PerturbationRecord(shift=0.0, rotation=-3.0, scale=1e-30,
-                                    clutter_fraction=1.0, occlusion_fraction=0.0)
-        write_samples(path, [PointCloudSample(np.ones((2, 3)), 0, record)], ["a"])
-        samples, _ = read_samples(path)
-        assert samples[0].meta == PerturbationRecord(
-            *(float(np.float32(v)) for v in record.as_tuple()))
+    def test_clouds_of_unequal_size_are_not_written(self, tmp_path):
+        path = tmp_path / "unequal.cpcd"
+        samples = [PointCloudSample(np.ones((n, 3)), 0) for n in (2, 3)]
+        with pytest.raises(ValueError, match="sample 1 has 3 points, sample 0 has 2"):
+            write_samples(path, samples, ["a"])
+        assert not path.exists()
 
     def test_stack_points_names_the_odd_sample(self):
         samples = [PointCloudSample(np.ones((n, 3)), 0) for n in (2, 2, 3)]
