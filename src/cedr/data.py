@@ -8,14 +8,25 @@ free yaw plus small tilt, uniform scaling, background clutter points, and
 a spherical occlusion hole.
 
 Every sample draws its own generator from (seed, class, split, index), so
-generation order never affects the bytes. Coordinates are quantized to
-float32 at creation (the storage precision) and held as float64 in RAM.
+generation order never affects the bytes. A split is one (clouds,
+points, 3) array, generated in chunks of GENERATE_CHUNK_ROWS point rows,
+each in two phases. Phase 1 loops over the chunk's clouds: each makes its
+draws in its stream's order and writes its surface points into its rows.
+Phase 2 perturbs the chunk with array ops: translate, rotate, scale,
+clutter, the first occlusion centre. Only the occlusion's rare further
+centres and its refill draw per cloud, from that cloud's own stream. A
+draw whose bounds depend on the points is made in phase 1 as random() and
+mapped by uniform()'s own formula in phase 2, so the bytes are those of
+one cloud generated alone (`generate_sample`). Coordinates are quantized
+to float32 at creation (the storage precision) and held as float64 in RAM;
+a split's samples are views of its one array.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +38,9 @@ VERSION = 2
 CLUTTER_INFLATE = 1.5   # bbox inflation for clutter points
 OCCLUSION_RETRIES = 8   # occlusion centers drawn before giving up
 TILT_MAX_DEG = 15.0     # bound of each tilt angle of a rotated sample
+# point rows (clouds x points) generated at a time: the generators and the
+# perturbation's temporaries stay small next to the split they write into
+GENERATE_CHUNK_ROWS = 8192
 
 
 class DatasetFormatError(ValueError):
@@ -89,166 +103,284 @@ CONFUSABLE_PAIRS = [(2, 3), (4, 5)]
 
 
 # -- surface samplers ------------------------------------------------------
+# Each sampler writes its points into the rows of `out` (n x 3). Consecutive
+# uniform draws are one call: numpy's Generator.uniform(lo, hi) is
+# lo + (hi - lo) * random(), so one random(2 * k) split in two has the bits
+# of uniform(0, 1, k) followed by uniform(0, 2 pi, k).
 
-def _sample_box_faces(rng, n, w, d, h, faces=("x-", "x+", "y-", "y+", "z-", "z+")):
-    areas = {"x-": d * h, "x+": d * h, "y-": w * h, "y+": w * h,
-             "z-": w * d, "z+": w * d}
-    weights = np.array([areas[f] for f in faces])
-    counts = rng.multinomial(n, weights / weights.sum())
-    pts = []
+BOX_FACES = ("x-", "x+", "y-", "y+", "z-", "z+")
+FREE_AXES = (slice(1, 3), slice(0, 3, 2), slice(0, 2))  # the two axes along a face
+SLAB_T = 0.06   # table slab thickness
+
+
+def _uniform(lo, hi, u):
+    """Generator.uniform(lo, hi)'s own formula on draws u of
+    Generator.random(): the same bits from the same stream, for draws made
+    before their bounds are known."""
+    return lo + (hi - lo) * u
+
+
+def _split_draws(rng, counts):
+    """One random() call cut into consecutive pieces of the given lengths."""
+    u = rng.random(sum(counts))
+    return [u[end - k:end] for k, end in zip(counts, accumulate(counts))]
+
+
+def _sample_box_faces(rng, out, w, d, h, faces=BOX_FACES):
+    dims = np.array([w, d, h])
+    areas = {"x": d * h, "y": w * h, "z": w * d}
+    weights = np.array([areas[f[0]] for f in faces])
+    counts = rng.multinomial(len(out), weights / weights.sum())
+    u = rng.uniform(-0.5, 0.5, size=(len(out), 2))
+    start = 0
     for face, k in zip(faces, counts):
-        u = rng.uniform(-0.5, 0.5, size=(k, 2))
-        axis, sign = face[0], 1.0 if face[1] == "+" else -1.0
-        if axis == "x":
-            p = np.column_stack([np.full(k, sign * w / 2), u[:, 0] * d, u[:, 1] * h])
-        elif axis == "y":
-            p = np.column_stack([u[:, 0] * w, np.full(k, sign * d / 2), u[:, 1] * h])
-        else:
-            p = np.column_stack([u[:, 0] * w, u[:, 1] * d, np.full(k, sign * h / 2)])
-        pts.append(p)
-    return np.concatenate(pts)
+        axis = "xyz".index(face[0])
+        free = FREE_AXES[axis]
+        rows = slice(start, start + k)
+        out[rows, axis] = (1.0 if face[1] == "+" else -1.0) * dims[axis] / 2
+        out[rows, free] = u[rows] * dims[free]
+        start += k
 
 
-def _sample_lateral(rng, n, r_bottom, r_top, h):
-    """Lateral surface of a frustum from z=-h/2 to z=h/2."""
-    t = rng.uniform(0.0, 1.0, n)
-    r = r_bottom + (r_top - r_bottom) * t
-    theta = rng.uniform(0.0, 2 * np.pi, n)
-    return np.column_stack([r * np.cos(theta), r * np.sin(theta), (t - 0.5) * h])
+def _polar(out, rad, theta, z):
+    out[:, 0] = rad * np.cos(theta)
+    out[:, 1] = rad * np.sin(theta)
+    out[:, 2] = z
 
 
-def _sample_disk(rng, n, r, z):
-    rad = r * np.sqrt(rng.uniform(0.0, 1.0, n))
-    theta = rng.uniform(0.0, 2 * np.pi, n)
-    return np.column_stack([rad * np.cos(theta), rad * np.sin(theta), np.full(n, z)])
+def _lateral(out, t, theta, r_bottom, r_top, h):
+    """Lateral surface of a frustum from z=-h/2 to z=h/2, at heights t in
+    [0, 1) and angles theta."""
+    _polar(out, r_bottom + (r_top - r_bottom) * t, theta, (t - 0.5) * h)
 
 
-def _surface_points(primitive: str, size: np.ndarray, rng, n: int) -> np.ndarray:
+def _slab_on_legs(rng, out, w, d, h):
+    leg_r = 0.035
+    n = len(out)
+    n_slab = int(0.55 * n)
+    slab, legs = out[:n_slab], out[n_slab:]
+    _sample_box_faces(rng, slab, w, d, SLAB_T)
+    slab[:, 2] += h - SLAB_T / 2
+    leg_h = h - SLAB_T
+    counts = rng.multinomial(n - n_slab, np.full(4, 0.25))
+    # each leg draws its heights, then its angles
+    draws = _split_draws(rng, np.repeat(counts, 2))
+    _lateral(legs, np.concatenate(draws[0::2]),
+             _uniform(0.0, 2 * np.pi, np.concatenate(draws[1::2])),
+             leg_r, leg_r, leg_h)
+    corners = ((-1, -1), (-1, 1), (1, -1), (1, 1))
+    for axis, half in ((0, w / 2), (1, d / 2)):
+        legs[:, axis] += np.repeat([c[axis] * (half - 2 * leg_r)
+                                    for c in corners], counts)
+    legs[:, 2] += leg_h / 2
+
+
+def _surface_points(primitive: str, size: np.ndarray, rng, out: np.ndarray):
+    """Write the primitive's surface points into `out` (n x 3)."""
+    n = len(out)
     if primitive == "box":
-        return _sample_box_faces(rng, n, *size)
-    if primitive == "open_box":
-        return _sample_box_faces(rng, n, *size,
-                                 faces=("x-", "x+", "y-", "y+", "z-"))
-    if primitive in ("slab_on_legs", "slab_on_legs_drawer"):
+        _sample_box_faces(rng, out, *size)
+    elif primitive == "open_box":
+        _sample_box_faces(rng, out, *size, faces=BOX_FACES[:5])
+    elif primitive == "slab_on_legs":
+        _slab_on_legs(rng, out, *size)
+        out[:, 2] -= size[2] / 2
+    elif primitive == "slab_on_legs_drawer":
+        # a random n - k of the table's points, then a small drawer box
+        # hanging under the slab: the only cue vs. table
         w, d, h = size
-        slab_t = 0.06
-        leg_r = 0.035
-        n_slab = int(0.55 * n)
-        n_legs = n - n_slab
-        slab = _sample_box_faces(rng, n_slab, w, d, slab_t)
-        slab[:, 2] += h - slab_t / 2
-        leg_h = h - slab_t
-        legs = []
-        counts = rng.multinomial(n_legs, np.full(4, 0.25))
-        for (sx, sy), k in zip([(-1, -1), (-1, 1), (1, -1), (1, 1)], counts):
-            leg = _sample_lateral(rng, k, leg_r, leg_r, leg_h)
-            leg[:, 0] += sx * (w / 2 - 2 * leg_r)
-            leg[:, 1] += sy * (d / 2 - 2 * leg_r)
-            leg[:, 2] += leg_h / 2
-            legs.append(leg)
-        pts = np.concatenate([slab] + legs)
-        if primitive == "slab_on_legs_drawer":
-            # small drawer box hanging under the slab: the only cue vs. table
-            k = max(8, n // 10)
-            drawer = _sample_box_faces(rng, k, 0.35 * w, 0.8 * d, 0.18 * h)
-            drawer[:, 0] += 0.2 * w
-            drawer[:, 2] += h - slab_t - 0.09 * h
-            keep = rng.permutation(len(pts))[:len(pts) - k]
-            pts = np.concatenate([pts[keep], drawer])
-        pts[:, 2] -= h / 2
-        return pts
-    if primitive == "cylinder":
+        table = np.empty_like(out)
+        _slab_on_legs(rng, table, w, d, h)
+        k = max(8, n // 10)
+        drawer = out[n - k:]
+        _sample_box_faces(rng, drawer, 0.35 * w, 0.8 * d, 0.18 * h)
+        drawer[:, 0] += 0.2 * w
+        drawer[:, 2] += h - SLAB_T - 0.09 * h
+        out[:n - k] = table[rng.permutation(n)[:n - k]]
+        out[:, 2] -= h / 2
+    elif primitive == "cylinder":
         r, h = size
-        return _frustum(rng, n, r, r, h)
-    if primitive == "cone_frustum":
+        _frustum(rng, out, r, r, h)
+    elif primitive == "cone_frustum":
         r, h = size
         # top radius 70% of bottom: close enough to a cylinder to confuse
-        return _frustum(rng, n, r, 0.7 * r, h)
-    if primitive == "sphere":
+        _frustum(rng, out, r, 0.7 * r, h)
+    elif primitive in ("sphere", "hemisphere_bowl"):
         (r,) = size
         v = rng.standard_normal((n, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return r * v
-    if primitive == "hemisphere_bowl":
-        (r,) = size
-        v = rng.standard_normal((n, 3))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        v[:, 2] = -np.abs(v[:, 2])
-        return r * v
-    raise ValueError(f"unknown primitive '{primitive}'")
+        if primitive == "hemisphere_bowl":
+            v[:, 2] = -np.abs(v[:, 2])
+        out[:] = r * v
+    else:
+        raise ValueError(f"unknown primitive '{primitive}'")
 
 
-def _frustum(rng, n, r_bottom, r_top, h):
+def _frustum(rng, out, r_bottom, r_top, h):
+    n = len(out)
     lat = 2 * np.pi * (r_bottom + r_top) / 2 * h
     caps = np.pi * (r_bottom**2 + r_top**2)
     n_lat = int(n * lat / (lat + caps))
     n_bot = int((n - n_lat) * r_bottom**2 / (r_bottom**2 + r_top**2))
     n_top = n - n_lat - n_bot
-    return np.concatenate([
-        _sample_lateral(rng, n_lat, r_bottom, r_top, h),
-        _sample_disk(rng, n_bot, r_bottom, -h / 2),
-        _sample_disk(rng, n_top, r_top, h / 2),
-    ])
+    # the lateral surface's heights and angles, then each cap's radii and angles
+    t, a_lat, s_bot, a_bot, s_top, a_top = _split_draws(
+        rng, (n_lat, n_lat, n_bot, n_bot, n_top, n_top))
+    _lateral(out[:n_lat], t, _uniform(0.0, 2 * np.pi, a_lat), r_bottom, r_top, h)
+    _polar(out[n_lat:n - n_top], r_bottom * np.sqrt(s_bot),
+           _uniform(0.0, 2 * np.pi, a_bot), -h / 2)
+    _polar(out[n - n_top:], r_top * np.sqrt(s_top),
+           _uniform(0.0, 2 * np.pi, a_top), h / 2)
 
 
 # -- perturbation pipeline -------------------------------------------------
 
-def _yaw_tilt_matrix(rng) -> np.ndarray:
-    yaw = rng.uniform(0.0, 2 * np.pi)
-    tilt = np.deg2rad(rng.uniform(-TILT_MAX_DEG, TILT_MAX_DEG, size=2))
+def _yaw_tilt_matrices(yaw: np.ndarray, tilt: np.ndarray) -> np.ndarray:
+    """(clouds, 3, 3) rotations rz(yaw) @ rx(tilt[:, 0]) @ ry(tilt[:, 1])."""
+    zero, one = np.zeros_like(yaw), np.ones_like(yaw)
     cz, sz = np.cos(yaw), np.sin(yaw)
-    rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1.0]])
-    cx, sx = np.cos(tilt[0]), np.sin(tilt[0])
-    rx = np.array([[1.0, 0, 0], [0, cx, -sx], [0, sx, cx]])
-    cy, sy = np.cos(tilt[1]), np.sin(tilt[1])
-    ry = np.array([[cy, 0, sy], [0, 1.0, 0], [-sy, 0, cy]])
+    cx, sx = np.cos(tilt[:, 0]), np.sin(tilt[:, 0])
+    cy, sy = np.cos(tilt[:, 1]), np.sin(tilt[:, 1])
+
+    def stacked(*entries):
+        return np.stack(entries, axis=1).reshape(-1, 3, 3)
+
+    rz = stacked(cz, -sz, zero, sz, cz, zero, zero, zero, one)
+    rx = stacked(one, zero, zero, zero, cx, -sx, zero, sx, cx)
+    ry = stacked(cy, zero, sy, zero, one, zero, -sy, zero, cy)
     return rz @ rx @ ry
+
+
+def _draw_surfaces(clouds, perturb, n_points):
+    """Phase 1, one loop over the clouds: each cloud's size and surface,
+    then every draw its perturbation makes up to the occlusion's first
+    centre, in its stream's order. Returns the (clouds, n, 3) surfaces, the
+    (clouds, m) uniform draws of the perturbation (translation, yaw, tilt,
+    scale, clutter points, first occlusion centre, each present only when
+    switched on) and the (clouds, k) clutter indices."""
+    n_clouds = len(clouds)
+    k = (int(round(perturb.clutter_fraction * n_points))
+         if perturb.clutter_fraction > 0 else 0)
+    n_pre = (3 * (perturb.translate_frac > 0) + 3 * perturb.rotate
+             + (tuple(perturb.scale_range) != (1.0, 1.0)))
+    pts = np.empty((n_clouds, n_points, 3))
+    draws = np.empty((n_clouds, n_pre + 3 * k
+                      + 3 * (perturb.occlusion_radius_frac > 0)))
+    clutter_idx = np.empty((n_clouds, k), dtype=np.intp)
+    for j, (spec, _, rng) in enumerate(clouds):
+        low = np.asarray(spec.size_low, dtype=np.float64)
+        high = np.asarray(spec.size_high, dtype=np.float64)
+        _surface_points(spec.primitive, _uniform(low, high, rng.random(len(low))),
+                        rng, pts[j])
+        if k:
+            rng.random(out=draws[j, :n_pre])
+            clutter_idx[j] = rng.permutation(n_points)[:k]
+            rng.random(out=draws[j, n_pre:])
+        else:
+            rng.random(out=draws[j])
+    return pts, draws, clutter_idx
+
+
+def _bounds(pts):
+    """Each cloud's per-axis min and max, reduced along contiguous rows."""
+    by_axis = np.ascontiguousarray(pts.transpose(0, 2, 1))
+    return by_axis.min(axis=2), by_axis.max(axis=2)
+
+
+def _outside(pts, center, radius):
+    """np.linalg.norm(pts - center, axis=-1) > radius, with the squares
+    added in norm's order, one axis at a time."""
+    d = pts - center
+    d *= d
+    return np.sqrt(d[..., 0] + d[..., 1] + d[..., 2]) > radius
+
+
+def _perturb(pts, draws, clutter_idx, clouds, perturb, split):
+    """Phase 2, array ops over the (clouds, n, 3) surfaces: translate,
+    rotate, scale, clutter and the first occlusion centre. Only a cloud that
+    the occlusion touched goes on alone, drawing from its own stream."""
+    n_clouds, n, _ = pts.shape
+    col = 0
+    if perturb.translate_frac > 0:
+        lo, hi = _bounds(pts)
+        t = perturb.translate_frac
+        pts = pts + (_uniform(-t, t, draws[:, :3]) * (hi - lo))[:, None]
+        col = 3
+    if perturb.rotate:
+        yaw = _uniform(0.0, 2 * np.pi, draws[:, col])
+        tilt = np.deg2rad(_uniform(-TILT_MAX_DEG, TILT_MAX_DEG,
+                                   draws[:, col + 1:col + 3]))
+        pts = pts @ _yaw_tilt_matrices(yaw, tilt).transpose(0, 2, 1)
+        col += 3
+    s_lo, s_hi = perturb.scale_range
+    if (s_lo, s_hi) != (1.0, 1.0):
+        pts = pts * _uniform(s_lo, s_hi, draws[:, col])[:, None, None]
+        col += 1
+    k = clutter_idx.shape[1]
+    if k:
+        lo, hi = _bounds(pts)
+        center, half = (lo + hi) / 2, (hi - lo) / 2
+        half = half * CLUTTER_INFLATE
+        u = draws[:, col:col + 3 * k].reshape(n_clouds, k, 3)
+        pts[np.arange(n_clouds)[:, None], clutter_idx] = _uniform(
+            (center - half)[:, None], (center + half)[:, None], u)
+        col += 3 * k
+    if perturb.occlusion_radius_frac > 0:
+        lo, hi = _bounds(pts)
+        diag = (hi - lo)[:, None]
+        # np.linalg.norm of one vector is the square root of its BLAS dot,
+        # and a stacked (1 x 3) @ (3 x 1) matmul takes that dot; a sum over
+        # the axis would round some radii otherwise
+        radius = perturb.occlusion_radius_frac * np.sqrt(
+            diag @ diag.transpose(0, 2, 1))[:, 0]
+        survive = _outside(pts, _uniform(lo, hi, draws[:, col:])[:, None],
+                           radius)
+        kept = survive.sum(axis=1)
+        # each cloud's surviving rows first, in order, then its refill
+        order = np.argsort(~survive, axis=1, kind="stable")
+        for j in np.flatnonzero(kept < n):
+            spec, index, rng = clouds[j]
+            attempts = 1
+            while not kept[j]:
+                if attempts == OCCLUSION_RETRIES:
+                    where = f"{split} cloud {index}".lstrip()
+                    raise RuntimeError(
+                        f"occlusion removed every point of {where} of class "
+                        f"{spec.class_id} ({spec.name}) in {OCCLUSION_RETRIES} "
+                        "attempts")
+                center = _uniform(lo[j], hi[j], rng.random(3))
+                survive[j] = _outside(pts[j], center, radius[j])
+                kept[j] = survive[j].sum()
+                order[j] = np.argsort(~survive[j], kind="stable")
+                attempts += 1
+            if kept[j] < n:
+                order[j, kept[j]:] = order[j, rng.integers(0, kept[j],
+                                                          size=n - kept[j])]
+        pts = np.take_along_axis(pts, order[:, :, None], axis=1)
+    return pts.astype(np.float32).astype(np.float64)
+
+
+def _check_point_count(n_points: int):
+    if n_points < 32:
+        raise ValueError("need at least 32 points per sample")
+
+
+def _generate_clouds(clouds: list[tuple[ShapeSpec, int, np.random.Generator]],
+                    perturb: PerturbationConfig, n_points: int = 256,
+                    split: str = "") -> np.ndarray:
+    """(len(clouds), n_points, 3) perturbed clouds, one per (spec, index,
+    rng). Each is drawn from its own stream alone, so its bytes do not depend
+    on the other clouds; the split and the index name it in errors."""
+    pts, draws, clutter_idx = _draw_surfaces(clouds, perturb, n_points)
+    return _perturb(pts, draws, clutter_idx, clouds, perturb, split)
 
 
 def generate_sample(spec: ShapeSpec, perturb: PerturbationConfig,
                     rng: np.random.Generator, n_points: int = 256) -> PointCloudSample:
-    if n_points < 32:
-        raise ValueError("need at least 32 points per sample")
-    size = rng.uniform(np.asarray(spec.size_low), np.asarray(spec.size_high))
-    pts = _surface_points(spec.primitive, size, rng, n_points)
-
-    if perturb.translate_frac > 0:
-        extent = pts.max(axis=0) - pts.min(axis=0)
-        pts = pts + rng.uniform(-perturb.translate_frac, perturb.translate_frac,
-                                3) * extent
-    if perturb.rotate:
-        pts = pts @ _yaw_tilt_matrix(rng).T
-    lo, hi = perturb.scale_range
-    if (lo, hi) != (1.0, 1.0):
-        pts = pts * rng.uniform(lo, hi)
-    if perturb.clutter_fraction > 0:
-        k = int(round(perturb.clutter_fraction * n_points))
-        if k > 0:
-            bb_lo, bb_hi = pts.min(axis=0), pts.max(axis=0)
-            center, half = (bb_lo + bb_hi) / 2, (bb_hi - bb_lo) / 2
-            half = half * CLUTTER_INFLATE
-            idx = rng.permutation(n_points)[:k]
-            pts[idx] = rng.uniform(center - half, center + half, size=(k, 3))
-    if perturb.occlusion_radius_frac > 0:
-        bb_lo, bb_hi = pts.min(axis=0), pts.max(axis=0)
-        radius = perturb.occlusion_radius_frac * float(np.linalg.norm(bb_hi - bb_lo))
-        for attempt in range(OCCLUSION_RETRIES):
-            center = rng.uniform(bb_lo, bb_hi)
-            survive = np.linalg.norm(pts - center, axis=1) > radius
-            if survive.any():
-                break
-        else:
-            raise RuntimeError(
-                f"occlusion removed every point in {OCCLUSION_RETRIES} attempts"
-            )
-        removed = int(n_points - survive.sum())
-        if removed:
-            kept = pts[survive]
-            refill = kept[rng.integers(0, len(kept), size=removed)]
-            pts = np.concatenate([kept, refill])
-
-    pts = pts.astype(np.float32).astype(np.float64)
-    return PointCloudSample(pts, spec.class_id)
+    """One cloud, drawn by the code that draws a whole split."""
+    _check_point_count(n_points)
+    return PointCloudSample(_generate_clouds([(spec, 0, rng)], perturb, n_points)[0],
+                            spec.class_id)
 
 
 # -- dataset assembly ------------------------------------------------------
@@ -269,18 +401,21 @@ def build_dataset(specs: list[ShapeSpec], n_train: int, n_test: int,
                   n_points: int = 256) -> DatasetSplit:
     if n_train < 2 or n_test < 2:
         raise ValueError("need at least 2 samples per class per split")
+    _check_point_count(n_points)
     perturb = perturb or PerturbationConfig()
-    train, test = [], []
-    for spec in specs:
-        for i in range(n_train):
-            train.append(generate_sample(spec, perturb,
-                                         sample_rng(seed, spec.class_id, 0, i),
-                                         n_points))
-        for i in range(n_test):
-            test.append(generate_sample(spec, perturb,
-                                        sample_rng(seed, spec.class_id, 1, i),
-                                        n_points))
-    return DatasetSplit(train, test, [s.name for s in specs])
+    step = max(1, GENERATE_CHUNK_ROWS // n_points)
+    splits = []
+    for tag, (name, count) in enumerate((("train", n_train), ("test", n_test))):
+        keys = [(spec, i) for spec in specs for i in range(count)]
+        pts = np.empty((len(keys), n_points, 3))
+        for start in range(0, len(keys), step):
+            clouds = [(spec, i, sample_rng(seed, spec.class_id, tag, i))
+                      for spec, i in keys[start:start + step]]
+            pts[start:start + step] = _generate_clouds(clouds, perturb,
+                                                       n_points, name)
+        splits.append([PointCloudSample(p, spec.class_id)
+                       for p, (spec, _) in zip(pts, keys)])
+    return DatasetSplit(*splits, [s.name for s in specs])
 
 
 # -- file format -----------------------------------------------------------

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cedr import data
 from cedr.data import (
     CONFUSABLE_PAIRS,
     DatasetFormatError,
@@ -52,7 +55,8 @@ class TestGenerate:
         rng = sample_rng(0, 0, 0, 0)
         spec = fixed_box_spec()
         size = rng.uniform(np.asarray(spec.size_low), np.asarray(spec.size_high))
-        drawn = _surface_points(spec.primitive, size, rng, 64)
+        drawn = np.empty((64, 3))
+        _surface_points(spec.primitive, size, rng, drawn)
         sample = generate_sample(spec, PerturbationConfig.none(),
                                  sample_rng(0, 0, 0, 0), n_points=64)
         assert np.array_equal(sample.points,
@@ -127,6 +131,78 @@ class TestGenerate:
         with pytest.raises(ValueError, match="32"):
             generate_sample(fixed_box_spec(), PerturbationConfig(),
                             sample_rng(0, 0, 0, 0), n_points=16)
+
+    @pytest.mark.parametrize("n_points", [31, 0, -4])
+    def test_too_few_points_rejected_before_a_split_is_built(self, n_points):
+        with pytest.raises(ValueError, match="at least 32 points"):
+            build_dataset(default_shape_specs()[:2], 2, 2, seed=0,
+                          n_points=n_points)
+
+    def test_occlusion_that_removes_every_point_names_the_cloud(self):
+        """A hole twice the bounding-box diagonal removes every point from
+        any centre in the box, so each of the OCCLUSION_RETRIES centres fails."""
+        hole = PerturbationConfig(occlusion_radius_frac=2.0)
+        specs = default_shape_specs()[:2]
+        with pytest.raises(RuntimeError,
+                           match=r"every point of train cloud 0 of class 0 \(box\) "
+                                 r"in 8 attempts"):
+            build_dataset(specs, 2, 2, seed=0, perturb=hole, n_points=32)
+        with pytest.raises(RuntimeError,
+                           match=r"every point of cloud 0 of class 1 \(open_box\)"):
+            generate_sample(specs[1], hole, sample_rng(0, 1, 1, 3), n_points=32)
+
+
+def one_perturbation(name):
+    """The none preset with one perturbation at its default strength."""
+    return replace(PerturbationConfig.none(),
+                   **{name: getattr(PerturbationConfig(), name)})
+
+
+# occlusion radius 0.45 of the diagonal: at seed 1 and 32 points, the first
+# occlusion centre of train cloud 0 of class 3 (desk) removes every point, so
+# that cloud draws a second centre (found by searching seeds 0-2 and
+# indices 0-5)
+SECOND_CENTRE = replace(PerturbationConfig(), occlusion_radius_frac=0.45)
+
+
+class TestSplitGeneration:
+    """A split is generated as one array, but each cloud's bytes are those
+    of the cloud generated alone from its own stream."""
+
+    @pytest.mark.parametrize("perturb, seed, n_points", [
+        (PerturbationConfig.none(), 3, 48),
+        (PerturbationConfig.moderate(), 3, 48),
+        (PerturbationConfig(), 3, 48),
+        (PerturbationConfig(), 4, 33),
+        (one_perturbation("translate_frac"), 3, 48),
+        (one_perturbation("rotate"), 3, 48),
+        (one_perturbation("scale_range"), 3, 48),
+        (one_perturbation("clutter_fraction"), 3, 48),
+        (one_perturbation("occlusion_radius_frac"), 3, 48),
+        (SECOND_CENTRE, 1, 32),
+    ], ids=["none", "moderate", "default", "default-33", "translate", "rotate",
+            "scale", "clutter", "occlusion", "second-centre"])
+    def test_split_clouds_equal_each_cloud_alone(self, perturb, seed, n_points,
+                                                  monkeypatch):
+        # chunks of 5 clouds, which cut across classes
+        monkeypatch.setattr(data, "GENERATE_CHUNK_ROWS", 5 * n_points)
+        specs = default_shape_specs()
+        split = build_dataset(specs, 3, 2, seed, perturb, n_points)
+        for tag, samples, count in ((0, split.train, 3), (1, split.test, 2)):
+            for j, sample in enumerate(samples):
+                spec, i = specs[j // count], j % count
+                alone = generate_sample(spec, perturb,
+                                        sample_rng(seed, spec.class_id, tag, i),
+                                        n_points)
+                assert sample.label == alone.label == spec.class_id
+                assert np.array_equal(sample.points, alone.points), (tag, j)
+
+    def test_second_centre_config_draws_a_second_centre(self, monkeypatch):
+        """With one occlusion centre allowed, the cloud named above fails."""
+        monkeypatch.setattr(data, "OCCLUSION_RETRIES", 1)
+        with pytest.raises(RuntimeError,
+                           match=r"train cloud 0 of class 3 \(desk\) in 1 attempts"):
+            build_dataset(default_shape_specs(), 3, 2, 1, SECOND_CENTRE, 32)
 
 
 class TestDataset:

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cedr
 from cedr import cpcm, eaa
 from cedr.checkpoint import load_checkpoint
 from cedr.config import ExperimentConfig
@@ -425,3 +430,37 @@ class TestAblationRunner:
         linear = result.rows[4]["record"].config
         assert (linear["lambda_schedule"], linear["lam"], linear["lambda_end"]) \
             == ("linear", 0.1, 0.2)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# two epochs of scc_cpcm on the acceptance config; prints the record and a
+# digest of the parameters
+TRAIN_TWO_EPOCHS = """
+import hashlib
+from cedr import ExperimentConfig, build_dataset, default_shape_specs, train
+from cedr.data import PerturbationConfig
+dataset = build_dataset(default_shape_specs(), 80, 16, seed=0, n_points=128,
+                        perturb=PerturbationConfig.moderate())
+record, model = train(ExperimentConfig(arm="scc_cpcm", epochs=2, batch_size=32,
+                                       hidden_dims=[32, 64], temperature=0.5,
+                                       lam=0.2), dataset)
+print(record.canonical_json())
+print(hashlib.sha256(b"".join(p.values.tobytes() for p in model.params)).hexdigest())
+"""
+
+
+def test_training_bytes_do_not_depend_on_unset_blas_threads():
+    """Importing cedr first pins one BLAS thread unless the caller set a
+    count, so training with the thread variables unset gives the bytes of
+    training with OPENBLAS_NUM_THREADS=1. Without the pin a 2-core machine
+    trains other bytes; on a 1-core machine OpenBLAS runs one thread either
+    way, and this passes trivially."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    src = str(Path(cedr.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = [subprocess.run([sys.executable, "-c", TRAIN_TWO_EPOCHS],
+                              env={**env, **threads}, capture_output=True,
+                              text=True, timeout=600, check=True).stdout
+               for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"})]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 2
