@@ -19,7 +19,7 @@ draw whose bounds depend on the points is made in phase 1 as random() and
 mapped by uniform()'s own formula in phase 2, so the bytes are those of
 one cloud generated alone (`generate_sample`). Coordinates are quantized
 to float32 at creation (the storage precision) and held as float64 in RAM;
-a split's samples are views of its one array.
+a split is one `Clouds`, its points array and its labels array.
 """
 
 from __future__ import annotations
@@ -69,9 +69,13 @@ class PerturbationConfig:
 
 
 @dataclass
-class PointCloudSample:
-    points: np.ndarray              # n x 3 float64
-    label: int
+class Clouds:
+    """A split: (clouds, n, 3) float64 points and (clouds,) int labels."""
+    points: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.points)
 
 
 @dataclass
@@ -376,19 +380,18 @@ def _generate_clouds(clouds: list[tuple[ShapeSpec, int, np.random.Generator]],
 
 
 def generate_sample(spec: ShapeSpec, perturb: PerturbationConfig,
-                    rng: np.random.Generator, n_points: int = 256) -> PointCloudSample:
-    """One cloud, drawn by the code that draws a whole split."""
+                    rng: np.random.Generator, n_points: int = 256) -> np.ndarray:
+    """One cloud's points, drawn by the code that draws a whole split."""
     _check_point_count(n_points)
-    return PointCloudSample(_generate_clouds([(spec, 0, rng)], perturb, n_points)[0],
-                            spec.class_id)
+    return _generate_clouds([(spec, 0, rng)], perturb, n_points)[0]
 
 
 # -- dataset assembly ------------------------------------------------------
 
 @dataclass
 class DatasetSplit:
-    train: list
-    test: list
+    train: Clouds
+    test: Clouds
     class_names: list[str]
 
 
@@ -413,18 +416,17 @@ def build_dataset(specs: list[ShapeSpec], n_train: int, n_test: int,
                       for spec, i in keys[start:start + step]]
             pts[start:start + step] = _generate_clouds(clouds, perturb,
                                                        n_points, name)
-        splits.append([PointCloudSample(p, spec.class_id)
-                       for p, (spec, _) in zip(pts, keys)])
+        splits.append(Clouds(pts, np.array([spec.class_id for spec, _ in keys],
+                                            dtype=int)))
     return DatasetSplit(*splits, [s.name for s in specs])
 
 
 # -- file format -----------------------------------------------------------
 
-def write_samples(path, samples: list[PointCloudSample], class_names: list[str]):
+def write_samples(path, clouds: Clouds, class_names: list[str]):
     """Magic, version, the class-name table, u32 sample and point counts, the
-    u16 labels, then every sample's float32 xyz points: one file holds clouds
-    of one size."""
-    pts, labels = stack_points(samples)
+    u16 labels, then every sample's float32 xyz points."""
+    pts, labels = stack_points(clouds)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<HH", VERSION, len(class_names)))
@@ -440,7 +442,7 @@ def write_samples(path, samples: list[PointCloudSample], class_names: list[str])
 # a flipped byte can leave a float32 signalling NaN in the points; its cast to
 # float64 then warns, and the NaN is left to the finiteness check below
 @np.errstate(invalid="ignore")
-def read_samples(path) -> tuple[list[PointCloudSample], list[str]]:
+def read_samples(path) -> tuple[Clouds, list[str]]:
     r = Reader(path, DatasetFormatError)
     (magic,) = r.fields("4s", "magic")
     if magic != MAGIC:
@@ -454,6 +456,9 @@ def read_samples(path) -> tuple[list[PointCloudSample], list[str]]:
         names.append(r.text(ln, "class name"))
     count, n = r.fields("II", "sample and point counts")
     labels_start = r.off
+    if not count or not n:
+        raise r.error(f"sample and point counts {count} and {n} at offset "
+                      f"{labels_start - 8}: the split holds no point")
     labels = r.array("<u2", (count,), "labels").astype(int)
     bad = np.flatnonzero(labels >= n_classes)
     if bad.size:
@@ -467,8 +472,7 @@ def read_samples(path) -> tuple[list[PointCloudSample], list[str]]:
         raise r.error(f"sample {bad[0]} has a non-finite coordinate in its "
                       f"points at offset {pts_start + 12 * n * bad[0]}")
     r.expect_end()
-    return [PointCloudSample(p, label)
-            for p, label in zip(pts, labels.tolist())], names
+    return Clouds(pts, labels), names
 
 
 def dataset_paths(base) -> tuple[Path, Path]:
@@ -494,14 +498,10 @@ def read_dataset(base) -> DatasetSplit:
     return DatasetSplit(train, test, names)
 
 
-def stack_points(samples: list[PointCloudSample]) -> tuple[np.ndarray, np.ndarray]:
-    """(batch, n, 3) points and labels for equally sized samples."""
-    if not samples:
+def stack_points(clouds: Clouds) -> tuple[np.ndarray, np.ndarray]:
+    """The split's own (clouds, n, 3) points and labels, not copies."""
+    if not len(clouds):
         raise ValueError("no samples to stack: the split is empty")
-    for i, s in enumerate(samples):
-        if len(s.points) != len(samples[0].points):
-            raise ValueError(f"sample {i} has {len(s.points)} points, "
-                             f"sample 0 has {len(samples[0].points)}")
-    pts = np.stack([s.points for s in samples])
-    labels = np.array([s.label for s in samples], dtype=int)
-    return pts, labels
+    if len(clouds.labels) != len(clouds):
+        raise ValueError(f"{len(clouds.labels)} labels for {len(clouds)} clouds")
+    return clouds.points, clouds.labels

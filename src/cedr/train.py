@@ -13,7 +13,7 @@ from . import cpcm, eaa
 from .autodiff import backward
 from .checkpoint import save_checkpoint
 from .config import ARMS, ExperimentConfig
-from .data import DatasetSplit, stack_points
+from .data import Clouds, DatasetSplit, stack_points
 from .encoder import EncoderConfig, PointEncoder
 from .losses import (
     ContrastiveBatch,
@@ -145,8 +145,8 @@ def encode_split(model: PointEncoder, points: np.ndarray,
     return np.concatenate(probs), np.concatenate(embeddings)
 
 
-def evaluate_model(model: PointEncoder, samples, epoch: int) -> EvalReport:
-    pts, labels = stack_points(samples)
+def evaluate_model(model: PointEncoder, clouds: Clouds, epoch: int) -> EvalReport:
+    pts, labels = stack_points(clouds)
     probs, _ = encode_split(model, pts, f"epoch {epoch} evaluation: the "
                             "forward overflows on test sample")
     return evaluate(probs, labels)

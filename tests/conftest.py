@@ -1,11 +1,13 @@
 import json
 import sys
 
-import numpy as np
-import pytest
-
+# cedr first: importing it pins the BLAS thread count, which numpy reads at
+# its own first import, so the suite trains with one thread as CI does
 from cedr.autodiff import Tensor
 from cedr.data import PerturbationConfig, build_dataset, default_shape_specs
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 def fd_gradient(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -275,6 +275,12 @@ def small_eval_files(tmp_path_factory):
     return d, {name: (d / name).read_bytes() for name in names}
 
 
+# offset of the sample and point counts in small_eval_files' .cpcd files:
+# magic, version and class count, then the 3 class names
+COUNTS_AT = 8 + sum(2 + len(spec.name.encode())
+                    for spec in default_shape_specs()[:3])
+
+
 @settings(max_examples=400, deadline=None)
 @given(target=st.sampled_from(["m.ckpt", "toy.train.cpcd", "toy.test.cpcd"]),
        cut=st.booleans(), where=st.floats(0.0, 1.0, exclude_max=True),
@@ -301,10 +307,8 @@ def test_eval_rejects_a_signalling_nan_coordinate(small_eval_files, capsys):
     non-finite coordinate: exit 2 naming it, and no warning from its cast."""
     d, files = small_eval_files
     data = files["toy.test.cpcd"]
-    names = [spec.name.encode() for spec in default_shape_specs()[:3]]
-    # magic, version and class count, the names, the sample and point counts,
-    # the 6 labels, then sample 0's 32 points
-    at = 8 + sum(2 + len(n) for n in names) + 8 + 6 * 2 + 32 * 12
+    # the sample and point counts, the 6 labels, then sample 0's 32 points
+    at = COUNTS_AT + 8 + 6 * 2 + 32 * 12
     snan = np.array([0x7FA00000], dtype="<u4").tobytes()
     assert np.isnan(np.frombuffer(snan, dtype="<f4")[0])
     for name, raw in files.items():
@@ -318,6 +322,27 @@ def test_eval_rejects_a_signalling_nan_coordinate(small_eval_files, capsys):
     assert code == EXIT_CONFIG and not caught
     assert (f"toy.test.cpcd: sample 1 has a non-finite coordinate in its points "
             f"at offset {at}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count, n_points", [(0, 32), (6, 0)])
+def test_eval_rejects_an_empty_split_naming_its_file(small_eval_files, capsys,
+                                                      count, n_points):
+    """A test file of no clouds, or of clouds of no points, is refused at its
+    counts field: exit 2 naming the file and the offset."""
+    d, files = small_eval_files
+    data = files["toy.test.cpcd"]
+    for name, raw in files.items():
+        if name == "toy.test.cpcd":
+            # the counts and the labels; the points take no bytes
+            raw = (data[:COUNTS_AT] + np.array([count, n_points], "<u4").tobytes()
+                   + data[COUNTS_AT + 8:COUNTS_AT + 8 + 2 * count])
+        (d / "work" / name).write_bytes(raw)
+    assert main(["eval", "--checkpoint", str(d / "work" / "m.ckpt"),
+                 "--data", str(d / "work" / "toy")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert (f"{d / 'work' / 'toy.test.cpcd'}: sample and point counts {count} "
+            f"and {n_points} at offset {COUNTS_AT}") in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("num_classes, replace, code, match", [
@@ -342,7 +367,7 @@ def test_non_finite_coordinate_is_config_error(small_eval_files, tmp_path, capsy
                                                command):
     d, _ = small_eval_files
     split = build_dataset(default_shape_specs()[:3], 2, 2, seed=0, n_points=32)
-    split.test[4].points[0, 2] = np.inf
+    split.test.points[4, 0, 2] = np.inf
     write_dataset(split, tmp_path / "toy")
     data, out = tmp_path / "toy", tmp_path / "out"
     args = {"train": ["--set", f"data={data}", "--set", f"out_dir={out}"],
@@ -436,7 +461,7 @@ def test_overflowing_forward_is_numeric_failure(small_eval_files, tmp_path, caps
                                                 value, scale):
     d, _ = small_eval_files
     split = read_dataset(d / "toy")
-    split.test[4].points *= scale
+    split.test.points[4] *= scale
     write_dataset(split, tmp_path / "toy")
     model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
     next(p for p in model.params if p.name == name).values[...] = value

@@ -6,9 +6,9 @@ import pytest
 from cedr import data
 from cedr.data import (
     CONFUSABLE_PAIRS,
+    Clouds,
     DatasetFormatError,
     PerturbationConfig,
-    PointCloudSample,
     ShapeSpec,
     _surface_points,
     build_dataset,
@@ -42,12 +42,11 @@ def box_face_residual(pts, w=1.0, d=0.8, h=0.6):
 class TestGenerate:
     def test_unperturbed_box_lies_on_faces(self):
         w, d, h = 1.0, 0.8, 0.6
-        sample = generate_sample(fixed_box_spec(w, d, h),
-                                 PerturbationConfig.none(),
-                                 sample_rng(0, 0, 0, 0), n_points=256)
+        pts = generate_sample(fixed_box_spec(w, d, h), PerturbationConfig.none(),
+                              sample_rng(0, 0, 0, 0), n_points=256)
         # coordinates are quantized to float32 at creation, so the residual
         # floor is ~1e-7
-        assert box_face_residual(sample.points, w, d, h).max() < 1e-6
+        assert box_face_residual(pts, w, d, h).max() < 1e-6
 
     def test_unperturbed_sample_is_the_surface_draw(self):
         """The none preset draws nothing after the surface: the points are
@@ -57,19 +56,18 @@ class TestGenerate:
         size = rng.uniform(np.asarray(spec.size_low), np.asarray(spec.size_high))
         drawn = np.empty((64, 3))
         _surface_points(spec.primitive, size, rng, drawn)
-        sample = generate_sample(spec, PerturbationConfig.none(),
-                                 sample_rng(0, 0, 0, 0), n_points=64)
-        assert np.array_equal(sample.points,
-                              drawn.astype(np.float32).astype(np.float64))
+        pts = generate_sample(spec, PerturbationConfig.none(),
+                              sample_rng(0, 0, 0, 0), n_points=64)
+        assert np.array_equal(pts, drawn.astype(np.float32).astype(np.float64))
 
     def test_full_clutter_leaves_no_structure(self):
         config = PerturbationConfig(translate_frac=0.0, rotate=False,
                                     scale_range=(1.0, 1.0), clutter_fraction=1.0,
                                     occlusion_radius_frac=0.0)
-        sample = generate_sample(fixed_box_spec(), config,
-                                 sample_rng(1, 0, 0, 0), n_points=128)
+        pts = generate_sample(fixed_box_spec(), config,
+                              sample_rng(1, 0, 0, 0), n_points=128)
         # no face structure survives: residuals are spread through the volume
-        assert (box_face_residual(sample.points) > 1e-4).mean() > 0.9
+        assert (box_face_residual(pts) > 1e-4).mean() > 0.9
 
     def test_fixed_seed_is_bitwise_reproducible(self):
         spec = default_shape_specs()[2]
@@ -77,15 +75,14 @@ class TestGenerate:
                             n_points=128)
         b = generate_sample(spec, PerturbationConfig(), sample_rng(5, 2, 0, 3),
                             n_points=128)
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a, b)
 
     def test_point_count_and_finiteness(self):
         for spec in default_shape_specs():
-            sample = generate_sample(spec, PerturbationConfig(),
-                                     sample_rng(9, spec.class_id, 0, 0),
-                                     n_points=96)
-            assert sample.points.shape == (96, 3)
-            assert np.isfinite(sample.points).all()
+            pts = generate_sample(spec, PerturbationConfig(),
+                                  sample_rng(9, spec.class_id, 0, 0), n_points=96)
+            assert pts.shape == (96, 3)
+            assert np.isfinite(pts).all()
 
     def test_perturbation_bounds(self):
         """A centred box shifted by up to translate_frac of its extent per
@@ -97,7 +94,7 @@ class TestGenerate:
         reach = []
         for i in range(20):
             pts = generate_sample(fixed_box_spec(), config,
-                                  sample_rng(11, 0, 0, i), n_points=64).points
+                                  sample_rng(11, 0, 0, i), n_points=64)
             lo, hi = pts.min(axis=0), pts.max(axis=0)
             shift = np.abs((lo + hi) / 2) / (hi - lo)
             assert (shift <= 0.75 + 1e-6).all()
@@ -109,11 +106,11 @@ class TestGenerate:
         config = PerturbationConfig(translate_frac=0.0, rotate=False,
                                     scale_range=(s, s), clutter_fraction=0.0,
                                     occlusion_radius_frac=0.0)
-        sample = generate_sample(fixed_box_spec(), config,
-                                 sample_rng(12, 0, 0, 0), n_points=128)
+        pts = generate_sample(fixed_box_spec(), config,
+                              sample_rng(12, 0, 0, 0), n_points=128)
         w, d, h = s * 1.0, s * 0.8, s * 0.6
-        assert box_face_residual(sample.points, w, d, h).max() < 1e-6
-        assert np.abs(sample.points).max(axis=0) == pytest.approx(
+        assert box_face_residual(pts, w, d, h).max() < 1e-6
+        assert np.abs(pts).max(axis=0) == pytest.approx(
             [w / 2, d / 2, h / 2], abs=1e-6)
 
     def test_declared_clutter_fraction_matches_count(self):
@@ -123,9 +120,9 @@ class TestGenerate:
                                     scale_range=(1.0, 1.0),
                                     clutter_fraction=0.25,
                                     occlusion_radius_frac=0.0)
-        sample = generate_sample(fixed_box_spec(), config,
-                                 sample_rng(13, 0, 0, 0), n_points=200)
-        assert (box_face_residual(sample.points) > 1e-4).sum() == 50
+        pts = generate_sample(fixed_box_spec(), config,
+                              sample_rng(13, 0, 0, 0), n_points=200)
+        assert (box_face_residual(pts) > 1e-4).sum() == 50
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="32"):
@@ -188,14 +185,15 @@ class TestSplitGeneration:
         monkeypatch.setattr(data, "GENERATE_CHUNK_ROWS", 5 * n_points)
         specs = default_shape_specs()
         split = build_dataset(specs, 3, 2, seed, perturb, n_points)
-        for tag, samples, count in ((0, split.train, 3), (1, split.test, 2)):
-            for j, sample in enumerate(samples):
+        for tag, clouds, count in ((0, split.train, 3), (1, split.test, 2)):
+            assert len(clouds) == len(clouds.labels) == count * len(specs)
+            for j, (pts, label) in enumerate(zip(clouds.points, clouds.labels)):
                 spec, i = specs[j // count], j % count
                 alone = generate_sample(spec, perturb,
                                         sample_rng(seed, spec.class_id, tag, i),
                                         n_points)
-                assert sample.label == alone.label == spec.class_id
-                assert np.array_equal(sample.points, alone.points), (tag, j)
+                assert label == spec.class_id
+                assert np.array_equal(pts, alone), (tag, j)
 
     def test_second_centre_config_draws_a_second_centre(self, monkeypatch):
         """With one occlusion centre allowed, the cloud named above fails."""
@@ -210,24 +208,25 @@ class TestDataset:
         assert len(tiny_dataset.train) == 8 * 6
         assert len(tiny_dataset.test) == 8 * 4
         for split, per_class in ((tiny_dataset.train, 6), (tiny_dataset.test, 4)):
-            counts = np.bincount([s.label for s in split], minlength=8)
+            counts = np.bincount(split.labels, minlength=8)
             assert (counts == per_class).all()
 
     def test_determinism_across_builds(self):
         specs = default_shape_specs()[:3]
         a = build_dataset(specs, 3, 2, seed=21, n_points=48)
         b = build_dataset(specs, 3, 2, seed=21, n_points=48)
-        for s1, s2 in zip(a.train + a.test, b.train + b.test):
+        for s1, s2 in ((a.train, b.train), (a.test, b.test)):
             assert np.array_equal(s1.points, s2.points)
+            assert np.array_equal(s1.labels, s2.labels)
 
     def test_roundtrip_bitwise(self, tmp_path, tiny_dataset):
         base = tmp_path / "ds"
         write_dataset(tiny_dataset, base)
         loaded = read_dataset(base)
         assert loaded.class_names == tiny_dataset.class_names
-        for orig, back in zip(tiny_dataset.train + tiny_dataset.test,
-                              loaded.train + loaded.test):
-            assert orig.label == back.label
+        for orig, back in ((tiny_dataset.train, loaded.train),
+                           (tiny_dataset.test, loaded.test)):
+            assert np.array_equal(orig.labels, back.labels)
             assert np.array_equal(orig.points, back.points)
 
     def test_file_bytes_are_deterministic(self, tmp_path):
@@ -247,7 +246,8 @@ class TestDataset:
         # counts; then a u16 label and float32 xyz points per sample
         names = tiny_dataset.class_names
         header = 4 + 2 + 2 + sum(2 + len(n.encode("utf-8")) for n in names) + 8
-        body = sum(2 + 12 * len(s.points) for s in tiny_dataset.train)
+        n_clouds, n_points, _ = tiny_dataset.train.points.shape
+        body = n_clouds * (2 + 12 * n_points)
         assert path.stat().st_size == header + body
 
     def test_corrupt_magic_rejected(self, tmp_path):
@@ -267,7 +267,9 @@ class TestDataset:
 
     def test_truncated_file_rejected(self, tmp_path, tiny_dataset):
         path = tmp_path / "trunc.cpcd"
-        write_samples(path, tiny_dataset.train[:3], tiny_dataset.class_names)
+        train = tiny_dataset.train
+        write_samples(path, Clouds(train.points[:3], train.labels[:3]),
+                      tiny_dataset.class_names)
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2])
         with pytest.raises(DatasetFormatError):
@@ -279,6 +281,10 @@ class TestDataset:
         (lambda b: b[:6], "truncated header at offset 4"),
         (lambda b: b[:12], "truncated class name length at offset 11"),
         (lambda b: b[:20], "truncated sample and point counts at offset 14"),
+        (lambda b: b[:14] + np.array([0, 2], "<u4").tobytes(),
+         "sample and point counts 0 and 2 at offset 14: the split holds no point"),
+        (lambda b: b[:14] + np.array([2, 0], "<u4").tobytes() + b[22:26],
+         "sample and point counts 2 and 0 at offset 14: the split holds no point"),
         (lambda b: b[:24], "truncated labels at offset 22"),
         (lambda b: b[:60], "truncated points at offset 26"),
         (lambda b: b + b"xyz", "3 trailing bytes at offset 74"),
@@ -291,28 +297,37 @@ class TestDataset:
     ])
     def test_malformed_file_names_the_offset(self, tmp_path, edit, match):
         path = tmp_path / "small.cpcd"
-        samples = [PointCloudSample(np.ones((2, 3)), label) for label in (0, 1)]
-        write_samples(path, samples, ["a", "b"])
+        write_samples(path, Clouds(np.ones((2, 2, 3)), np.array([0, 1])),
+                      ["a", "b"])
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(DatasetFormatError, match=match) as err:
             read_samples(path)
         assert str(err.value).startswith(f"{path}: ")
 
-    def test_clouds_of_unequal_size_are_not_written(self, tmp_path):
+    def test_labels_count_must_equal_cloud_count(self, tmp_path):
         path = tmp_path / "unequal.cpcd"
-        samples = [PointCloudSample(np.ones((n, 3)), 0) for n in (2, 3)]
-        with pytest.raises(ValueError, match="sample 1 has 3 points, sample 0 has 2"):
-            write_samples(path, samples, ["a"])
-        assert not path.exists()
-
-    def test_stack_points_names_the_odd_sample(self):
-        samples = [PointCloudSample(np.ones((n, 3)), 0) for n in (2, 2, 3)]
-        with pytest.raises(ValueError, match="sample 2 has 3 points, sample 0 has 2"):
-            stack_points(samples)
+        for labels in ([0], [0, 0, 0]):
+            clouds = Clouds(np.ones((2, 2, 3)), np.array(labels))
+            match = f"{len(labels)} labels for 2 clouds"
+            with pytest.raises(ValueError, match=match):
+                stack_points(clouds)
+            with pytest.raises(ValueError, match=match):
+                write_samples(path, clouds, ["a"])
+            assert not path.exists()
 
     def test_stack_points_rejects_an_empty_split(self):
         with pytest.raises(ValueError, match="the split is empty"):
-            stack_points([])
+            stack_points(Clouds(np.empty((0, 2, 3)), np.empty(0, dtype=int)))
+
+    def test_stack_points_returns_the_splits_own_arrays(self, tmp_path,
+                                                        tiny_dataset):
+        write_dataset(tiny_dataset, tmp_path / "ds")
+        for split in (tiny_dataset, read_dataset(tmp_path / "ds")):
+            for clouds in (split.train, split.test):
+                pts, labels = stack_points(clouds)
+                assert pts is clouds.points and labels is clouds.labels
+                assert pts.dtype == np.float64 and labels.dtype == int
+                assert len(clouds) == pts.shape[0] == labels.shape[0]
 
 
 def test_confusable_pairs_dominate_center_distances():

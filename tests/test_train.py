@@ -88,6 +88,22 @@ class TestTrainLoop:
         b, _ = train(small_config(), tiny_dataset)
         assert a.canonical_json() == b.canonical_json()
 
+    def test_training_leaves_the_dataset_unchanged(self, eval_chunk_rows):
+        # training and evaluation index the split's own arrays, not copies
+        split = build_dataset(default_shape_specs(), 6, 4, seed=7, n_points=64)
+
+        def split_bytes():
+            return [a.tobytes() for clouds in (split.train, split.test)
+                    for a in (clouds.points, clouds.labels)]
+
+        before = split_bytes()
+        train(small_config(arm="full", epochs=2), split)
+        # 3 clouds a chunk, each chunk a view of the test split's points
+        eval_chunk_rows(3 * 64)
+        model = PointEncoder(EncoderConfig(num_classes=8, hidden_dims=[8, 16]))
+        encode_split(model, split.test.points, "test sample")
+        assert split_bytes() == before
+
     def test_different_seeds_differ(self, tiny_dataset):
         a, _ = train(small_config(seed=0), tiny_dataset)
         b, _ = train(small_config(seed=1), tiny_dataset)
@@ -356,8 +372,7 @@ class TestNumericFailure:
         # every train embedding's squared norm overflows, which normalises it
         # to an all-zero row
         split = build_dataset(default_shape_specs(), 4, 2, seed=1, n_points=32)
-        for s in split.train:
-            s.points *= 1e160
+        split.train.points *= 1e160
         with pytest.raises(NumericFailure, match=r"^epoch 0, batch 0: the forward "
                                                  r"overflows on train sample \d+: "):
             train(small_config(arm=arm, n_points=32), split)
@@ -365,8 +380,7 @@ class TestNumericFailure:
     def test_overflowed_test_split_raises(self):
         # the evaluation before the first step already sees the overflow
         split = build_dataset(default_shape_specs(), 4, 2, seed=1, n_points=32)
-        for s in split.test:
-            s.points *= 1e160
+        split.test.points *= 1e160
         with pytest.raises(NumericFailure, match=r"^epoch -1 evaluation: the "
                                                  r"forward overflows on test "
                                                  r"sample 0: "):
@@ -375,7 +389,7 @@ class TestNumericFailure:
     def test_overflow_past_the_first_chunk_names_its_test_sample(
             self, eval_chunk_rows):
         split = build_dataset(default_shape_specs(), 4, 2, seed=1, n_points=32)
-        split.test[4].points *= 1e160
+        split.test.points[4] *= 1e160
         # 2 clouds a chunk, which puts sample 4 in the third chunk
         eval_chunk_rows(64)
         with pytest.raises(NumericFailure, match=r"^epoch -1 evaluation: the "
