@@ -502,6 +502,9 @@ def stack_points(clouds: Clouds) -> tuple[np.ndarray, np.ndarray]:
     """The split's own (clouds, n, 3) points and labels, not copies."""
     if not len(clouds):
         raise ValueError("no samples to stack: the split is empty")
+    if clouds.points.ndim != 3 or clouds.points.shape[2] != 3:
+        raise ValueError(f"points of shape {clouds.points.shape} are not "
+                         "(clouds, n, 3)")
     if len(clouds.labels) != len(clouds):
         raise ValueError(f"{len(clouds.labels)} labels for {len(clouds)} clouds")
     return clouds.points, clouds.labels

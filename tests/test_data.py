@@ -304,16 +304,24 @@ class TestDataset:
             read_samples(path)
         assert str(err.value).startswith(f"{path}: ")
 
-    def test_labels_count_must_equal_cloud_count(self, tmp_path):
+    def test_clouds_of_unequal_size_are_not_written(self, tmp_path):
         path = tmp_path / "unequal.cpcd"
+        for points, labels, match in [
+            (np.ones((2, 2, 3)), [0], "1 labels for 2 clouds"),
+            (np.ones((2, 2, 3)), [0, 0, 0], "3 labels for 2 clouds"),
+            (np.ones((2, 3)), [0, 0], r"points of shape \(2, 3\) are not"),
+            (np.ones((2, 2, 2)), [0, 0], r"points of shape \(2, 2, 2\) are not"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                write_samples(path, Clouds(points, np.array(labels)), ["a"])
+            assert not path.exists()
+
+    def test_stack_points_names_the_odd_sample(self):
         for labels in ([0], [0, 0, 0]):
             clouds = Clouds(np.ones((2, 2, 3)), np.array(labels))
-            match = f"{len(labels)} labels for 2 clouds"
-            with pytest.raises(ValueError, match=match):
+            with pytest.raises(ValueError,
+                               match=f"{len(labels)} labels for 2 clouds"):
                 stack_points(clouds)
-            with pytest.raises(ValueError, match=match):
-                write_samples(path, clouds, ["a"])
-            assert not path.exists()
 
     def test_stack_points_rejects_an_empty_split(self):
         with pytest.raises(ValueError, match="the split is empty"):
