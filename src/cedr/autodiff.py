@@ -4,12 +4,13 @@ Everything is float64 numpy. The graph has two kinds of node: a `Parameter`
 owns a grad buffer, and every other `Tensor` owns none. `Tensor` is a node
 only, with no operators or methods: each op is a function that builds one
 node with one hand-written vjp, which maps the node's gradient to one
-gradient per parent. The ops below are the dense layer, the per-point MLP
-and max pool together (its top layer is laid out as (batch, width, points),
-one argmax finds each cloud's first maximum per feature, and its backward
-runs on those critical points only), the row softmax and the row
-l2-normalisation. The losses in `cedr.losses` build their own one-node ops
-the same way.
+gradient per parent. Every input of an op is a parent, constants too; a
+constant leaf is handed its gradient and drops it. The ops below are the
+dense layer, the per-point MLP and max pool together (its top layer is laid
+out as (batch, width, points), one argmax finds each cloud's first maximum
+per feature, and its backward runs on those critical points only), the row
+softmax and the row l2-normalisation. The losses in `cedr.losses` build
+their own one-node ops the same way.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ class AutodiffError(RuntimeError):
 class Tensor:
     """Node in the recorded graph; it owns no grad. `Tensor(x)`, with no
     inputs, is a constant leaf (inputs, stop-gradient weights). An op result
-    has one `vjp` that maps its gradient to one gradient per input, in input
-    order. An input with no parents and no grad is a constant: it and its
-    gradient are dropped, so a result of constants alone is a constant."""
+    keeps every input as a parent and has one `vjp` that maps its gradient
+    to one gradient per input, in input order."""
 
     __slots__ = ("values", "grad", "parents", "vjp", "op")
 
@@ -34,12 +34,8 @@ class Tensor:
         self.values = np.asarray(values, dtype=np.float64)
         self.op = op
         self.grad = None
-        keep = [bool(p.parents) or p.grad is not None for p in inputs]
-        self.parents = tuple(p for p, k in zip(inputs, keep) if k)
-        if self.parents and not all(keep):
-            self.vjp = lambda g: [pg for pg, k in zip(vjp(g), keep) if k]
-        else:
-            self.vjp = vjp if self.parents else None
+        self.parents = tuple(inputs)
+        self.vjp = vjp
 
     @property
     def shape(self):
@@ -84,9 +80,7 @@ def backward(loss: Tensor):
     # intermediate grads live only in this side table
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
     for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        g = grads.pop(id(node))
         if not np.isfinite(g).all():
             raise AutodiffError(f"non-finite gradient at op '{node.op}'")
         if node.grad is not None:

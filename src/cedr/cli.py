@@ -11,8 +11,14 @@ from collections import Counter
 from pathlib import Path
 
 from .autodiff import AutodiffError
-from .checkpoint import load_checkpoint
-from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
+from .checkpoint import load_checkpoint, save_checkpoint
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    apply_overrides,
+    field_name,
+    load_config,
+)
 from .data import (
     PerturbationConfig,
     build_dataset,
@@ -73,6 +79,8 @@ def _load_experiment(args) -> ExperimentConfig:
         key, eq, raw = kv.partition("=")
         if not eq:
             raise ConfigError(f"config key '{key}': --set expects KEY=VALUE")
+        if any(field_name(k) == field_name(key) for k in overrides):
+            raise ConfigError(f"config key '{key}' is set twice by --set")
         overrides[key] = raw
     if getattr(args, "arm", None):
         overrides["arm"] = args.arm
@@ -143,8 +151,8 @@ def cmd_train(args) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = f"{config.arm}_seed{config.seed}"
-    record, _ = train(config, dataset,
-                      checkpoint_path=out_dir / f"{tag}.ckpt")
+    record, model = train(config, dataset)
+    save_checkpoint(out_dir / f"{tag}.ckpt", model.params)
     record.save(out_dir / f"{tag}.json")
     print(f"{tag}: overall_acc={record.final['overall_acc']:.4f} "
           f"avg_class_acc={record.final['avg_class_acc']:.4f}")
@@ -156,7 +164,7 @@ def cmd_ablate(args) -> int:
     # --lambda-grid is given; a --set of either would be overridden silently
     for kv in args.set or []:
         key = kv.partition("=")[0]
-        name = key.strip().replace("-", "_")
+        name = field_name(key.strip())
         if name == "seed":
             raise ConfigError(f"config key '{key}' cannot be set for ablate; "
                               "pick the seeds with --seeds")

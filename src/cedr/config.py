@@ -41,6 +41,13 @@ def _key(name: str) -> str:
     return "lambda" if name == "lam" else name
 
 
+def field_name(key: str) -> str:
+    """The field a config file or --set key names: '-' reads as '_', and
+    'lambda' (friendlier on the CLI) as 'lam'."""
+    name = key.replace("-", "_")
+    return "lam" if name == "lambda" else name
+
+
 @dataclass
 class ExperimentConfig:
     # which weight sources feed the contrastive loss
@@ -98,9 +105,7 @@ def apply_overrides(config: ExperimentConfig, pairs: dict[str, str]) -> Experime
     pythonic = {"list[int]": list[int], "str": str, "int": int,
                 "float": float}
     for key, raw in pairs.items():
-        name = key.replace("-", "_")
-        if name == "lambda":      # 'lambda' is friendlier on the CLI
-            name = "lam"
+        name = field_name(key)
         if name not in types:
             raise ConfigError(f"unknown config key '{key}'")
         kind = types[name]
@@ -115,13 +120,13 @@ def apply_overrides(config: ExperimentConfig, pairs: dict[str, str]) -> Experime
 
 
 def load_config(path) -> ExperimentConfig:
-    """Flat key=value text; '#' starts a comment."""
+    """Flat key=value text; '#' starts a comment. A key may appear once."""
     config = ExperimentConfig()
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not utf-8 text: {exc}") from None
-    pairs = {}
+    pairs, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -129,7 +134,13 @@ def load_config(path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = line.split("=", 1)
-        pairs[key.strip()] = raw
+        key = key.strip()
+        name = field_name(key)
+        if name in first_line:
+            raise ConfigError(f"{path}:{lineno}: config key '{key}' is already "
+                              f"set on line {first_line[name]}")
+        first_line[name] = lineno
+        pairs[key] = raw
     return apply_overrides(config, pairs)
 
 

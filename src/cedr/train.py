@@ -11,7 +11,6 @@ import numpy as np
 
 from . import cpcm, eaa
 from .autodiff import backward
-from .checkpoint import save_checkpoint
 from .config import ARMS, ExperimentConfig
 from .data import Clouds, DatasetSplit, stack_points
 from .encoder import EncoderConfig, PointEncoder
@@ -152,8 +151,8 @@ def evaluate_model(model: PointEncoder, clouds: Clouds, epoch: int) -> EvalRepor
     return evaluate(probs, labels)
 
 
-def train(config: ExperimentConfig, dataset: DatasetSplit,
-          checkpoint_path=None) -> tuple[RunRecord, PointEncoder]:
+def train(config: ExperimentConfig,
+          dataset: DatasetSplit) -> tuple[RunRecord, PointEncoder]:
     config.validate()
     num_classes = len(dataset.class_names)
     if num_classes < 2:
@@ -230,8 +229,6 @@ def train(config: ExperimentConfig, dataset: DatasetSplit,
 
     record.final = report.json_summary()
     record.wall_time = time.perf_counter() - t0
-    if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, model.params)
     return record, model
 
 
@@ -271,7 +268,10 @@ class AblationResult:
 
 
 def _run_variants(variants, dataset: DatasetSplit, progress) -> AblationResult:
-    """Train each (label, config) pair in order; one result row per pair."""
+    """Train each (label, config) pair in order; one result row per pair.
+    Every config is validated before the first run trains."""
+    for _, config in variants:
+        config.validate()
     rows = []
     for label, config in variants:
         record, model = train(config, dataset)

@@ -20,7 +20,7 @@ from cedr.data import (
     write_dataset,
 )
 from cedr.encoder import EncoderConfig, PointEncoder
-from cedr.train import EVAL_CHUNK_ROWS
+from cedr.train import EVAL_CHUNK_ROWS, train
 
 from conftest import strict_json
 
@@ -100,6 +100,16 @@ class TestTrain:
         assert payload["config"]["arm"] == "scc"
         assert len(payload["epochs"]) == 3
 
+    def test_checkpoint_written_and_loadable(self, data_base, trained):
+        # the same run in-process: the .ckpt holds its params bit for bit
+        _, model = train(ExperimentConfig(arm="scc", seed=1, epochs=2,
+                                          batch_size=16, hidden_dims=[8, 16]),
+                         read_dataset(data_base))
+        tensors = load_checkpoint(trained / "scc_seed1.ckpt")
+        assert list(tensors) == [p.name for p in model.params]
+        for p in model.params:
+            assert tensors[p.name].tobytes() == p.values.tobytes(), p.name
+
     def test_run_json_is_standard(self, trained):
         payload = strict_json((trained / "scc_seed1.json").read_text())
         # epoch -1 evaluates before the first step, so it has no losses
@@ -145,6 +155,40 @@ class TestTrain:
                        f"out_dir = {tmp_path / 'runs'}\n")
         assert main(["train", "--config", str(cfg)]) == EXIT_OK
         assert (tmp_path / "runs" / "ce_only_seed0.json").exists()
+
+    def test_set_overrides_config_file(self, data_base, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"data = {data_base}\nepochs = 3\nbatch_size = 16\n"
+                       "hidden_dims = 8 16\narm = ce_only\n"
+                       f"out_dir = {tmp_path / 'runs'}\n")
+        assert main(["train", "--config", str(cfg), "--set", "epochs=1"]) == EXIT_OK
+        payload = json.loads((tmp_path / "runs" / "ce_only_seed0.json").read_text())
+        assert payload["config"]["epochs"] == 1 and len(payload["epochs"]) == 2
+
+    @pytest.mark.parametrize("sets, key", [
+        (["epochs=1", "epochs=2"], "epochs"),
+        (["lambda=0.3", "lam=0.1"], "lam"),
+        (["eaa_mode=fixed", "eaa-mode=varying"], "eaa-mode"),
+    ], ids=["same", "lambda", "hyphen"])
+    def test_key_set_twice_is_config_error(self, data_base, tmp_path, capsys,
+                                           sets, key):
+        args = [arg for kv in sets for arg in ("--set", kv)]
+        code = main(["train", "--set", f"data={data_base}",
+                     "--set", f"out_dir={tmp_path / 'runs'}", *args])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"error: config key '{key}' is set "
+                                           "twice by --set\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_config_file_key_set_twice_names_both_lines(self, data_base,
+                                                        tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"data = {data_base}\nepochs = 3\n"
+                       f"out_dir = {tmp_path / 'runs'}\nepochs = 5\n")
+        assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"error: {cfg}:4: config key "
+                                           "'epochs' is already set on line 2\n")
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_class_count_comes_from_dataset(self, tmp_path):
         base, runs = tmp_path / "three", tmp_path / "runs"
@@ -524,6 +568,19 @@ class TestAblateCommand:
                      "--quiet", *args])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_seed_rejected_before_any_run_trains(self, data_base, tmp_path,
+                                                     capsys):
+        out = tmp_path / "ablation.csv"
+        code = main(["ablate", "--seeds", "5,-1", "--set", f"data={data_base}",
+                     "--set", "epochs=1", "--set", "batch_size=16",
+                     "--set", "hidden_dims=8 16", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == ("error: config key 'seed' must be nonnegative, "
+                                "got -1\n")
         assert not out.exists()
 
     def test_config_file_may_list_arm_and_seed(self, data_base, tmp_path):

@@ -120,6 +120,21 @@ class TestFiles:
         with pytest.raises(ConfigError, match=":2:"):
             load_config(path)
 
+    @pytest.mark.parametrize("lines, message", [
+        ("epochs = 3\nepochs = 5\n", ":2: config key 'epochs' is already set "
+                                      "on line 1"),
+        # keys compare after '-' -> '_' and 'lambda' -> 'lam'
+        ("lambda = 0.3\n# again\nlam = 0.1\n", ":3: config key 'lam' is already "
+                                                "set on line 1"),
+        ("arm = scc\neaa_mode = fixed\neaa-mode = varying\n",
+         ":3: config key 'eaa-mode' is already set on line 2"),
+    ], ids=["same", "lambda", "hyphen"])
+    def test_repeated_key_names_both_lines(self, tmp_path, lines, message):
+        path = tmp_path / "exp.cfg"
+        path.write_text(lines)
+        with pytest.raises(ConfigError, match=f"^{path}{message}$"):
+            load_config(path)
+
     def test_dump_uses_lambda_alias(self):
         text = dump_config(ExperimentConfig())
         assert "lambda = 0.1" in text

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import cedr
 from cedr import cpcm, eaa
-from cedr.checkpoint import load_checkpoint
 from cedr.config import ExperimentConfig
 from cedr.data import build_dataset, default_shape_specs, stack_points
 from cedr.eaa import shannon_entropy
@@ -115,14 +114,6 @@ class TestTrainLoop:
         for a, b in zip(ce.epochs, scc.epochs):
             assert a.overall_acc == b.overall_acc
             assert a.macro_f1 == b.macro_f1
-
-    def test_checkpoint_written_and_loadable(self, tiny_dataset, tmp_path):
-        path = tmp_path / "model.ckpt"
-        _, model = train(small_config(epochs=1), tiny_dataset,
-                         checkpoint_path=path)
-        tensors = load_checkpoint(path)
-        for p in model.params:
-            assert np.array_equal(tensors[p.name], p.values)
 
     def test_step_graph_freed_before_next_forward(self, tiny_dataset,
                                                   monkeypatch):
