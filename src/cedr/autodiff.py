@@ -7,10 +7,10 @@ node with one hand-written vjp, which maps the node's gradient to one
 gradient per parent. Every input of an op is a parent, constants too; a
 constant leaf is handed its gradient and drops it. The ops below are the
 dense layer, the per-point MLP and max pool together (its top layer is laid
-out as (batch, width, points), one argmax finds each cloud's first maximum
-per feature, and its backward runs on those critical points only), the row
-softmax and the row l2-normalisation. The losses in `cedr.losses` build
-their own one-node ops the same way.
+out as (clouds, width, points) and built in chunks of clouds, one argmax
+finds each cloud's first maximum per feature, and its backward runs on those
+critical points only), the row softmax and the row l2-normalisation. The
+losses in `cedr.losses` build their own one-node ops the same way.
 """
 
 from __future__ import annotations
@@ -135,13 +135,36 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
                                       / norm,), "l2_normalize")
 
 
+# point rows (clouds x points) per chunk: an evaluation forward encodes one
+# chunk of clouds at a time, and the top point layer of a wider batch builds
+# its (clouds, width, points) buffer one chunk at a time; 8192 was the fastest
+# budget in the sweep that CHANGES.md records with chunked evaluation
+CHUNK_ROWS = 8192
+
+
+def chunk_bounds(n_clouds: int, n_points: int) -> list[int]:
+    """Bounds of consecutive chunks of whole clouds, each of at most
+    CHUNK_ROWS point rows but never fewer than 2 clouds. A trailing single
+    cloud joins the chunk before it, so no chunk of a larger batch holds one
+    cloud alone: a one-row matmul takes another BLAS path than a many-row
+    one, and its last bits differ."""
+    step = max(2, CHUNK_ROWS // max(n_points, 1))
+    bounds = list(range(0, n_clouds, step)) + [n_clouds]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return bounds
+
+
 def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
     """A shared per-point MLP over (batch, n_points, dim) clouds, then the max
     over each cloud's points, as one `point_mlp` node with a (batch, width)
     result; points are data and get no gradient. Each lower `(w, b)` of
-    `layers` is relu(h @ w + b) per point. The top layer is one batched
-    matmul laid out as (batch, width, n_points), contiguous along the points,
-    and it is pooled before its bias and relu, relu(max_p (h @ w)_p + b),
+    `layers` is relu(h @ w + b) per point. The top layer is a batched matmul
+    laid out as (clouds, width, n_points), contiguous along the points, run
+    over the chunks of `chunk_bounds`, so one chunk's buffer is alive at a
+    time and not the whole batch's. numpy runs one BLAS product per cloud of
+    a batched matmul, so the chunks give the bits of one whole-batch product.
+    The top layer is pooled before its bias and relu, relu(max_p (h @ w)_p + b),
     which gives the same bits because fl(x + b) and relu never decrease as x
     grows. One argmax over the points finds each (cloud, feature)'s critical
     point, the first point with the largest pre-bias value, and the max is
@@ -158,11 +181,18 @@ def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
         out += b.values
         np.maximum(out, 0.0, out=out)
         acts.append(out)
-    per_cloud = np.matmul(layers[-1][0].values.T,
-                          acts[-1].reshape(batch, n_points, -1).transpose(0, 2, 1))
-    first = per_cloud.argmax(axis=2)
-    top = np.take_along_axis(per_cloud, first[..., None], 2)[..., 0]
-    pooled = np.maximum(top + layers[-1][1].values, 0.0)
+    w_top, b_top = layers[-1]
+    h = acts[-1].reshape(batch, n_points, -1).transpose(0, 2, 1)
+    first = np.empty((batch, w_top.shape[1]), dtype=np.intp)
+    top = np.empty(first.shape)
+    bounds = chunk_bounds(batch, n_points)
+    for lo, hi in zip(bounds, bounds[1:]):
+        per_cloud = np.matmul(w_top.values.T, h[lo:hi])
+        first[lo:hi] = per_cloud.argmax(axis=2)
+        top[lo:hi] = np.take_along_axis(per_cloud, first[lo:hi, :, None], 2)[..., 0]
+        # one chunk's buffer at a time
+        del per_cloud
+    pooled = np.maximum(top + b_top.values, 0.0)
 
     def vjp(g):
         rows = first * (pooled > 0)
@@ -184,7 +214,12 @@ def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
             a = acts[i][crit]
             out[2 * i] = a.T @ gz
             if i:
-                gz = (gz @ layers[i][0].values.T) * (a > 0)
+                # the relu mask, then the product masked in place: the
+                # activations and a masked copy are not held beside it
+                alive = a > 0
+                del a
+                gz = gz @ layers[i][0].values.T
+                gz *= alive
                 out[2 * i - 1] = gz.sum(axis=0)
         return out
 

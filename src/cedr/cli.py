@@ -82,10 +82,16 @@ def _load_experiment(args) -> ExperimentConfig:
         if any(field_name(k) == field_name(key) for k in overrides):
             raise ConfigError(f"config key '{key}' is set twice by --set")
         overrides[key] = raw
-    if getattr(args, "arm", None):
-        overrides["arm"] = args.arm
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = str(args.seed)
+    # train's --arm and --seed; a key given both ways is refused, not overridden
+    for name in ("arm", "seed"):
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        for key in overrides:
+            if field_name(key) == name:
+                raise ConfigError(f"config key '{key}' is set by both "
+                                  f"--set and --{name}")
+        overrides[name] = str(value)
     apply_overrides(config, overrides)
     return config.validate()
 

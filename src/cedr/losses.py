@@ -134,6 +134,7 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
             kind = "positive" if same[i, j] else "negative"
             raise ValueError(f"pair weight w[{i}, {j}] = {w[i, j]:g} on a "
                              f"{kind} pair is not positive")
+        del ok
     if not valid.any():
         return InfoNCEResult(mean=Tensor(0.0), per_anchor=np.zeros(b),
                              skipped_anchors=b)
@@ -142,10 +143,26 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     inv_tau = 1.0 / batch.temperature
     s = zv @ zv.T
     s *= inv_tau
-    # -inf off the negatives; shift each anchor's logsumexp by its largest
-    # negative similarity (0 at an anchor without negatives, whose row stays
-    # -inf)
-    q = np.where(same, -np.inf, s)
+
+    # positive pairs by flat index, row-major, so anchor i has n_pos[i] in a
+    # run; a_ij = log wp_ij + s_ij with the weight over its anchor's mean
+    # (log 1 = 0 for unit weights). They are read before s turns into q.
+    same.flat[::b + 1] = False   # the diagonal is no positive pair,
+    pos = np.flatnonzero(same)
+    same.flat[::b + 1] = True    # and no negative one
+    pi = np.repeat(np.arange(b), n_pos)
+    a = s.take(pos)
+    if weights is not None:
+        w_p = w.take(pos)
+        a = np.log(w_p * n_pos[pi] / np.bincount(pi, w_p, b)[pi]) + a
+        del w_p
+
+    # q is s in place, -inf off the negatives, so at most two b x b float
+    # arrays live beside the inputs; shift each anchor's logsumexp by its
+    # largest negative similarity (0 at an anchor without negatives, whose
+    # row stays -inf)
+    q = s
+    np.copyto(q, -np.inf, where=same)
     shift = q.max(axis=1)
     has_neg = n_neg > 0
     q -= np.where(has_neg, shift, 0.0)[:, None]
@@ -157,21 +174,11 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
         neg_w = np.where(same, 0.0, w)
         q *= neg_w
         neg_w_sum = neg_w.sum(axis=1)
+        del neg_w
     q_sum = np.where(has_neg, q.sum(axis=1), 1.0)
     # lse_i = log(|N_i| S_i), -inf at the anchors without negatives
     lse = shift + np.log(n_neg * q_sum / np.where(has_neg, neg_w_sum, 1.0),
                          where=has_neg, out=np.full(b, -np.inf))
-
-    # positive pairs by flat index, row-major, so anchor i has n_pos[i] in a
-    # run; a_ij = log wp_ij + s_ij with the weight over its anchor's mean
-    # (log 1 = 0 for unit weights)
-    same.flat[::b + 1] = False
-    pos = np.flatnonzero(same)
-    pi = np.repeat(np.arange(b), n_pos)
-    a = s.take(pos)
-    if weights is not None:
-        w_p = w.take(pos)
-        a = np.log(w_p * n_pos[pi] / np.bincount(pi, w_p, b)[pi]) + a
 
     x = lse[pi] - a   # the pair loss is softplus(x)
     pair_loss = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import cpcm, eaa
-from .autodiff import backward
+from .autodiff import backward, chunk_bounds
 from .config import ARMS, ExperimentConfig
 from .data import Clouds, DatasetSplit, stack_points
 from .encoder import EncoderConfig, PointEncoder
@@ -115,23 +115,14 @@ def check_forward(out, where: str, ids) -> None:
             "probabilities or an embedding that is not unit-norm")
 
 
-# point rows (clouds x points) per evaluation forward: a chunk's per-point
-# buffers stay in cache, a large split's do not (the sweep is in ROADMAP.md)
-EVAL_CHUNK_ROWS = 8192
-
-
 def encode_split(model: PointEncoder, points: np.ndarray,
                  where: str) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities and embeddings of a stacked split, encoded chunk by
-    chunk and checked under the split's own sample indices. Each chunk's tape
-    is dropped before the next forward. No chunk of a larger split holds a
-    single cloud: a one-row matmul takes another BLAS path and changes the
-    last bits, so the results equal one whole-split forward bit for bit."""
-    n, n_points = len(points), points.shape[1]
-    step = max(2, EVAL_CHUNK_ROWS // max(n_points, 1))
-    bounds = list(range(0, n, step)) + [n]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
+    chunk (`autodiff.chunk_bounds`) and checked under the split's own sample
+    indices. Each chunk's tape is dropped before the next forward. No chunk
+    of a larger split holds a single cloud, so the results equal one
+    whole-split forward bit for bit."""
+    bounds = chunk_bounds(len(points), points.shape[1])
     probs, embeddings = [], []
     for lo, hi in zip(bounds, bounds[1:]):
         # an overflow ends in a NumericFailure that names it, not in a warning
@@ -199,10 +190,13 @@ def train(config: ExperimentConfig,
                 ce = cross_entropy(out.probs, labels)
                 total, nce = ce, None
                 if config.arm != "ce_only":
-                    weights = batch_weights(config, out.probs.values,
-                                            out.embeddings.values, labels)
-                    nce = supervised_infonce(ContrastiveBatch(
-                        out.embeddings, labels, config.temperature), weights)
+                    # no local holds the b x b weights, so they are freed
+                    # when the InfoNCE forward returns, before backward
+                    nce = supervised_infonce(
+                        ContrastiveBatch(out.embeddings, labels,
+                                         config.temperature),
+                        batch_weights(config, out.probs.values,
+                                      out.embeddings.values, labels))
                     total = joint_loss(ce, nce, lam)
                 opt.zero_grad()
                 backward(total)

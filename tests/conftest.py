@@ -1,8 +1,8 @@
 import json
-import sys
 
 # cedr first: importing it pins the BLAS thread count, which numpy reads at
 # its own first import, so the suite trains with one thread as CI does
+from cedr import autodiff
 from cedr.autodiff import Tensor
 from cedr.data import PerturbationConfig, build_dataset, default_shape_specs
 
@@ -70,9 +70,7 @@ def clean_dataset():
 
 
 @pytest.fixture
-def eval_chunk_rows(monkeypatch):
-    """Setter of cedr.train's row budget per evaluation chunk, undone after
-    the test. cedr/__init__.py rebinds the package attribute `cedr.train` to
-    the train() function, so the module is looked up in sys.modules."""
-    return lambda rows: monkeypatch.setattr(sys.modules["cedr.train"],
-                                            "EVAL_CHUNK_ROWS", rows)
+def chunk_rows(monkeypatch):
+    """Setter of cedr.autodiff's row budget per chunk of clouds, undone after
+    the test."""
+    return lambda rows: monkeypatch.setattr(autodiff, "CHUNK_ROWS", rows)

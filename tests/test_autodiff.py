@@ -1,3 +1,6 @@
+import tracemalloc
+from inspect import getclosurevars
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +12,7 @@ from cedr.autodiff import (
     Parameter,
     Tensor,
     backward,
+    chunk_bounds,
     dense_forward,
     l2_normalize_rows,
     pooled_point_mlp,
@@ -376,6 +380,90 @@ class TestPooledPointMLP:
         expect = full_buffer_grads(points, arrays, up)[2 * (1 - constant):][:2]
         for p, ref in zip(trained, expect):
             assert np.abs(p.grad - ref).max() <= 1e-12 * np.abs(ref).max(), p.name
+
+
+def top_layer_formula(points, arrays):
+    """Plain-numpy pooled output and critical points of `pooled_point_mlp`
+    with the whole batch's top layer as one batched matmul."""
+    batch, n_points, dim = points.shape
+    h = points.reshape(batch * n_points, dim)
+    for w, b in arrays[:-1]:
+        h = np.maximum(h @ w + b, 0.0)
+    w, b = arrays[-1]
+    per_cloud = np.matmul(w.T, h.reshape(batch, n_points, -1).transpose(0, 2, 1))
+    first = per_cloud.argmax(axis=2)
+    top = np.take_along_axis(per_cloud, first[..., None], 2)[..., 0]
+    return np.maximum(top + b, 0.0), first
+
+
+class TestChunkedTopLayer:
+    # (clouds, points, budget in clouds): chunks that straddle the batch's
+    # end, a trailing single cloud that joins the chunk before it, one-point
+    # clouds, and a budget under 2 clouds
+    @pytest.mark.parametrize("batch, n_points, clouds", [
+        (10, 6, 3), (7, 6, 3), (13, 5, 4), (9, 1, 2), (6, 1, 3), (5, 8, 1)])
+    @pytest.mark.parametrize("dead", [False, True], ids=["live", "dead"])
+    def test_chunks_give_the_bits_of_one_matmul(self, chunk_rows, batch,
+                                                n_points, clouds, dead):
+        rng = np.random.default_rng(batch * 10 + n_points)
+        points = rng.standard_normal((batch, n_points, 3))
+        arrays = random_layers(rng, [3, 8, 12, 16])
+        if dead:
+            # relu zeroes every third top unit at every point of every cloud
+            arrays[-1][1][::3] = -10.0
+        up = rng.standard_normal((batch, 16))
+
+        def run():
+            layers = [(Parameter(w, f"w{k}"), Parameter(b, f"b{k}"))
+                      for k, (w, b) in enumerate(arrays)]
+            out = pooled_point_mlp(points, layers)
+            backward(weighted_sum(out, up))
+            return (out.values, getclosurevars(out.vjp).nonlocals["first"],
+                    [p.grad for layer in layers for p in layer])
+
+        whole_values, whole_first, whole_grads = run()
+        assert len(chunk_bounds(batch, n_points)) == 2
+        chunk_rows(clouds * n_points)
+        bounds = chunk_bounds(batch, n_points)
+        assert len(bounds) > 2 and min(np.diff(bounds)) >= 2
+        values, first, grads = run()
+        expect, expect_first = top_layer_formula(points, arrays)
+        assert np.array_equal(values, expect)
+        assert np.array_equal(whole_values, expect)
+        assert np.array_equal(first, expect_first)
+        assert np.array_equal(whole_first, expect_first)
+        for got, ref in zip(grads, whole_grads):
+            assert got.tobytes() == ref.tobytes()
+        if dead:
+            assert not values[:, ::3].any() and not grads[-1][::3].any()
+
+    @pytest.mark.parametrize("n_clouds, n_points, rows, bounds", [
+        (10, 6, 18, [0, 3, 6, 10]), (7, 6, 18, [0, 3, 7]),
+        (5, 8, 8, [0, 2, 5]), (1, 4, 4, [0, 1]), (3, 4, 1000, [0, 3])])
+    def test_chunk_bounds(self, chunk_rows, n_clouds, n_points, rows, bounds):
+        chunk_rows(rows)
+        assert chunk_bounds(n_clouds, n_points) == bounds
+
+    def test_top_layer_holds_one_chunk_at_a_time(self, chunk_rows):
+        rng = np.random.default_rng(0)
+        batch, n_points, dims = 32, 128, [3, 16, 64]
+        points = rng.standard_normal((batch, n_points, 3))
+        layers = [(Parameter(w, f"w{k}"), Parameter(b, f"b{k}"))
+                  for k, (w, b) in enumerate(random_layers(rng, dims))]
+        chunk_rows(4 * n_points)
+        # float64 bytes of one chunk's (clouds, width, points) top layer, of
+        # the whole batch's, and of the lower activations the vjp keeps
+        chunk = 4 * dims[-1] * n_points * 8
+        whole = batch * dims[-1] * n_points * 8
+        kept = batch * n_points * dims[1] * 8
+        tracemalloc.start()
+        try:
+            out = pooled_point_mlp(points, layers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (batch, dims[-1])
+        assert peak - kept < 1.5 * chunk < whole / 4
 
 
 class TestTapeRule:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cedr.autodiff import Parameter
+from cedr.autodiff import CHUNK_ROWS, Parameter
 from cedr.checkpoint import load_checkpoint, save_checkpoint
 from cedr.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from cedr.config import ARMS, ExperimentConfig, dump_config
@@ -20,7 +20,7 @@ from cedr.data import (
     write_dataset,
 )
 from cedr.encoder import EncoderConfig, PointEncoder
-from cedr.train import EVAL_CHUNK_ROWS, train
+from cedr.train import train
 
 from conftest import strict_json
 
@@ -179,6 +179,34 @@ class TestTrain:
         assert capsys.readouterr().err == (f"error: config key '{key}' is set "
                                            "twice by --set\n")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("option, setting, key", [
+        (["--arm", "full"], "arm=scc", "arm"),
+        (["--seed", "2"], "seed=5", "seed"),
+    ], ids=["arm", "seed"])
+    def test_key_given_by_option_and_set_is_config_error(
+            self, data_base, tmp_path, capsys, option, setting, key):
+        code = main(["train", *option, "--set", setting,
+                     "--set", f"data={data_base}",
+                     "--set", f"out_dir={tmp_path / 'runs'}"])
+        assert code == EXIT_CONFIG
+        name = option[0][2:]
+        assert capsys.readouterr().err == (f"error: config key '{key}' is set "
+                                           f"by both --set and --{name}\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("spelling", [
+        ["--arm", "scc", "--seed", "3"],
+        ["--set", "arm=scc", "--set", "seed=3"],
+    ], ids=["options", "set"])
+    def test_arm_and_seed_by_either_spelling_alone_train(self, data_base,
+                                                         tmp_path, spelling):
+        runs = tmp_path / "runs"
+        assert main(["train", *spelling, "--set", f"data={data_base}",
+                     "--set", f"out_dir={runs}", "--set", "epochs=1",
+                     "--set", "batch_size=16", "--set", "hidden_dims=8 16"]) == EXIT_OK
+        payload = json.loads((runs / "scc_seed3.json").read_text())
+        assert (payload["config"]["arm"], payload["config"]["seed"]) == ("scc", 3)
 
     def test_config_file_key_set_twice_names_both_lines(self, data_base,
                                                         tmp_path, capsys):
@@ -501,7 +529,7 @@ def test_truncated_checkpoint_names_it(small_eval_files, tmp_path, capsys):
     ("cls.w", 1e300, 1e10),
 ])
 def test_overflowing_forward_is_numeric_failure(small_eval_files, tmp_path, capsys,
-                                                eval_chunk_rows, command, name,
+                                                chunk_rows, command, name,
                                                 value, scale):
     d, _ = small_eval_files
     split = read_dataset(d / "toy")
@@ -513,8 +541,8 @@ def test_overflowing_forward_is_numeric_failure(small_eval_files, tmp_path, caps
     extra = ["--out", str(tmp_path / "out")] if command == "analyze" else []
     # the 6 clouds of 32 points in one chunk, then 2 clouds a chunk, which
     # puts sample 4 in the third chunk
-    for rows in (EVAL_CHUNK_ROWS, 64):
-        eval_chunk_rows(rows)
+    for rows in (CHUNK_ROWS, 64):
+        chunk_rows(rows)
         assert main([command, "--checkpoint", str(tmp_path / "m.ckpt"),
                      "--data", str(tmp_path / "toy"), *extra]) == EXIT_NUMERIC
         assert "overflows on test sample 4:" in capsys.readouterr().err

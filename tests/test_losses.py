@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -325,6 +326,24 @@ class TestInfoNCE:
         backward(supervised_infonce(ContrastiveBatch(leaf, labels, 0.7), w).mean)
         fd = fd_gradient(value, z.copy())
         assert max_rel_err(leaf.grad, fd) < 1e-4
+
+    def test_forward_peaks_under_three_pair_arrays(self):
+        # b = 512 with weights: beside its inputs, the forward holds the
+        # similarities turned into q in place, one b x b array of negative
+        # weights and small per-pair arrays, not 4.4 b x b arrays as before
+        rng = np.random.default_rng(8)
+        b = 512
+        z = Parameter(unit_embeddings(rng, b, 64), "z")
+        labels = rng.integers(0, 8, b)
+        w = rng.uniform(0.5, 1.5, (b, b))
+        tracemalloc.start()
+        try:
+            result = supervised_infonce(ContrastiveBatch(z, labels, 0.5), w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(float(result.mean.values))
+        assert peak < 3 * w.nbytes
 
 
 class TestJointLoss:

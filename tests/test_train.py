@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import cedr
 from cedr import cpcm, eaa
+from cedr.autodiff import backward
 from cedr.config import ExperimentConfig
 from cedr.data import build_dataset, default_shape_specs, stack_points
 from cedr.eaa import shannon_entropy
@@ -87,7 +88,7 @@ class TestTrainLoop:
         b, _ = train(small_config(), tiny_dataset)
         assert a.canonical_json() == b.canonical_json()
 
-    def test_training_leaves_the_dataset_unchanged(self, eval_chunk_rows):
+    def test_training_leaves_the_dataset_unchanged(self, chunk_rows):
         # training and evaluation index the split's own arrays, not copies
         split = build_dataset(default_shape_specs(), 6, 4, seed=7, n_points=64)
 
@@ -98,10 +99,32 @@ class TestTrainLoop:
         before = split_bytes()
         train(small_config(arm="full", epochs=2), split)
         # 3 clouds a chunk, each chunk a view of the test split's points
-        eval_chunk_rows(3 * 64)
+        chunk_rows(3 * 64)
         model = PointEncoder(EncoderConfig(num_classes=8, hidden_dims=[8, 16]))
         encode_split(model, split.test.points, "test sample")
         assert split_bytes() == before
+
+    @pytest.mark.parametrize("arm", ["scc_cpcm", "scc_eaa", "full"])
+    def test_pair_weights_freed_before_backward(self, tiny_dataset,
+                                                monkeypatch, arm):
+        # the b x b weights of a batch live through its InfoNCE forward only
+        module = sys.modules["cedr.train"]
+        refs = []
+
+        def tracked(*args):
+            weights = batch_weights(*args)
+            refs.append(weakref.ref(weights))
+            return weights
+
+        def checked(loss):
+            assert refs[-1]() is None
+            backward(loss)
+
+        monkeypatch.setattr(module, "batch_weights", tracked)
+        monkeypatch.setattr(module, "backward", checked)
+        train(small_config(arm=arm, epochs=1), tiny_dataset)
+        # 48 clouds in batches of 16
+        assert len(refs) == 3
 
     def test_different_seeds_differ(self, tiny_dataset):
         a, _ = train(small_config(seed=0), tiny_dataset)
@@ -169,7 +192,7 @@ class TestEncodeSplit:
         (7, 32, [8, 16]), (13, 64, [16, 32]), (9, 128, [32, 64])])
     # the budget in clouds: half a cloud and one cloud still give 2 a chunk
     @pytest.mark.parametrize("clouds", [0.5, 1, 3, 4, 100])
-    def test_chunks_equal_one_whole_split_forward(self, eval_chunk_rows,
+    def test_chunks_equal_one_whole_split_forward(self, chunk_rows,
                                                   chunk_sizes, seed, n_clouds,
                                                   n_points, hidden, clouds):
         rng = np.random.default_rng(seed)
@@ -178,7 +201,7 @@ class TestEncodeSplit:
                              seed=seed)
         whole = model.encode(pts)
         chunk_sizes.clear()
-        eval_chunk_rows(int(clouds * n_points))
+        chunk_rows(int(clouds * n_points))
         probs, emb = encode_split(model, pts, "test sample")
         assert np.array_equal(probs, whole.probs.values)
         assert np.array_equal(emb, whole.embeddings.values)
@@ -190,7 +213,7 @@ class TestEncodeSplit:
         assert len(chunk_sizes) > 1 or clouds == 100
 
     def test_chunk_graph_freed_before_next_forward(self, tiny_dataset,
-                                                   monkeypatch, eval_chunk_rows):
+                                                   monkeypatch, chunk_rows):
         # a chunk is a view of the whole split, so each forward gets an input
         # of its own; the per-point buffers on the chunk's tape hold it
         inputs = []
@@ -203,7 +226,7 @@ class TestEncodeSplit:
             return encode(self, points)
 
         monkeypatch.setattr(PointEncoder, "encode", tracked)
-        eval_chunk_rows(3 * 64)
+        chunk_rows(3 * 64)
         model = PointEncoder(EncoderConfig(num_classes=8, hidden_dims=[8, 16]))
         pts, _ = stack_points(tiny_dataset.test)
         encode_split(model, pts, "test sample")
@@ -378,11 +401,11 @@ class TestNumericFailure:
             train(small_config(n_points=32), split)
 
     def test_overflow_past_the_first_chunk_names_its_test_sample(
-            self, eval_chunk_rows):
+            self, chunk_rows):
         split = build_dataset(default_shape_specs(), 4, 2, seed=1, n_points=32)
         split.test.points[4] *= 1e160
         # 2 clouds a chunk, which puts sample 4 in the third chunk
-        eval_chunk_rows(64)
+        chunk_rows(64)
         with pytest.raises(NumericFailure, match=r"^epoch -1 evaluation: the "
                                                  r"forward overflows on test "
                                                  r"sample 4: "):
