@@ -5,7 +5,9 @@ owns a grad buffer, and every other `Tensor` owns none. `Tensor` is a node
 only, with no operators or methods: each op is a function that builds one
 node with one hand-written vjp, which maps the node's gradient to one
 gradient per parent. Every input of an op is a parent, constants too; a
-constant leaf is handed its gradient and drops it. The ops below are the
+constant leaf is handed its gradient and drops it. A tape is used once:
+`backward` takes each vjp off its node as it runs it, so the arrays it saved
+(a b x b InfoNCE softmax, point activations) go then. The ops below are the
 dense layer, the per-point MLP and max pool together (its top layer is laid
 out as (clouds, width, points) and built in chunks of clouds, one argmax
 finds each cloud's first maximum per feature, and its backward runs on those
@@ -71,7 +73,8 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 def backward(loss: Tensor):
     """Backpropagate from a scalar loss, accumulating into the grads of the
-    leaves that own one. A loss built only from constants reaches none."""
+    leaves that own one. A loss built only from constants reaches none. A node
+    used by an earlier backward has no vjp: a RuntimeError names its op."""
     if loss.values.size != 1:
         raise AutodiffError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not np.isfinite(loss.values):
@@ -87,7 +90,11 @@ def backward(loss: Tensor):
             node.grad += g.reshape(node.grad.shape)
         if not node.parents:
             continue
-        for parent, pg in zip(node.parents, node.vjp(g)):
+        vjp, node.vjp = node.vjp, None
+        if vjp is None:
+            raise RuntimeError(f"op '{node.op}' was already backpropagated; "
+                               "a tape is used once")
+        for parent, pg in zip(node.parents, vjp(g)):
             key = id(parent)
             if key in grads:
                 grads[key] = grads[key] + pg

@@ -207,8 +207,6 @@ def train(config: ExperimentConfig,
                 sums["nce"] += float(nce.mean.values)
                 skipped += nce.skipped_anchors
             n_batches += 1
-            # free this step's graph before the next batch's forward builds one
-            del out, ce, nce, total
 
         report = evaluate_model(model, dataset.test, epoch)
         record.epochs.append(EpochRecord(

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from inspect import getclosurevars
 
 import numpy as np
@@ -189,8 +190,9 @@ class TestBackward:
     def test_only_leaves_hold_grads(self):
         model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
         pts = np.random.default_rng(5).standard_normal((2, 5, 3))
-        out = model.encode(pts)
-        roots = [weighted_sum(out.probs), weighted_sum(out.embeddings)]
+        # a tape is used once: one forward per root
+        roots = [weighted_sum(getattr(model.encode(pts), head))
+                 for head in ("probs", "embeddings")]
         for root in roots:
             backward(root)
         seen, stack, inner = set(), list(roots), 0
@@ -206,6 +208,42 @@ class TestBackward:
         assert inner > 0
         for p in model.params:
             assert p.grad.shape == p.values.shape, p.name
+
+    def test_backward_frees_every_vjp(self):
+        # each node's vjp, and the arrays its closure saved, go once backward
+        # has run it; the nodes keep their values and parents
+        model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
+        out = model.encode(np.random.default_rng(5).standard_normal((2, 5, 3)))
+        root = weighted_sum(out.probs)
+        mlp = out.probs.parents[0].parents[0]
+        assert mlp.op == "point_mlp"
+        closure = weakref.ref(mlp.vjp)
+        saved = weakref.ref(getclosurevars(mlp.vjp).nonlocals["first"])
+        backward(root)
+        assert closure() is None and saved() is None
+        assert root.vjp is out.probs.vjp is mlp.vjp is None
+        assert mlp.values.shape == (2, 6) and len(mlp.parents) == 4
+
+    def test_second_backward_names_the_op(self):
+        p = Parameter(np.ones(3), "p")
+        loss = weighted_sum(p)
+        backward(loss)
+        with pytest.raises(RuntimeError, match="op 'weighted_sum' was already "
+                           "backpropagated; a tape is used once") as info:
+            backward(loss)
+        # a program defect, not a numeric failure
+        assert not isinstance(info.value, AutodiffError)
+        assert np.array_equal(p.grad, np.ones(3))
+
+    def test_second_root_through_a_consumed_node_names_it(self):
+        # the two heads share the point MLP; the first root consumes it
+        model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
+        out = model.encode(np.random.default_rng(5).standard_normal((2, 5, 3)))
+        backward(weighted_sum(out.probs))
+        with pytest.raises(RuntimeError, match="op 'point_mlp' was already "
+                           "backpropagated") as info:
+            backward(weighted_sum(out.embeddings))
+        assert not isinstance(info.value, AutodiffError)
 
     def test_composed_loss_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -417,9 +455,10 @@ class TestChunkedTopLayer:
             layers = [(Parameter(w, f"w{k}"), Parameter(b, f"b{k}"))
                       for k, (w, b) in enumerate(arrays)]
             out = pooled_point_mlp(points, layers)
+            # backward takes the vjp, and its closure, off the node
+            first = getclosurevars(out.vjp).nonlocals["first"]
             backward(weighted_sum(out, up))
-            return (out.values, getclosurevars(out.vjp).nonlocals["first"],
-                    [p.grad for layer in layers for p in layer])
+            return out.values, first, [p.grad for layer in layers for p in layer]
 
         whole_values, whole_first, whole_grads = run()
         assert len(chunk_bounds(batch, n_points)) == 2

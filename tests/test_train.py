@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import weakref
+from inspect import getclosurevars
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,11 +15,12 @@ from hypothesis import strategies as st
 
 import cedr
 from cedr import cpcm, eaa
-from cedr.autodiff import backward
+from cedr.autodiff import backward, pooled_point_mlp
 from cedr.config import ExperimentConfig
 from cedr.data import build_dataset, default_shape_specs, stack_points
 from cedr.eaa import shannon_entropy
 from cedr.encoder import EncoderConfig, PointEncoder
+from cedr.losses import supervised_infonce
 from cedr.train import (
     AblationResult,
     NumericFailure,
@@ -126,6 +128,38 @@ class TestTrainLoop:
         # 48 clouds in batches of 16
         assert len(refs) == 3
 
+    def test_infonce_q_freed_before_point_mlp_vjp(self, tiny_dataset,
+                                                  monkeypatch):
+        # backward drops the InfoNCE's b x b q once its vjp has run, so it is
+        # dead when the per-point MLP's vjp allocates its critical rows
+        refs, runs = [], []
+
+        def tracked_infonce(*args):
+            nce = supervised_infonce(*args)
+            q = getclosurevars(nce.mean.vjp).nonlocals["q"]
+            refs.append(weakref.ref(q))
+            return nce
+
+        def tracked_mlp(*args):
+            node = pooled_point_mlp(*args)
+            vjp = node.vjp
+
+            def checked(g):
+                assert refs[-1]() is None
+                runs.append(len(refs))
+                return vjp(g)
+
+            node.vjp = checked
+            return node
+
+        monkeypatch.setattr(sys.modules["cedr.train"], "supervised_infonce",
+                            tracked_infonce)
+        monkeypatch.setattr(sys.modules["cedr.encoder"], "pooled_point_mlp",
+                            tracked_mlp)
+        train(small_config(epochs=1), tiny_dataset)
+        # 48 clouds in batches of 16
+        assert runs == [1, 2, 3]
+
     def test_different_seeds_differ(self, tiny_dataset):
         a, _ = train(small_config(seed=0), tiny_dataset)
         b, _ = train(small_config(seed=1), tiny_dataset)
@@ -140,8 +174,8 @@ class TestTrainLoop:
 
     def test_step_graph_freed_before_next_forward(self, tiny_dataset,
                                                   monkeypatch):
-        # every non-leaf node of a step's graph reaches the input leaf, so a
-        # dead input means nothing holds the previous step's graph any more
+        # the input is held only by the per-point MLP's vjp, so a dead input
+        # means nothing holds the previous step's saved arrays any more
         inputs = []
         encode = PointEncoder.encode
 
