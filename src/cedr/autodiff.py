@@ -7,12 +7,12 @@ node with one hand-written vjp, which maps the node's gradient to one
 gradient per parent. Every input of an op is a parent, constants too; a
 constant leaf is handed its gradient and drops it. A tape is used once:
 `backward` takes each vjp off its node as it runs it, so the arrays it saved
-(a b x b InfoNCE softmax, point activations) go then. The ops below are the
-dense layer, the per-point MLP and max pool together (its top layer is laid
-out as (clouds, width, points) and built in chunks of clouds, one argmax
-finds each cloud's first maximum per feature, and its backward runs on those
-critical points only), the row softmax and the row l2-normalisation. The
-losses in `cedr.losses` build their own one-node ops the same way.
+(a b x b InfoNCE softmax, input points) go then. The ops below are the dense
+layer, the per-point MLP and max pool together (its top layer is laid out as
+(clouds, width, points) and built in chunks of clouds, one argmax finds each
+cloud's first maximum per feature, and the backward recomputes the lower layers
+at those critical points only), the row softmax and the row l2-normalisation.
+The losses in `cedr.losses` build their own one-node ops the same way.
 """
 
 from __future__ import annotations
@@ -178,18 +178,24 @@ def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
     read there. The backward runs on the critical points alone, or on row 0
     where relu zeroes the feature at every point (it carries no gradient).
     So where fl(h_p + b) ties for unequal h_p, the larger h_p gets the
-    gradient. With one point per cloud the batched matmul is a BLAS
-    matrix-vector product per cloud, whose last bits may differ from those
-    of one (batch, width) matrix product."""
+    gradient. The node keeps no hidden activations: the backward recomputes
+    the lower layers on the critical rows, with the forward's bits wherever
+    OpenBLAS gives a row the same bits in any two or more rows (3 inputs, or
+    a width that is a multiple of 8). With one point per cloud the batched
+    matmul is a BLAS matrix-vector product per cloud, whose last bits may
+    differ from those of one (batch, width) matrix product."""
     batch, n_points, dim = points.shape
-    acts = [points.reshape(batch * n_points, dim)]
-    for w, b in layers[:-1]:
-        out = acts[-1] @ w.values
+
+    def lower(h, w, b):   # relu(h @ w + b), the same ops forward and backward
+        out = h @ w.values
         out += b.values
-        np.maximum(out, 0.0, out=out)
-        acts.append(out)
+        return np.maximum(out, 0.0, out=out)
+
+    x = h = points.reshape(batch * n_points, dim)
+    for w, b in layers[:-1]:
+        h = lower(h, w, b)
     w_top, b_top = layers[-1]
-    h = acts[-1].reshape(batch, n_points, -1).transpose(0, 2, 1)
+    h = h.reshape(batch, n_points, -1).transpose(0, 2, 1)
     first = np.empty((batch, w_top.shape[1]), dtype=np.intp)
     top = np.empty(first.shape)
     bounds = chunk_bounds(batch, n_points)
@@ -209,6 +215,10 @@ def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
         flag[rows] = True
         crit = np.flatnonzero(flag)
         inv = np.cumsum(flag)[rows] - 1
+        # each layer's input at the critical rows, recomputed from the points
+        ins = [x[crit]]
+        for w, b in layers[:-1]:
+            ins.append(lower(ins[-1], w, b))
         # each (cloud, feature) has its own (row, feature) slot
         gz = np.zeros((len(crit), pooled.shape[1]))
         g_top = g * (pooled > 0)
@@ -218,7 +228,7 @@ def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
         out = [None] * (2 * len(layers))
         out[-1] = g_top.sum(axis=0)
         for i in reversed(range(len(layers))):
-            a = acts[i][crit]
+            a = ins.pop()
             out[2 * i] = a.T @ gz
             if i:
                 # the relu mask, then the product masked in place: the

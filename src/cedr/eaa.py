@@ -91,8 +91,8 @@ def eaa_pair_weights(a: np.ndarray) -> np.ndarray:
     both pair sets: max(a_i, a_j) when neither sample is down-weighted
     (a >= 1), min(a_i, a_j) otherwise."""
     a = np.asarray(a, dtype=np.float64)
-    if (~(a > 0)).any():
-        raise ValueError("sample weights must be positive")
+    if (~((a > 0) & (a < np.inf))).any():
+        raise ValueError("sample weights must be positive and finite")
     w = np.maximum.outer(a, a)
     # the rows and columns of the few down-weighted samples take the min
     low = np.flatnonzero(a < 1)
@@ -111,11 +111,15 @@ def fuse_weights(cpcm: np.ndarray, eaa: np.ndarray,
 
     supervised_infonce divides each anchor's negative weights by their sum,
     so the 1/sqrt(2) leaves training unchanged; it keeps the fused weights
-    on the scale of their inputs.
+    on the scale of their inputs. No input is written, and `cpcm` is freed
+    once squared if the caller holds no other reference to it.
     """
     if cpcm.shape != eaa.shape:
         raise ValueError(f"pair sets differ: {cpcm.shape} vs {eaa.shape}")
     # compared as the smallest unsigned type that holds them (see supervised_infonce)
     small = labels.astype(np.min_scalar_type(labels.max()))
-    return np.where(small[:, None] != small,
-                    np.sqrt(cpcm**2 + eaa**2) / np.sqrt(2.0), eaa)
+    fused = np.square(cpcm)
+    del cpcm
+    fused += np.square(eaa)
+    np.divide(np.sqrt(fused, out=fused), np.sqrt(2.0), out=fused)
+    return np.where(small[:, None] != small, fused, eaa)

@@ -27,7 +27,8 @@ Without weights (the scc arm) no (batch, batch) weight array is built, and
 the loss has the bits of explicit unit weights. The Gram matrix z z^T is
 numpy's SYRK product. A GEMM against a contiguous z^T is faster at batch
 512, but under OpenBLAS 0.3.31 its last bits differ from SYRK's at most
-batch sizes that are not a multiple of 8.
+batch sizes that are not a multiple of 8. The forward weights the exponentials
+q of the negatives in place, and the vjp writes its gradient into q.
 
 Each loss is one tape node with a closed-form vjp. For upstream g:
 
@@ -106,7 +107,8 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     """Weighted supervised InfoNCE over a batch.
 
     weights: optional (batch, batch) pair weights (see .cpcm and .eaa), each
-    > 0 on its pair; None means all ones, and no weight array is built.
+    > 0 and finite on its pair and never written; None means all ones, and
+    no weight array is built.
     """
     z = batch.embeddings
     labels = batch.labels
@@ -120,21 +122,23 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     n_pos = counts - 1
     n_neg = b - counts
     valid = n_pos > 0
+    neg_w_sum = n_neg
 
     if weights is not None:
         w = np.asarray(weights, float)
         if w.shape != (b, b):
             raise ValueError(f"pair weights have shape {w.shape}, not {(b, b)}")
         # every off-diagonal pair is positive or negative; w > 0 is also
-        # False for NaN
-        ok = w > 0
+        # False for NaN, and q *= w below needs a finite weight
+        ok = (w > 0) & (w < np.inf)
         ok.flat[::b + 1] = True
         if not ok.all():
             i, j = np.argwhere(~ok)[0]
             kind = "positive" if same[i, j] else "negative"
-            raise ValueError(f"pair weight w[{i}, {j}] = {w[i, j]:g} on a "
-                             f"{kind} pair is not positive")
+            raise ValueError(f"pair weight w[{i}, {j}] = {w[i, j]:g} on a {kind} "
+                             f"pair is not {'finite' if w[i, j] > 0 else 'positive'}")
         del ok
+        neg_w_sum = np.where(same, 0.0, w).sum(axis=1)   # before s exists
     if not valid.any():
         return InfoNCEResult(mean=Tensor(0.0), per_anchor=np.zeros(b),
                              skipped_anchors=b)
@@ -157,24 +161,22 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
         a = np.log(w_p * n_pos[pi] / np.bincount(pi, w_p, b)[pi]) + a
         del w_p
 
-    # q is s in place, -inf off the negatives, so at most two b x b float
-    # arrays live beside the inputs; shift each anchor's logsumexp by its
-    # largest negative similarity (0 at an anchor without negatives, whose
-    # row stays -inf)
+    # q is s in place, -inf off the negatives, so one b x b float array
+    # lives beside the inputs; shift each anchor's logsumexp by its largest
+    # negative similarity (0 at an anchor without negatives, whose row stays
+    # -inf)
     q = s
     np.copyto(q, -np.inf, where=same)
     shift = q.max(axis=1)
     has_neg = n_neg > 0
     q -= np.where(has_neg, shift, 0.0)[:, None]
     np.exp(q, out=q)
-    if weights is None:
-        neg_w_sum = n_neg
-    else:
-        # where, not a product: a NaN off the negatives (the diagonal) stays out
-        neg_w = np.where(same, 0.0, w)
-        q *= neg_w
-        neg_w_sum = neg_w.sum(axis=1)
-        del neg_w
+    if weights is not None:
+        # q is +0 off the negatives and w finite on the positives, so they
+        # stay +0; the diagonal, where w may be anything, is reset
+        with np.errstate(invalid="ignore"):
+            q *= w
+        q.flat[::b + 1] = 0.0
     q_sum = np.where(has_neg, q.sum(axis=1), 1.0)
     # lse_i = log(|N_i| S_i), -inf at the anchors without negatives
     lse = shift + np.log(n_neg * q_sum / np.where(has_neg, neg_w_sum, 1.0),
@@ -188,10 +190,10 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
 
     def vjp(g):
         c = g / (n_valid * n_pos[pi])
-        # q / q_sum is the softmax over each anchor's negatives
-        grad_sims = q * (np.bincount(pi, c * (1.0 - rho), b) / q_sum)[:, None]
-        np.add.at(grad_sims.ravel(), pos, c * (rho - 1.0))
-        return ((grad_sims + grad_sims.T) @ zv * inv_tau,)
+        # q / q_sum is the softmax over each anchor's negatives; G goes into q
+        np.multiply(q, (np.bincount(pi, c * (1.0 - rho), b) / q_sum)[:, None], out=q)
+        np.add.at(q.ravel(), pos, c * (rho - 1.0))
+        return ((q + q.T) @ zv * inv_tau,)
 
     mean = Tensor(per_anchor.sum() * (1.0 / n_valid), (z,), vjp, "infonce")
     return InfoNCEResult(mean=mean, per_anchor=per_anchor,

@@ -77,13 +77,11 @@ def batch_weights(config: ExperimentConfig, probs: np.ndarray,
     if config.arm in ("ce_only", "scc"):
         return None
 
-    cpcm_w = None
     if config.arm in ("scc_cpcm", "full"):
         centers = cpcm.compute_centers(embeddings, labels, probs.shape[1])
         pair_w = cpcm.class_pair_weights(centers)
-        cpcm_w = cpcm.cpcm_negative_weights(labels, pair_w, config.cpcm_method)
         if config.arm == "scc_cpcm":
-            return cpcm_w
+            return cpcm.cpcm_negative_weights(labels, pair_w, config.cpcm_method)
 
     profile = eaa.classify_samples(probs, labels)
     a = eaa.sample_weight(profile, config.eaa_mode)
@@ -97,7 +95,8 @@ def batch_weights(config: ExperimentConfig, probs: np.ndarray,
     eaa_w = eaa.eaa_pair_weights(a)
     if config.arm == "scc_eaa":
         return eaa_w
-    return eaa.fuse_weights(cpcm_w, eaa_w, labels)
+    return eaa.fuse_weights(cpcm.cpcm_negative_weights(
+        labels, pair_w, config.cpcm_method), eaa_w, labels)
 
 
 def check_forward(out, where: str, ids) -> None:

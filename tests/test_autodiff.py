@@ -403,6 +403,24 @@ class TestPooledPointMLP:
         assert not w0[:, 1].any() and b0[1] == 0.0 and not w1[1].any()
         assert not w1[:, 2].any() and b1[2] == 0.0
 
+    # the pairs_wide shape, and two lower layers whose widths are multiples of 8
+    @pytest.mark.parametrize("batch, n_points, dims", [
+        (512, 32, [3, 32, 64]), (48, 40, [3, 16, 32, 24]), (6, 5, [3, 8, 12])])
+    def test_recomputed_rows_give_the_stored_rows_bits(self, batch, n_points, dims):
+        """The backward recomputes the lower layers on the critical rows; its
+        gradients have the bits of the vjp that gathered them from the
+        forward's own activations."""
+        rng = np.random.default_rng(batch)
+        points = rng.standard_normal((batch, n_points, 3))
+        arrays = random_layers(rng, dims)
+        up = rng.standard_normal((batch, dims[-1]))
+        layers = [(Parameter(w, f"w{k}"), Parameter(b, f"b{k}"))
+                  for k, (w, b) in enumerate(arrays)]
+        backward(weighted_sum(pooled_point_mlp(points, layers), up))
+        expect = stored_rows_grads(points, arrays, up)
+        for p, ref in zip([p for layer in layers for p in layer], expect):
+            assert p.grad.tobytes() == ref.tobytes(), p.name
+
     @pytest.mark.parametrize("constant", [0, 1])
     def test_constant_layer_gets_no_edge(self, constant):
         rng = np.random.default_rng(9)
@@ -418,6 +436,29 @@ class TestPooledPointMLP:
         expect = full_buffer_grads(points, arrays, up)[2 * (1 - constant):][:2]
         for p, ref in zip(trained, expect):
             assert np.abs(p.grad - ref).max() <= 1e-12 * np.abs(ref).max(), p.name
+
+
+def stored_rows_grads(points, arrays, up):
+    """The point-MLP vjp as it ran when the node kept the forward's hidden
+    activations: the same products, on critical rows gathered from them."""
+    batch, n_points, dim = points.shape
+    acts = [points.reshape(batch * n_points, dim)]
+    for w, b in arrays[:-1]:
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    pooled, first = top_layer_formula(points, arrays)
+    rows = first * (pooled > 0) + n_points * np.arange(batch)[:, None]
+    crit, inv = np.unique(rows, return_inverse=True)
+    gz = np.zeros((len(crit), pooled.shape[1]))
+    g_top = up * (pooled > 0)
+    gz[inv.reshape(rows.shape), np.arange(rows.shape[1])] = g_top
+    grads = [g_top.sum(axis=0)]
+    for i in reversed(range(len(arrays))):
+        a = acts[i][crit]
+        grads.insert(0, a.T @ gz)
+        if i:
+            gz = (gz @ arrays[i][0].T) * (a > 0)
+            grads.insert(0, gz.sum(axis=0))
+    return grads
 
 
 def top_layer_formula(points, arrays):

@@ -232,8 +232,9 @@ class TestPairSelect:
         assert np.array_equal(pw, expected)
 
     def test_nonpositive_rejected(self):
-        for a in ([0.0, 1.0], [1.0, np.nan, 0.5]):
-            with pytest.raises(ValueError, match="sample weights must be positive"):
+        for a in ([0.0, 1.0], [1.0, np.nan, 0.5], [1.0, np.inf]):
+            with pytest.raises(ValueError,
+                               match="sample weights must be positive and finite"):
                 eaa_pair_weights(np.array(a))
 
 
@@ -316,6 +317,21 @@ class TestFuse:
         fused = fuse_weights(a, b, np.arange(3))
         assert (fused >= np.minimum(a, b)).all()
         assert (fused <= np.maximum(a, b)).all()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+        arrays(np.float64, (n, n), elements=st.floats(1e-150, 1e150)),
+        arrays(np.float64, (n, n), elements=st.floats(1e-150, 1e150)),
+        arrays(np.int64, n, elements=st.integers(0, 3)))))
+    def test_bits_of_the_formula(self, drawn):
+        """The in-place mean has the bits of the formula as written, and
+        neither input is written."""
+        c, e, labels = drawn
+        c0, e0 = c.copy(), e.copy()
+        expected = np.where(labels[:, None] != labels,
+                            np.sqrt(c**2 + e**2) / np.sqrt(2.0), e)
+        assert fuse_weights(c, e, labels).tobytes() == expected.tobytes()
+        assert c.tobytes() == c0.tobytes() and e.tobytes() == e0.tobytes()
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError, match="pair sets"):

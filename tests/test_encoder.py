@@ -3,7 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cedr.autodiff import backward
+from cedr.data import PerturbationConfig, build_dataset, default_shape_specs
 from cedr.encoder import EncoderConfig, PointEncoder
+from cedr.losses import cross_entropy
 
 
 @pytest.fixture
@@ -73,6 +76,31 @@ class TestEncode:
             tracemalloc.stop()
         assert out.probs.shape == (8, 5)
         assert peak < 2 * layer_bytes, peak / layer_bytes
+
+    def test_tape_holds_no_hidden_activations(self):
+        # a pairs_wide-shaped batch (512 clouds of 32 points, hidden dims 32
+        # and 64), traced from before the forward: the tape keeps none of the
+        # per-point hidden activations, and the point-MLP vjp recomputes only
+        # their critical rows (about 60% of the rows here), so its peak holds
+        # those rows and the top layer's gradient rows, not the full array
+        split = build_dataset(default_shape_specs(), 128, 2, seed=0,
+                              perturb=PerturbationConfig.moderate(), n_points=32)
+        idx = np.random.default_rng(0).permutation(len(split.train.labels))[:512]
+        pts, labels = split.train.points[idx], split.train.labels[idx]
+        model = PointEncoder(EncoderConfig(num_classes=8, hidden_dims=[32, 64]))
+        hidden_bytes = 512 * 32 * 32 * 8
+        tracemalloc.start()
+        try:
+            loss = cross_entropy(model.encode(pts).probs, labels)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(model.params[0].grad).all()
+        assert held < 0.5 * hidden_bytes, held / hidden_bytes
+        assert peak < 3.0 * hidden_bytes, peak / hidden_bytes
 
     def test_config_ties_projection_to_global_dim(self):
         model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 7]))

@@ -198,7 +198,8 @@ class TestInfoNCE:
         assert np.array_equal(leaf.grad, np.zeros((3, 4)))
 
     # (0, 1) is a positive pair, read as w_pos, and (0, 2) a negative one
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    # an infinite weight passes w > 0 but would give a NaN loss
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     @pytest.mark.parametrize("pair, kind", [((0, 1), "positive"), ((0, 2), "negative")],
                              ids=["w_pos", "w_neg"])
     def test_nonpositive_weight_on_a_pair_rejected(self, pair, kind, bad):
@@ -207,15 +208,17 @@ class TestInfoNCE:
         w = np.ones((4, 4))
         w[pair] = bad
         message = f"pair weight w[{pair[0]}, {pair[1]}] = {bad:g} on a {kind} pair"
-        with pytest.raises(ValueError, match=re.escape(message) + " is not positive$"):
+        why = " is not finite$" if bad == np.inf else " is not positive$"
+        with pytest.raises(ValueError, match=re.escape(message) + why):
             supervised_infonce(ContrastiveBatch(z, labels), w)
 
     def test_weight_off_its_pair_set_ignored(self):
         z = unit_embeddings(np.random.default_rng(12), 4, 3)
         labels = np.array([0, 0, 1, 1])
         unit = supervised_infonce(ContrastiveBatch(z, labels))
-        # each diagonal entry is on neither pair set
-        for bad in (np.nan, -1.0):
+        # each diagonal entry is on neither pair set; an infinite one meets
+        # q's +0 there in q *= w, and the NaN product is reset
+        for bad in (np.nan, -1.0, np.inf):
             w = np.ones((4, 4))
             np.fill_diagonal(w, bad)
             result = supervised_infonce(ContrastiveBatch(z, labels), w)
@@ -327,15 +330,30 @@ class TestInfoNCE:
         fd = fd_gradient(value, z.copy())
         assert max_rel_err(leaf.grad, fd) < 1e-4
 
+    def test_weights_left_unchanged(self):
+        # q is weighted in place and the vjp writes into q, never into w
+        rng = np.random.default_rng(9)
+        labels = np.array([0, 0, 1, 1, 2, 2, 0])
+        z = Parameter(unit_embeddings(rng, 7, 3), "z")
+        w = rng.uniform(0.5, 1.5, (7, 7))
+        np.fill_diagonal(w, np.nan)
+        before = w.tobytes()
+        backward(supervised_infonce(ContrastiveBatch(z, labels, 0.5), w).mean)
+        assert w.tobytes() == before
+
+    @staticmethod
+    def wide_batch():
+        """b = 512 unit embeddings in 8 classes, with random pair weights."""
+        rng = np.random.default_rng(8)
+        z = Parameter(unit_embeddings(rng, 512, 64), "z")
+        return z, rng.integers(0, 8, 512), rng.uniform(0.5, 1.5, (512, 512))
+
     def test_forward_peaks_under_three_pair_arrays(self):
         # b = 512 with weights: beside its inputs, the forward holds the
-        # similarities turned into q in place, one b x b array of negative
-        # weights and small per-pair arrays, not 4.4 b x b arrays as before
-        rng = np.random.default_rng(8)
-        b = 512
-        z = Parameter(unit_embeddings(rng, b, 64), "z")
-        labels = rng.integers(0, 8, b)
-        w = rng.uniform(0.5, 1.5, (b, b))
+        # similarities turned into q and weighted in place, small per-pair
+        # arrays and, before q exists, the masked weights whose row sums it
+        # takes
+        z, labels, w = self.wide_batch()
         tracemalloc.start()
         try:
             result = supervised_infonce(ContrastiveBatch(z, labels, 0.5), w)
@@ -343,7 +361,21 @@ class TestInfoNCE:
         finally:
             tracemalloc.stop()
         assert np.isfinite(float(result.mean.values))
-        assert peak < 3 * w.nbytes
+        assert peak < 2.5 * w.nbytes
+
+    def test_backward_peaks_under_two_pair_arrays(self):
+        # b = 512: the vjp writes the similarity gradient into q, so beside
+        # what it is handed it holds one b x b array, G + G^T
+        z, labels, w = self.wide_batch()
+        loss = supervised_infonce(ContrastiveBatch(z, labels, 0.5), w).mean
+        tracemalloc.start()
+        try:
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(z.grad).all()
+        assert peak < 1.5 * w.nbytes
 
 
 class TestJointLoss:

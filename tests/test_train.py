@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from inspect import getclosurevars
 from pathlib import Path
@@ -363,6 +364,29 @@ class TestBatchWeights:
             assert f"batch sample {row} " in str(exc)
             return
         assert np.isfinite(w).all() and (w > 0).all()
+
+    @pytest.mark.parametrize("cpcm_method, eaa_mode",
+                             [("all_pairs", "varying"), ("nearest_only", "fixed")])
+    def test_full_arm_peaks_under_four_pair_arrays(self, cpcm_method, eaa_mode):
+        # b = 512: the mining weights are handed to fuse_weights, which frees
+        # them once squared and builds the mean in one array, so no more than
+        # three b x b float arrays are alive at once, beside small ones
+        rng = np.random.default_rng(5)
+        b = 512
+        z = rng.standard_normal((b, 64))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        raw = rng.uniform(0.05, 1.0, (b, 8))
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        labels = rng.permutation(np.arange(b) % 8)
+        config = small_config(cpcm_method=cpcm_method, eaa_mode=eaa_mode)
+        tracemalloc.start()
+        try:
+            w = batch_weights(config, probs, z, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.shape == (b, b)
+        assert peak < 3.5 * w.nbytes
 
     @pytest.mark.parametrize("arm", ["scc_eaa", "full"])
     def test_nan_attention_weight_raises(self, monkeypatch, arm):
