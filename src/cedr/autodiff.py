@@ -8,8 +8,8 @@ gradient per parent. Every input of an op is a parent, constants too; a
 constant leaf is handed its gradient and drops it. A tape is used once:
 `backward` takes each vjp off its node as it runs it, so the arrays it saved
 (a b x b InfoNCE softmax, input points) go then. The ops below are the dense
-layer, the per-point MLP and max pool together (its top layer is laid out as
-(clouds, width, points) and built in chunks of clouds, one argmax finds each
+layer, the per-point MLP and max pool together (built one chunk of clouds at a
+time, its top layer laid out as (clouds, width, points); one argmax finds each
 cloud's first maximum per feature, and the backward recomputes the lower layers
 at those critical points only), the row softmax and the row l2-normalisation.
 The losses in `cedr.losses` build their own one-node ops the same way.
@@ -142,20 +142,24 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
                                       / norm,), "l2_normalize")
 
 
-# point rows (clouds x points) per chunk: an evaluation forward encodes one
-# chunk of clouds at a time, and the top point layer of a wider batch builds
-# its (clouds, width, points) buffer one chunk at a time; 8192 was the fastest
-# budget in the sweep that CHANGES.md records with chunked evaluation
+# point rows (clouds x points) per chunk: the per-point MLP builds every layer
+# one chunk of clouds at a time, for a training batch or an evaluation split;
+# 8192 was the fastest budget in the sweep that CHANGES.md records with
+# chunked evaluation
 CHUNK_ROWS = 8192
 
 
 def chunk_bounds(n_clouds: int, n_points: int) -> list[int]:
     """Bounds of consecutive chunks of whole clouds, each of at most
-    CHUNK_ROWS point rows but never fewer than 2 clouds. A trailing single
-    cloud joins the chunk before it, so no chunk of a larger batch holds one
-    cloud alone: a one-row matmul takes another BLAS path than a many-row
-    one, and its last bits differ."""
+    CHUNK_ROWS point rows but never fewer than 2 clouds. With an odd
+    `n_points` the step is an even count of clouds, so only the last chunk
+    may hold an odd count of rows, as the whole batch may: under OpenBLAS's
+    Haswell, Zen and Prescott kernels the last row of an odd-row product with
+    8 or more inputs has other last bits. A trailing single cloud joins the
+    chunk before it, which now matters only for one-point clouds: a one-row
+    matmul takes another BLAS path."""
     step = max(2, CHUNK_ROWS // max(n_points, 1))
+    step -= step % 2 * (n_points % 2)
     bounds = list(range(0, n_clouds, step)) + [n_clouds]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
@@ -166,11 +170,10 @@ def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
     """A shared per-point MLP over (batch, n_points, dim) clouds, then the max
     over each cloud's points, as one `point_mlp` node with a (batch, width)
     result; points are data and get no gradient. Each lower `(w, b)` of
-    `layers` is relu(h @ w + b) per point. The top layer is a batched matmul
-    laid out as (clouds, width, n_points), contiguous along the points, run
-    over the chunks of `chunk_bounds`, so one chunk's buffer is alive at a
-    time and not the whole batch's. numpy runs one BLAS product per cloud of
-    a batched matmul, so the chunks give the bits of one whole-batch product.
+    `layers` is relu(h @ w + b) per point; the top layer is a batched matmul
+    laid out as (clouds, width, n_points), contiguous along the points, and
+    numpy runs one BLAS product per cloud of it. Every layer is built over the
+    chunks of `chunk_bounds`, one chunk's activations alive at a time.
     The top layer is pooled before its bias and relu, relu(max_p (h @ w)_p + b),
     which gives the same bits because fl(x + b) and relu never decrease as x
     grows. One argmax over the points finds each (cloud, feature)'s critical
@@ -179,11 +182,12 @@ def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
     where relu zeroes the feature at every point (it carries no gradient).
     So where fl(h_p + b) ties for unequal h_p, the larger h_p gets the
     gradient. The node keeps no hidden activations: the backward recomputes
-    the lower layers on the critical rows, with the forward's bits wherever
-    OpenBLAS gives a row the same bits in any two or more rows (3 inputs, or
-    a width that is a multiple of 8). With one point per cloud the batched
-    matmul is a BLAS matrix-vector product per cloud, whose last bits may
-    differ from those of one (batch, width) matrix product."""
+    the lower layers on the critical rows. The chunks and the recompute give
+    the bits of one whole-batch forward wherever OpenBLAS gives a row the same
+    bits in any product of two or more rows (3 inputs, or a width that is a
+    multiple of 8; `chunk_bounds` tells of odd rows). With one point per
+    cloud the batched matmul is a BLAS matrix-vector product per cloud, whose
+    last bits may differ from those of one (batch, width) matrix product."""
     batch, n_points, dim = points.shape
 
     def lower(h, w, b):   # relu(h @ w + b), the same ops forward and backward
@@ -191,20 +195,21 @@ def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
         out += b.values
         return np.maximum(out, 0.0, out=out)
 
-    x = h = points.reshape(batch * n_points, dim)
-    for w, b in layers[:-1]:
-        h = lower(h, w, b)
+    x = points.reshape(batch * n_points, dim)
     w_top, b_top = layers[-1]
-    h = h.reshape(batch, n_points, -1).transpose(0, 2, 1)
     first = np.empty((batch, w_top.shape[1]), dtype=np.intp)
     top = np.empty(first.shape)
     bounds = chunk_bounds(batch, n_points)
     for lo, hi in zip(bounds, bounds[1:]):
-        per_cloud = np.matmul(w_top.values.T, h[lo:hi])
+        h = x[lo * n_points:hi * n_points]
+        for w, b in layers[:-1]:
+            h = lower(h, w, b)
+        per_cloud = np.matmul(w_top.values.T,
+                              h.reshape(hi - lo, n_points, -1).transpose(0, 2, 1))
         first[lo:hi] = per_cloud.argmax(axis=2)
         top[lo:hi] = np.take_along_axis(per_cloud, first[lo:hi, :, None], 2)[..., 0]
-        # one chunk's buffer at a time
-        del per_cloud
+        # one chunk's buffers at a time
+        del h, per_cloud
     pooled = np.maximum(top + b_top.values, 0.0)
 
     def vjp(g):

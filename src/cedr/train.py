@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import cpcm, eaa
-from .autodiff import backward, chunk_bounds
+from .autodiff import backward
 from .config import ARMS, ExperimentConfig
 from .data import Clouds, DatasetSplit, stack_points
 from .encoder import EncoderConfig, PointEncoder
@@ -116,22 +116,16 @@ def check_forward(out, where: str, ids) -> None:
 
 def encode_split(model: PointEncoder, points: np.ndarray,
                  where: str) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities and embeddings of a stacked split, encoded chunk by
-    chunk (`autodiff.chunk_bounds`) and checked under the split's own sample
-    indices. Each chunk's tape is dropped before the next forward. No chunk
-    of a larger split holds a single cloud, so the results equal one
-    whole-split forward bit for bit."""
-    bounds = chunk_bounds(len(points), points.shape[1])
-    probs, embeddings = [], []
-    for lo, hi in zip(bounds, bounds[1:]):
-        # an overflow ends in a NumericFailure that names it, not in a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = model.encode(points[lo:hi])
-        check_forward(out, where, range(lo, hi))
-        probs.append(out.probs.values)
-        embeddings.append(out.embeddings.values)
-        del out
-    return np.concatenate(probs), np.concatenate(embeddings)
+    """Probabilities and embeddings of a stacked split from one forward,
+    checked under the split's own sample indices. The per-point MLP builds
+    its layers one chunk of clouds at a time (`autodiff.chunk_bounds`) and the
+    heads run once over the split, so the results are one whole-split
+    forward's bits by construction."""
+    # an overflow ends in a NumericFailure that names it, not in a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = model.encode(points)
+    check_forward(out, where, range(len(points)))
+    return out.probs.values, out.embeddings.values
 
 
 def evaluate_model(model: PointEncoder, clouds: Clouds, epoch: int) -> EvalReport:

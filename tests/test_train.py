@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import cedr
 from cedr import cpcm, eaa
-from cedr.autodiff import backward, pooled_point_mlp
+from cedr.autodiff import backward, chunk_bounds, pooled_point_mlp
 from cedr.config import ExperimentConfig
-from cedr.data import build_dataset, default_shape_specs, stack_points
+from cedr.data import build_dataset, default_shape_specs
 from cedr.eaa import shannon_entropy
 from cedr.encoder import EncoderConfig, PointEncoder
 from cedr.losses import supervised_infonce
@@ -101,7 +101,8 @@ class TestTrainLoop:
 
         before = split_bytes()
         train(small_config(arm="full", epochs=2), split)
-        # 3 clouds a chunk, each chunk a view of the test split's points
+        # 3 clouds a chunk of the per-point MLP, each a view of the test
+        # split's points
         chunk_rows(3 * 64)
         model = PointEncoder(EncoderConfig(num_classes=8, hidden_dims=[8, 16]))
         encode_split(model, split.test.points, "test sample")
@@ -182,12 +183,16 @@ class TestTrainLoop:
 
         def tracked(self, points):
             assert all(ref() is None for ref in inputs)
-            inputs.append(weakref.ref(points))
+            # an evaluation encodes the test split's own array, which the
+            # dataset holds
+            if points is not tiny_dataset.test.points:
+                inputs.append(weakref.ref(points))
             return encode(self, points)
 
         monkeypatch.setattr(PointEncoder, "encode", tracked)
         train(small_config(epochs=2), tiny_dataset)
-        assert len(inputs) > 4
+        # 48 clouds in batches of 16, over 2 epochs
+        assert len(inputs) == 6
 
     def test_wall_time_excluded_from_canonical_bytes(self, tiny_dataset):
         record, _ = train(small_config(epochs=0), tiny_dataset)
@@ -209,7 +214,7 @@ class TestTrainLoop:
 
 class TestEncodeSplit:
     @pytest.fixture
-    def chunk_sizes(self, monkeypatch):
+    def encode_sizes(self, monkeypatch):
         """The cloud count of every `encode` call."""
         sizes = []
         encode = PointEncoder.encode
@@ -222,50 +227,33 @@ class TestEncodeSplit:
         return sizes
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    # 7, 13 and 9 clouds leave a trailing single cloud at most of the budgets
+    # 7, 13, 9 and 11 clouds leave a trailing single cloud at most of the
+    # budgets; 33 and 5 points put odd row counts in the lower layers, and the
+    # last shape has three hidden layers
     @pytest.mark.parametrize("n_clouds, n_points, hidden", [
-        (7, 32, [8, 16]), (13, 64, [16, 32]), (9, 128, [32, 64])])
+        (7, 32, [8, 16]), (13, 64, [16, 32]), (9, 128, [32, 64]),
+        (11, 33, [16, 32]), (9, 5, [8, 12, 16])])
     # the budget in clouds: half a cloud and one cloud still give 2 a chunk
     @pytest.mark.parametrize("clouds", [0.5, 1, 3, 4, 100])
     def test_chunks_equal_one_whole_split_forward(self, chunk_rows,
-                                                  chunk_sizes, seed, n_clouds,
+                                                  encode_sizes, seed, n_clouds,
                                                   n_points, hidden, clouds):
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((n_clouds, n_points, 3)) * rng.uniform(0.5, 2.0)
         model = PointEncoder(EncoderConfig(num_classes=4, hidden_dims=hidden),
                              seed=seed)
         whole = model.encode(pts)
-        chunk_sizes.clear()
+        encode_sizes.clear()
         chunk_rows(int(clouds * n_points))
         probs, emb = encode_split(model, pts, "test sample")
         assert np.array_equal(probs, whole.probs.values)
         assert np.array_equal(emb, whole.embeddings.values)
-        # full chunks, then a last one that took in a trailing single cloud
-        step = max(2, int(clouds))
-        *full, last = chunk_sizes
-        assert full == [step] * len(full) and 2 <= last <= step + 1
-        assert sum(chunk_sizes) == n_clouds
-        assert len(chunk_sizes) > 1 or clouds == 100
-
-    def test_chunk_graph_freed_before_next_forward(self, tiny_dataset,
-                                                   monkeypatch, chunk_rows):
-        # a chunk is a view of the whole split, so each forward gets an input
-        # of its own; the per-point buffers on the chunk's tape hold it
-        inputs = []
-        encode = PointEncoder.encode
-
-        def tracked(self, points):
-            assert all(ref() is None for ref in inputs)
-            points = points.copy()
-            inputs.append(weakref.ref(points))
-            return encode(self, points)
-
-        monkeypatch.setattr(PointEncoder, "encode", tracked)
-        chunk_rows(3 * 64)
-        model = PointEncoder(EncoderConfig(num_classes=8, hidden_dims=[8, 16]))
-        pts, _ = stack_points(tiny_dataset.test)
-        encode_split(model, pts, "test sample")
-        assert len(inputs) >= 3
+        # one forward; its per-point MLP runs in chunks of even row counts,
+        # then a last one that may take in a trailing single cloud
+        assert encode_sizes == [n_clouds]
+        rows = np.diff(chunk_bounds(n_clouds, n_points)) * n_points
+        assert (len(rows) > 1) == (clouds < 100)
+        assert not (rows[:-1] % 2).any()
 
 
 class TestBatchWeights:
