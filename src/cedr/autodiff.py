@@ -143,15 +143,18 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
 
 
 # point rows (clouds x points) per chunk: the per-point MLP builds every layer
-# one chunk of clouds at a time, for a training batch or an evaluation split;
-# 8192 was the fastest budget in the sweep that CHANGES.md records with
-# chunked evaluation
-CHUNK_ROWS = 8192
+# one chunk of clouds at a time, for a training batch or an evaluation split.
+# At width 128 a chunk of 1024 rows holds a 1 MiB top layer and 0.5 MiB of
+# lower activations, which fit a 2 MiB L2 cache; in the sweep that CHANGES.md
+# records, the lower layers and the argmax ran faster there than in the 8 and
+# 4 MiB of an 8192-row chunk
+CHUNK_ROWS = 1024
 
 
 def chunk_bounds(n_clouds: int, n_points: int) -> list[int]:
     """Bounds of consecutive chunks of whole clouds, each of at most
-    CHUNK_ROWS point rows but never fewer than 2 clouds. With an odd
+    CHUNK_ROWS point rows but never fewer than 2 clouds: 4 clouds of 256
+    points, 8 of 128 or 32 of 32 at the shipped shapes. With an odd
     `n_points` the step is an even count of clouds, so only the last chunk
     may hold an odd count of rows, as the whole batch may: under OpenBLAS's
     Haswell, Zen and Prescott kernels the last row of an odd-row product with
@@ -173,7 +176,8 @@ def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
     `layers` is relu(h @ w + b) per point; the top layer is a batched matmul
     laid out as (clouds, width, n_points), contiguous along the points, and
     numpy runs one BLAS product per cloud of it. Every layer is built over the
-    chunks of `chunk_bounds`, one chunk's activations alive at a time.
+    chunks of `chunk_bounds`, one chunk's activations alive at a time, few
+    enough to fit in cache (`CHUNK_ROWS`).
     The top layer is pooled before its bias and relu, relu(max_p (h @ w)_p + b),
     which gives the same bits because fl(x + b) and relu never decrease as x
     grows. One argmax over the points finds each (cloud, feature)'s critical
@@ -206,7 +210,7 @@ def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
             h = lower(h, w, b)
         per_cloud = np.matmul(w_top.values.T,
                               h.reshape(hi - lo, n_points, -1).transpose(0, 2, 1))
-        first[lo:hi] = per_cloud.argmax(axis=2)
+        per_cloud.argmax(axis=2, out=first[lo:hi])
         top[lo:hi] = np.take_along_axis(per_cloud, first[lo:hi, :, None], 2)[..., 0]
         # one chunk's buffers at a time
         del h, per_cloud

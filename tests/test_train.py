@@ -255,6 +255,38 @@ class TestEncodeSplit:
         assert (len(rows) > 1) == (clouds < 100)
         assert not (rows[:-1] % 2).any()
 
+    def test_default_budget_keeps_a_chunk_in_cache(self):
+        # the budget's reason: at every shipped shape (an evaluation split of
+        # 256-point clouds at width 128, training batches at width 64) one
+        # chunk's (clouds, width, points) top layer is at most 1 MiB, half of
+        # a 2 MiB L2 cache
+        for n_clouds, n_points, width in [(160, 256, 128), (32, 128, 64),
+                                          (128, 128, 64), (512, 32, 64)]:
+            clouds = max(np.diff(chunk_bounds(n_clouds, n_points)))
+            assert clouds * width * n_points * 8 <= 2**20
+        # so an eval_cli-shaped split's forward holds one such chunk, not the
+        # 12 MiB of a chunk of 8192 rows
+        model = PointEncoder(EncoderConfig(num_classes=8, hidden_dims=[64, 128]))
+        pts = np.random.default_rng(0).standard_normal((160, 256, 3))
+        tracemalloc.start()
+        try:
+            probs, _ = encode_split(model, pts, "test sample")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (160, 8)
+        assert peak < 3 * 2**20, peak / 2**20
+
+    def test_zero_clouds_give_empty_outputs(self):
+        model = PointEncoder(EncoderConfig(num_classes=5, hidden_dims=[8, 12]))
+        pts = np.zeros((0, 16, 3))
+        out = model.encode(pts)
+        probs, emb = encode_split(model, pts, "test sample")
+        for got in (out.probs.values, probs):
+            assert got.shape == (0, 5)
+        for got in (out.embeddings.values, emb):
+            assert got.shape == (0, 12)
+
 
 class TestBatchWeights:
     def setup_batch(self):
