@@ -72,26 +72,25 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _load_experiment(args) -> ExperimentConfig:
+def _load_experiment(args, own: dict[str, str]) -> ExperimentConfig:
+    """The config file, then the --set options. `own` maps each key the
+    command sets itself to the reason a --set of it is refused; train sets
+    those keys from its option of the same name."""
     config = load_config(args.config) if args.config else ExperimentConfig()
     overrides = {}
     for kv in args.set or []:
         key, eq, raw = kv.partition("=")
+        name = field_name(key.strip())
+        if name in own:
+            raise ConfigError(f"config key '{key}' {own[name]}")
         if not eq:
             raise ConfigError(f"config key '{key}': --set expects KEY=VALUE")
         if any(field_name(k) == field_name(key) for k in overrides):
             raise ConfigError(f"config key '{key}' is set twice by --set")
         overrides[key] = raw
-    # train's --arm and --seed; a key given both ways is refused, not overridden
-    for name in ("arm", "seed"):
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        for key in overrides:
-            if field_name(key) == name:
-                raise ConfigError(f"config key '{key}' is set by both "
-                                  f"--set and --{name}")
-        overrides[name] = str(value)
+    for name in own:
+        if getattr(args, name, None) is not None:
+            overrides[name] = str(getattr(args, name))
     apply_overrides(config, overrides)
     return config.validate()
 
@@ -152,7 +151,9 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_experiment(args)
+    config = _load_experiment(args, {
+        name: f"is set by both --set and --{name}"
+        for name in ("arm", "seed") if getattr(args, name) is not None})
     dataset = read_dataset(config.data)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -168,17 +169,12 @@ def cmd_train(args) -> int:
 def cmd_ablate(args) -> int:
     # each run's seed comes from --seeds, and its arm from the arm list unless
     # --lambda-grid is given; a --set of either would be overridden silently
-    for kv in args.set or []:
-        key = kv.partition("=")[0]
-        name = field_name(key.strip())
-        if name == "seed":
-            raise ConfigError(f"config key '{key}' cannot be set for ablate; "
-                              "pick the seeds with --seeds")
-        if name == "arm" and not args.lambda_grid:
-            raise ConfigError(f"config key '{key}' cannot be set for ablate, "
-                              "which trains every arm; add --lambda-grid to "
-                              "sweep the balance coefficient on one arm")
-    config = _load_experiment(args)
+    own = {"seed": "cannot be set for ablate; pick the seeds with --seeds"}
+    if not args.lambda_grid:
+        own["arm"] = ("cannot be set for ablate, which trains every arm; add "
+                      "--lambda-grid to sweep the balance coefficient on one "
+                      "arm")
+    config = _load_experiment(args, own)
     seeds = _parse_seeds(args.seeds)
     dataset = read_dataset(config.data)
     progress = (lambda row: print(

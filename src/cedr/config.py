@@ -89,30 +89,24 @@ class ExperimentConfig:
         return self.lam + (self.lambda_end - self.lam) * t
 
 
-def _coerce(raw: str, kind):
-    raw = raw.strip()
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    if kind == list[int] or kind is list:
-        return [int(x) for x in raw.replace(",", " ").split()]
-    return raw
+# how a file or --set value is read, by its field's annotation, which is a
+# string under `from __future__ import annotations`
+PARSE = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "list[int]": lambda raw: [int(x) for x in raw.replace(",", " ").split()],
+}
 
 
 def apply_overrides(config: ExperimentConfig, pairs: dict[str, str]) -> ExperimentConfig:
     types = {f.name: f.type for f in fields(config)}
-    pythonic = {"list[int]": list[int], "str": str, "int": int,
-                "float": float}
     for key, raw in pairs.items():
         name = field_name(key)
         if name not in types:
             raise ConfigError(f"unknown config key '{key}'")
-        kind = types[name]
-        if isinstance(kind, str):
-            kind = pythonic.get(kind, str)
         try:
-            value = _coerce(raw, kind)
+            value = PARSE[types[name]](raw.strip())
         except ValueError as exc:
             raise ConfigError(f"config key '{key}': {exc}") from None
         setattr(config, name, value)

@@ -1,9 +1,9 @@
-"""SGD with momentum, decoupled L2 weight decay, and cosine-annealed lr."""
+"""SGD with momentum and decoupled L2 weight decay; the cosine lr schedule."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,33 +21,33 @@ def cosine_lr(epoch: int, total_epochs: int, lr_max: float = 0.1,
 
 @dataclass
 class SGDMomentum:
+    """On construction the parameters' values and grads move into one flat
+    array each, beside one flat `velocity`, and every `Parameter`'s `values`
+    and `grad` become views of them: a step is a few whole-array ops, and a
+    parameter written in place (`PointEncoder.load_state`) writes them."""
+
     params: list[Parameter]
-    total_epochs: int
-    lr_max: float = 0.1
-    lr_min: float = 0.001
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    epoch: int = 0
-    buffers: dict[str, np.ndarray] = field(default_factory=dict)
+    momentum: float
+    weight_decay: float
 
     def __post_init__(self):
-        for p in self.params:
-            self.buffers.setdefault(p.name, np.zeros_like(p.values))
+        self.values = np.concatenate([p.values.ravel() for p in self.params])
+        self.grad = np.concatenate([p.grad.ravel() for p in self.params])
+        self.velocity = np.zeros_like(self.values)
+        self.ends = np.cumsum([p.values.size for p in self.params])
+        for p, v, g in zip(self.params, np.split(self.values, self.ends[:-1]),
+                           np.split(self.grad, self.ends[:-1])):
+            p.values, p.grad = v.reshape(p.shape), g.reshape(p.shape)
 
-    @property
-    def lr(self) -> float:
-        return cosine_lr(self.epoch, self.total_epochs, self.lr_max, self.lr_min)
-
-    def step(self):
-        lr = self.lr
-        for p in self.params:
-            v = self.buffers[p.name]
-            v *= self.momentum
-            v += p.grad + self.weight_decay * p.values
-            p.values -= lr * v
-            if not np.isfinite(p.values).all():
-                raise FloatingPointError(f"non-finite values in parameter '{p.name}'")
+    def step(self, lr: float):
+        self.velocity *= self.momentum
+        self.velocity += self.grad + self.weight_decay * self.values
+        self.values -= lr * self.velocity
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            bad = np.searchsorted(self.ends, finite.argmin(), side="right")
+            raise FloatingPointError(
+                f"non-finite values in parameter '{self.params[bad].name}'")
 
     def zero_grad(self):
-        for p in self.params:
-            p.grad[...] = 0.0
+        self.grad.fill(0.0)

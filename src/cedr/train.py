@@ -21,7 +21,7 @@ from .losses import (
     supervised_infonce,
 )
 from .metrics import EvalReport, evaluate
-from .optim import SGDMomentum
+from .optim import SGDMomentum, cosine_lr
 
 
 class NumericFailure(RuntimeError):
@@ -146,9 +146,7 @@ def train(config: ExperimentConfig,
     enc_config = EncoderConfig(num_classes=num_classes,
                                hidden_dims=list(config.hidden_dims))
     model = PointEncoder(enc_config, seed=config.seed)
-    opt = SGDMomentum(model.params, total_epochs=config.epochs,
-                      lr_max=config.lr_max, lr_min=config.lr_min,
-                      momentum=config.momentum, weight_decay=config.weight_decay)
+    opt = SGDMomentum(model.params, config.momentum, config.weight_decay)
 
     train_pts, train_labels = stack_points(dataset.train)
     record = RunRecord(config=json.loads(json.dumps(asdict(config),
@@ -156,14 +154,14 @@ def train(config: ExperimentConfig,
 
     report = evaluate_model(model, dataset.test, -1)
     record.epochs.append(EpochRecord(
-        epoch=-1, lr=opt.lr, lam=config.lam_at(0), ce=None, nce=None,
-        total=None, skipped_anchors=0,
+        epoch=-1, lr=cosine_lr(0, config.epochs, config.lr_max, config.lr_min),
+        lam=config.lam_at(0), ce=None, nce=None, total=None, skipped_anchors=0,
         overall_acc=report.overall_acc, avg_class_acc=report.avg_class_acc,
         macro_f1=report.macro_f1))
 
     n = len(train_labels)
     for epoch in range(config.epochs):
-        opt.epoch = epoch
+        lr = cosine_lr(epoch, config.epochs, config.lr_max, config.lr_min)
         lam = config.lam_at(epoch)
         order = np.random.default_rng(
             np.random.SeedSequence((config.seed, epoch))).permutation(n)
@@ -193,7 +191,7 @@ def train(config: ExperimentConfig,
                     total = joint_loss(ce, nce, lam)
                 opt.zero_grad()
                 backward(total)
-                opt.step()
+                opt.step(lr)
             sums["ce"] += float(ce.values)
             sums["total"] += float(total.values)
             if nce is not None:
@@ -203,7 +201,7 @@ def train(config: ExperimentConfig,
 
         report = evaluate_model(model, dataset.test, epoch)
         record.epochs.append(EpochRecord(
-            epoch=epoch, lr=opt.lr, lam=lam,
+            epoch=epoch, lr=lr, lam=lam,
             ce=sums["ce"] / max(n_batches, 1),
             nce=sums["nce"] / max(n_batches, 1),
             total=sums["total"] / max(n_batches, 1),

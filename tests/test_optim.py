@@ -7,7 +7,10 @@ from cedr.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from cedr.config import ExperimentConfig
+from cedr.encoder import EncoderConfig, PointEncoder
 from cedr.optim import SGDMomentum, cosine_lr
+from cedr.train import train
 
 from conftest import weighted_sum
 
@@ -34,25 +37,25 @@ class TestCosineSchedule:
 class TestSGD:
     def test_momentum_update_formula(self):
         p = Parameter(np.array([1.0, -2.0]), "p")
-        opt = SGDMomentum([p], total_epochs=10, momentum=0.9, weight_decay=0.01)
+        opt = SGDMomentum([p], momentum=0.9, weight_decay=0.01)
+        lr = cosine_lr(0, 10)
         p.grad[...] = np.array([0.5, 0.5])
         v_expected = 0.9 * 0.0 + p.grad + 0.01 * p.values
-        expected = p.values - opt.lr * v_expected
-        opt.step()
+        expected = p.values - lr * v_expected
+        opt.step(lr)
         assert np.allclose(p.values, expected, atol=1e-15)
         # second step folds the buffer in
         prev = p.values.copy()
         p.grad[...] = np.array([0.1, 0.1])
         v_expected = 0.9 * v_expected + p.grad + 0.01 * prev
-        opt.step()
-        assert np.allclose(p.values, prev - opt.lr * v_expected, atol=1e-15)
+        opt.step(lr)
+        assert np.allclose(p.values, prev - lr * v_expected, atol=1e-15)
 
     def test_descends_convex_quadratic(self):
         # f(x) = 0.5 x^T A x with curvature <= 4; lr below 2/4 descends
         a = np.diag([4.0, 1.0, 0.25])
         x = Parameter(np.array([3.0, -2.0, 1.0]), "x")
-        opt = SGDMomentum([x], total_epochs=1000, lr_max=0.1, lr_min=0.1,
-                          momentum=0.0, weight_decay=0.0)
+        opt = SGDMomentum([x], momentum=0.0, weight_decay=0.0)
 
         def f():
             return 0.5 * x.values @ a @ x.values
@@ -60,17 +63,44 @@ class TestSGD:
         prev = f()
         for _ in range(50):
             x.grad[...] = a @ x.values
-            opt.step()
+            opt.step(0.1)
             cur = f()
             assert cur < prev
             prev = cur
 
     def test_rejects_nonfinite_result(self):
         p = Parameter(np.array([1.0]), "p")
-        opt = SGDMomentum([p], total_epochs=10)
+        opt = SGDMomentum([p], momentum=0.9, weight_decay=1e-4)
         p.grad[...] = np.array([np.inf])
         with pytest.raises(FloatingPointError, match="'p'"):
-            opt.step()
+            opt.step(cosine_lr(0, 10))
+
+    def test_names_the_first_non_finite_parameter(self):
+        params = [Parameter(np.ones((2, 3)), "a.w"), Parameter(np.ones(3), "a.b")]
+        opt = SGDMomentum(params, momentum=0.9, weight_decay=1e-4)
+        params[1].grad[2] = np.nan
+        with pytest.raises(FloatingPointError, match="'a.b'"):
+            opt.step(0.1)
+
+    def test_zero_grad_clears_every_parameter(self):
+        params = [Parameter(np.ones((2, 3)), "a.w"), Parameter(np.ones(3), "a.b")]
+        opt = SGDMomentum(params, momentum=0.9, weight_decay=1e-4)
+        for p in params:
+            p.grad[...] = 5.0
+        opt.zero_grad()
+        assert all(not p.grad.any() for p in params)
+
+    def test_parameters_are_views_of_the_flat_arrays(self):
+        model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
+        opt = SGDMomentum(model.params, momentum=0.9, weight_decay=1e-4)
+        other = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]),
+                             seed=1)
+        model.load_state({p.name: p.values for p in other.params})
+        for p, q in zip(model.params, other.params):
+            assert np.shares_memory(p.values, opt.values)
+            assert np.shares_memory(p.grad, opt.grad)
+            assert np.array_equal(p.values, q.values)
+        assert opt.values.size == sum(p.values.size for p in model.params)
 
 
 class TestCheckpoint:
@@ -83,6 +113,15 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert set(loaded) == {"a.w", "a.b"}
         for p in params:
+            assert np.array_equal(loaded[p.name], p.values)
+
+    def test_trained_model_roundtrip(self, tiny_dataset, tmp_path):
+        _, model = train(ExperimentConfig(epochs=1, batch_size=16,
+                                          hidden_dims=[4, 8]), tiny_dataset)
+        save_checkpoint(tmp_path / "m.ckpt", model.params)
+        loaded = load_checkpoint(tmp_path / "m.ckpt")
+        assert list(loaded) == [p.name for p in model.params]
+        for p in model.params:
             assert np.array_equal(loaded[p.name], p.values)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -116,8 +155,9 @@ class TestCheckpoint:
 
 def test_gradients_reach_optimizer_through_backward():
     p = Parameter(np.array([[2.0]]), "w")
-    opt = SGDMomentum([p], total_epochs=4, momentum=0.0, weight_decay=0.0)
+    opt = SGDMomentum([p], momentum=0.0, weight_decay=0.0)
     backward(weighted_sum(p, p.values.copy()))  # the gradient of 0.5 * p^2
     before = p.values.copy()
-    opt.step()
-    assert p.values[0, 0] == pytest.approx(before[0, 0] * (1 - opt.lr), rel=1e-12)
+    lr = cosine_lr(0, 4)
+    opt.step(lr)
+    assert p.values[0, 0] == pytest.approx(before[0, 0] * (1 - lr), rel=1e-12)
