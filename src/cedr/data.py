@@ -10,8 +10,8 @@ a spherical occlusion hole.
 Every sample draws its own generator from (seed, class, split, index), so
 generation order never affects the bytes. A split is one (clouds,
 points, 3) array, generated in chunks of GENERATE_CHUNK_ROWS point rows,
-each in two phases. Phase 1 loops over the chunk's clouds: each makes its
-draws in its stream's order and writes its surface points into its rows.
+each in two phases. Phase 1 makes each cloud's draws in its stream's order
+and writes each run of one spec's clouds with array ops over those draws.
 Phase 2 perturbs the chunk with array ops: translate, rotate, scale,
 clutter, the first occlusion centre. Only the occlusion's rare further
 centres and its refill draw per cloud, from that cloud's own stream. A
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -107,14 +107,14 @@ CONFUSABLE_PAIRS = [(2, 3), (4, 5)]
 
 
 # -- surface samplers ------------------------------------------------------
-# Each sampler writes its points into the rows of `out` (n x 3). Consecutive
-# uniform draws are one call: numpy's Generator.uniform(lo, hi) is
-# lo + (hi - lo) * random(), so one random(2 * k) split in two has the bits
-# of uniform(0, 1, k) followed by uniform(0, 2 pi, k).
+# Each sampler writes a run, consecutive clouds of one spec, into `out`
+# (clouds x n x 3) from (clouds, 1) size columns: one call per cloud and draw,
+# in one cloud's stream order, then array ops with one cloud's float ops. As
+# Generator.uniform(lo, hi) is lo + (hi - lo) * random(), one random(2 * k)
+# split in two has the bits of uniform(0, 1, k), then uniform(0, 2 pi, k).
 
-BOX_FACES = ("x-", "x+", "y-", "y+", "z-", "z+")
-FREE_AXES = (slice(1, 3), slice(0, 3, 2), slice(0, 2))  # the two axes along a face
 SLAB_T = 0.06   # table slab thickness
+LEG_CORNERS = np.array([(-1, -1), (-1, 1), (1, -1), (1, 1)])
 
 
 def _uniform(lo, hi, u):
@@ -124,117 +124,121 @@ def _uniform(lo, hi, u):
     return lo + (hi - lo) * u
 
 
-def _split_draws(rng, counts):
-    """One random() call cut into consecutive pieces of the given lengths."""
-    u = rng.random(sum(counts))
-    return [u[end - k:end] for k, end in zip(counts, accumulate(counts))]
+def _segments(counts):
+    """Each row's segment and that segment's first row, as (clouds, n)
+    arrays, for rows cut into consecutive segments of (clouds, s) counts."""
+    seg = np.repeat(np.tile(np.arange(counts.shape[1]), len(counts)),
+                    counts.ravel()).reshape(len(counts), -1)
+    return seg, np.take_along_axis(counts.cumsum(axis=1) - counts, seg, axis=1)
 
 
-def _sample_box_faces(rng, out, w, d, h, faces=BOX_FACES):
-    dims = np.array([w, d, h])
-    areas = {"x": d * h, "y": w * h, "z": w * d}
-    weights = np.array([areas[f[0]] for f in faces])
-    counts = rng.multinomial(len(out), weights / weights.sum())
-    u = rng.uniform(-0.5, 0.5, size=(len(out), 2))
-    start = 0
-    for face, k in zip(faces, counts):
-        axis = "xyz".index(face[0])
-        free = FREE_AXES[axis]
-        rows = slice(start, start + k)
-        out[rows, axis] = (1.0 if face[1] == "+" else -1.0) * dims[axis] / 2
-        out[rows, free] = u[rows] * dims[free]
-        start += k
+def _segment_draws(rngs, counts):
+    """Each row's segment and its two draws from one random() per cloud, in
+    which each segment draws its rows' first values, then their second."""
+    seg, first = _segments(counts)
+    u = np.array([rng.random(2 * seg.shape[1]) for rng in rngs])
+    i = first + np.arange(seg.shape[1])
+    return seg, np.take_along_axis(u, i, axis=1), np.take_along_axis(
+        u, i + np.take_along_axis(counts, seg, axis=1), axis=1)
+
+
+def _sample_box_faces(rngs, out, w, d, h, n_faces=6):
+    """Faces x-, x+, y-, y+, z-, z+ (the first n_faces) of centred boxes."""
+    areas = np.concatenate([d * h, d * h, w * h, w * h, w * d, w * d],
+                           axis=1)[:, :n_faces]
+    n = out.shape[1]
+    counts = np.array([rng.multinomial(n, p) for rng, p in
+                       zip(rngs, areas / areas.sum(axis=1, keepdims=True))])
+    u = np.array([rng.uniform(-0.5, 0.5, size=(n, 2)) for rng in rngs])
+    face, _ = _segments(counts)
+    axis, xyz = (face // 2)[..., None], np.arange(3)
+    # a face's two free axes take u's two columns, in axis order
+    free = np.take_along_axis(u, np.minimum(xyz - (xyz > axis), 1), axis=2)
+    sign, dims = np.where(face % 2, 1.0, -1.0)[..., None], np.stack([w, d, h], 2)
+    out[:] = np.where(xyz == axis, sign * dims / 2, free * dims)
 
 
 def _polar(out, rad, theta, z):
-    out[:, 0] = rad * np.cos(theta)
-    out[:, 1] = rad * np.sin(theta)
-    out[:, 2] = z
+    out[..., 0] = rad * np.cos(theta)
+    out[..., 1] = rad * np.sin(theta)
+    out[..., 2] = z
 
 
-def _lateral(out, t, theta, r_bottom, r_top, h):
-    """Lateral surface of a frustum from z=-h/2 to z=h/2, at heights t in
-    [0, 1) and angles theta."""
-    _polar(out, r_bottom + (r_top - r_bottom) * t, theta, (t - 0.5) * h)
-
-
-def _slab_on_legs(rng, out, w, d, h):
+def _slab_on_legs(rngs, out, w, d, h):
     leg_r = 0.035
-    n = len(out)
+    n = out.shape[1]
     n_slab = int(0.55 * n)
-    slab, legs = out[:n_slab], out[n_slab:]
-    _sample_box_faces(rng, slab, w, d, SLAB_T)
-    slab[:, 2] += h - SLAB_T / 2
+    slab, legs = out[:, :n_slab], out[:, n_slab:]
+    _sample_box_faces(rngs, slab, w, d, np.full_like(h, SLAB_T))
+    slab[..., 2] += h - SLAB_T / 2
     leg_h = h - SLAB_T
-    counts = rng.multinomial(n - n_slab, np.full(4, 0.25))
-    # each leg draws its heights, then its angles
-    draws = _split_draws(rng, np.repeat(counts, 2))
-    _lateral(legs, np.concatenate(draws[0::2]),
-             _uniform(0.0, 2 * np.pi, np.concatenate(draws[1::2])),
-             leg_r, leg_r, leg_h)
-    corners = ((-1, -1), (-1, 1), (1, -1), (1, 1))
-    for axis, half in ((0, w / 2), (1, d / 2)):
-        legs[:, axis] += np.repeat([c[axis] * (half - 2 * leg_r)
-                                    for c in corners], counts)
-    legs[:, 2] += leg_h / 2
+    counts = np.array([rng.multinomial(n - n_slab, [0.25] * 4) for rng in rngs])
+    # each leg draws its heights, then its angles; its radius is constant
+    corner, t, a = _segment_draws(rngs, counts)
+    _polar(legs, leg_r, _uniform(0.0, 2 * np.pi, a), (t - 0.5) * leg_h)
+    legs[..., 0] += LEG_CORNERS[corner, 0] * (w / 2 - 2 * leg_r)
+    legs[..., 1] += LEG_CORNERS[corner, 1] * (d / 2 - 2 * leg_r)
+    legs[..., 2] += leg_h / 2
 
 
-def _surface_points(primitive: str, size: np.ndarray, rng, out: np.ndarray):
-    """Write the primitive's surface points into `out` (n x 3)."""
-    n = len(out)
+def _surface_points(primitive: str, size: np.ndarray, rngs, out: np.ndarray):
+    """Write a run's surface points into `out` (clouds x n x 3): cloud j's
+    from its sizes size[j], drawn from rngs[j]."""
+    n = out.shape[1]
+    cols = size.T[:, :, None]
     if primitive == "box":
-        _sample_box_faces(rng, out, *size)
+        _sample_box_faces(rngs, out, *cols)
     elif primitive == "open_box":
-        _sample_box_faces(rng, out, *size, faces=BOX_FACES[:5])
+        _sample_box_faces(rngs, out, *cols, n_faces=5)
     elif primitive == "slab_on_legs":
-        _slab_on_legs(rng, out, *size)
-        out[:, 2] -= size[2] / 2
+        _slab_on_legs(rngs, out, *cols)
+        out[..., 2] -= cols[2] / 2
     elif primitive == "slab_on_legs_drawer":
         # a random n - k of the table's points, then a small drawer box
         # hanging under the slab: the only cue vs. table
-        w, d, h = size
+        w, d, h = cols
         table = np.empty_like(out)
-        _slab_on_legs(rng, table, w, d, h)
+        _slab_on_legs(rngs, table, w, d, h)
         k = max(8, n // 10)
-        drawer = out[n - k:]
-        _sample_box_faces(rng, drawer, 0.35 * w, 0.8 * d, 0.18 * h)
-        drawer[:, 0] += 0.2 * w
-        drawer[:, 2] += h - SLAB_T - 0.09 * h
-        out[:n - k] = table[rng.permutation(n)[:n - k]]
-        out[:, 2] -= h / 2
+        drawer = out[:, n - k:]
+        _sample_box_faces(rngs, drawer, 0.35 * w, 0.8 * d, 0.18 * h)
+        drawer[..., 0] += 0.2 * w
+        drawer[..., 2] += h - SLAB_T - 0.09 * h
+        keep = np.array([rng.permutation(n)[:n - k] for rng in rngs])
+        out[:, :n - k] = np.take_along_axis(table, keep[..., None], axis=1)
+        out[..., 2] -= h / 2
     elif primitive == "cylinder":
-        r, h = size
-        _frustum(rng, out, r, r, h)
+        r, h = cols
+        _frustum(rngs, out, r, r, h)
     elif primitive == "cone_frustum":
-        r, h = size
+        r, h = cols
         # top radius 70% of bottom: close enough to a cylinder to confuse
-        _frustum(rng, out, r, 0.7 * r, h)
+        _frustum(rngs, out, r, 0.7 * r, h)
     elif primitive in ("sphere", "hemisphere_bowl"):
-        (r,) = size
-        v = rng.standard_normal((n, 3))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v = np.array([rng.standard_normal((n, 3)) for rng in rngs])
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
         if primitive == "hemisphere_bowl":
-            v[:, 2] = -np.abs(v[:, 2])
-        out[:] = r * v
+            v[..., 2] = -np.abs(v[..., 2])
+        out[:] = cols[0][..., None] * v
     else:
         raise ValueError(f"unknown primitive '{primitive}'")
 
 
-def _frustum(rng, out, r_bottom, r_top, h):
-    n = len(out)
+def _frustum(rngs, out, r_bottom, r_top, h):
+    n = out.shape[1]
     lat = 2 * np.pi * (r_bottom + r_top) / 2 * h
-    caps = np.pi * (r_bottom**2 + r_top**2)
-    n_lat = int(n * lat / (lat + caps))
-    n_bot = int((n - n_lat) * r_bottom**2 / (r_bottom**2 + r_top**2))
-    n_top = n - n_lat - n_bot
+    # libm pow, as a float64 scalar's **; array ** 2 rounds some squares apart
+    sq_bot, sq_top = np.float_power(r_bottom, 2), np.float_power(r_top, 2)
+    n_lat = (n * lat / (lat + np.pi * (sq_bot + sq_top))).astype(int)
+    n_bot = ((n - n_lat) * sq_bot / (sq_bot + sq_top)).astype(int)
     # the lateral surface's heights and angles, then each cap's radii and angles
-    t, a_lat, s_bot, a_bot, s_top, a_top = _split_draws(
-        rng, (n_lat, n_lat, n_bot, n_bot, n_top, n_top))
-    _lateral(out[:n_lat], t, _uniform(0.0, 2 * np.pi, a_lat), r_bottom, r_top, h)
-    _polar(out[n_lat:n - n_top], r_bottom * np.sqrt(s_bot),
-           _uniform(0.0, 2 * np.pi, a_bot), -h / 2)
-    _polar(out[n - n_top:], r_top * np.sqrt(s_top),
-           _uniform(0.0, 2 * np.pi, a_top), h / 2)
+    part, s, a = _segment_draws(
+        rngs, np.concatenate([n_lat, n_bot, n - n_lat - n_bot], axis=1))
+    lateral, bottom = part == 0, part == 1
+    rad = np.where(lateral, r_bottom + (r_top - r_bottom) * s,
+                   np.where(bottom, r_bottom, r_top) * np.sqrt(s))
+    z = np.where(lateral, (s - 0.5) * h, np.where(bottom, -h / 2, h / 2))
+    _polar(out, rad, _uniform(0.0, 2 * np.pi, a), z)
 
 
 # -- perturbation pipeline -------------------------------------------------
@@ -256,9 +260,10 @@ def _yaw_tilt_matrices(yaw: np.ndarray, tilt: np.ndarray) -> np.ndarray:
 
 
 def _draw_surfaces(clouds, perturb, n_points):
-    """Phase 1, one loop over the clouds: each cloud's size and surface,
-    then every draw its perturbation makes up to the occlusion's first
-    centre, in its stream's order. Returns the (clouds, n, 3) surfaces, the
+    """Phase 1: each run of one spec's clouds draws its sizes and surfaces
+    and writes them as array ops, then one loop over the clouds makes every
+    draw a cloud's perturbation makes up to the occlusion's first centre,
+    each in its stream's order. Returns the (clouds, n, 3) surfaces, the
     (clouds, m) uniform draws of the perturbation (translation, yaw, tilt,
     scale, clutter points, first occlusion centre, each present only when
     switched on) and the (clouds, k) clutter indices."""
@@ -271,11 +276,16 @@ def _draw_surfaces(clouds, perturb, n_points):
     draws = np.empty((n_clouds, n_pre + 3 * k
                       + 3 * (perturb.occlusion_radius_frac > 0)))
     clutter_idx = np.empty((n_clouds, k), dtype=np.intp)
-    for j, (spec, _, rng) in enumerate(clouds):
+    start = 0
+    for spec, run in groupby(clouds, key=lambda cloud: cloud[0]):
+        rngs = [rng for _, _, rng in run]
         low = np.asarray(spec.size_low, dtype=np.float64)
         high = np.asarray(spec.size_high, dtype=np.float64)
-        _surface_points(spec.primitive, _uniform(low, high, rng.random(len(low))),
-                        rng, pts[j])
+        u = np.array([rng.random(len(low)) for rng in rngs])
+        _surface_points(spec.primitive, _uniform(low, high, u), rngs,
+                        pts[start:start + len(rngs)])
+        start += len(rngs)
+    for j, (_, _, rng) in enumerate(clouds):
         if k:
             rng.random(out=draws[j, :n_pre])
             clutter_idx[j] = rng.permutation(n_points)[:k]

@@ -11,20 +11,25 @@ import pytest  # noqa: E402
 
 
 def fd_gradient(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Central finite differences of scalar f at x, elementwise."""
+    """Central finite differences of scalar f at x, elementwise, extrapolated
+    from steps eps and eps / 2 (Richardson): 4/3 D(eps / 2) - 1/3 D(eps)
+    cancels the eps^2 f'''(x) / 6 error of a central difference D, leaving
+    a truncation error of order eps^4 f^(5)(x) and a rounding error of about
+    3 machine epsilons times |f| / eps."""
     x = x.astype(np.float64)
-    g = np.zeros_like(x)
     flat = x.ravel()
-    gf = g.ravel()
-    for i in range(flat.size):
+
+    def central(i, step):
         orig = flat[i]
-        flat[i] = orig + eps
+        flat[i] = orig + step
         hi = f(x)
-        flat[i] = orig - eps
+        flat[i] = orig - step
         lo = f(x)
         flat[i] = orig
-        gf[i] = (hi - lo) / (2 * eps)
-    return g
+        return (hi - lo) / (2 * step)
+
+    return np.array([(4 * central(i, eps / 2) - central(i, eps)) / 3
+                     for i in range(flat.size)]).reshape(x.shape)
 
 
 def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:

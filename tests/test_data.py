@@ -54,11 +54,11 @@ class TestGenerate:
         rng = sample_rng(0, 0, 0, 0)
         spec = fixed_box_spec()
         size = rng.uniform(np.asarray(spec.size_low), np.asarray(spec.size_high))
-        drawn = np.empty((64, 3))
-        _surface_points(spec.primitive, size, rng, drawn)
+        drawn = np.empty((1, 64, 3))
+        _surface_points(spec.primitive, size[None], [rng], drawn)
         pts = generate_sample(spec, PerturbationConfig.none(),
                               sample_rng(0, 0, 0, 0), n_points=64)
-        assert np.array_equal(pts, drawn.astype(np.float32).astype(np.float64))
+        assert np.array_equal(pts, drawn[0].astype(np.float32).astype(np.float64))
 
     def test_full_clutter_leaves_no_structure(self):
         config = PerturbationConfig(translate_frac=0.0, rotate=False,
@@ -147,6 +147,181 @@ class TestGenerate:
         with pytest.raises(RuntimeError,
                            match=r"every point of cloud 0 of class 1 \(open_box\)"):
             generate_sample(specs[1], hole, sample_rng(0, 1, 1, 3), n_points=32)
+
+
+def surface_run(spec, n, indices=range(5), seed=3, sampler=None):
+    """A run of one spec's clouds, each drawing its size, then its surface,
+    from its own stream, as phase 1 of generation does; with a sampler, the
+    clouds one at a time through it."""
+    rngs = [sample_rng(seed, spec.class_id, 0, i) for i in indices]
+    size = np.array([rng.uniform(np.asarray(spec.size_low),
+                                 np.asarray(spec.size_high)) for rng in rngs])
+    if sampler:
+        return np.array([sampler(spec.primitive, s, rng, n)
+                         for s, rng in zip(size, rngs)])
+    out = np.empty((len(rngs), n, 3))
+    _surface_points(spec.primitive, size, rngs, out)
+    return out
+
+
+# -- the samplers one cloud and one piece at a time, as loops: the reference
+# for the run samplers' draw order and float ops
+
+def ref_polar(out, rad, theta, z):
+    out[:, 0] = rad * np.cos(theta)
+    out[:, 1] = rad * np.sin(theta)
+    out[:, 2] = z
+
+
+def ref_pieces(u, counts):
+    """Each piece's rows, then its first and second draws: a piece of k rows
+    takes the next 2k values of u."""
+    start = 0
+    for k in counts:
+        yield (slice(start, start + k), u[2 * start:2 * start + k],
+               u[2 * start + k:2 * (start + k)])
+        start += k
+
+
+def ref_box_faces(rng, out, w, d, h, n_faces=6):
+    dims = np.array([w, d, h])
+    areas = np.array([d * h, d * h, w * h, w * h, w * d, w * d][:n_faces])
+    counts = rng.multinomial(len(out), areas / areas.sum())
+    u = rng.uniform(-0.5, 0.5, size=(len(out), 2))
+    start = 0
+    for face, k in enumerate(counts):
+        axis, rows = face // 2, slice(start, start + k)
+        free = [a for a in range(3) if a != axis]
+        out[rows, axis] = (1.0 if face % 2 else -1.0) * dims[axis] / 2
+        out[rows, free] = u[rows] * dims[free]
+        start += k
+
+
+def ref_slab_on_legs(rng, out, w, d, h):
+    leg_r, n = 0.035, len(out)
+    n_slab = int(0.55 * n)
+    slab, legs = out[:n_slab], out[n_slab:]
+    ref_box_faces(rng, slab, w, d, data.SLAB_T)
+    slab[:, 2] += h - data.SLAB_T / 2
+    leg_h = h - data.SLAB_T
+    counts = rng.multinomial(n - n_slab, np.full(4, 0.25))
+    corners = ((-1, -1), (-1, 1), (1, -1), (1, 1))
+    for (cx, cy), (rows, t, a) in zip(corners, ref_pieces(
+            rng.random(2 * (n - n_slab)), counts)):
+        ref_polar(legs[rows], leg_r, 2 * np.pi * a, (t - 0.5) * leg_h)
+        legs[rows, 0] += cx * (w / 2 - 2 * leg_r)
+        legs[rows, 1] += cy * (d / 2 - 2 * leg_r)
+        legs[rows, 2] += leg_h / 2
+
+
+def ref_frustum(rng, out, r_bottom, r_top, h):
+    n = len(out)
+    lat = 2 * np.pi * (r_bottom + r_top) / 2 * h
+    caps = np.pi * (r_bottom**2 + r_top**2)
+    n_lat = int(n * lat / (lat + caps))
+    n_bot = int((n - n_lat) * r_bottom**2 / (r_bottom**2 + r_top**2))
+    (side, t, a), (bot, s_b, a_b), (top, s_t, a_t) = ref_pieces(
+        rng.random(2 * n), (n_lat, n_bot, n - n_lat - n_bot))
+    ref_polar(out[side], r_bottom + (r_top - r_bottom) * t, 2 * np.pi * a,
+              (t - 0.5) * h)
+    ref_polar(out[bot], r_bottom * np.sqrt(s_b), 2 * np.pi * a_b, -h / 2)
+    ref_polar(out[top], r_top * np.sqrt(s_t), 2 * np.pi * a_t, h / 2)
+
+
+def reference_surface(primitive, size, rng, n):
+    """One cloud's surface points, from its (k,) float64 sizes."""
+    out = np.empty((n, 3))
+    if primitive in ("box", "open_box"):
+        ref_box_faces(rng, out, *size, n_faces=6 if primitive == "box" else 5)
+    elif primitive == "slab_on_legs":
+        ref_slab_on_legs(rng, out, *size)
+        out[:, 2] -= size[2] / 2
+    elif primitive == "slab_on_legs_drawer":
+        w, d, h = size
+        table = np.empty_like(out)
+        ref_slab_on_legs(rng, table, w, d, h)
+        k = max(8, n // 10)
+        ref_box_faces(rng, out[n - k:], 0.35 * w, 0.8 * d, 0.18 * h)
+        out[n - k:, 0] += 0.2 * w
+        out[n - k:, 2] += h - data.SLAB_T - 0.09 * h
+        out[:n - k] = table[rng.permutation(n)[:n - k]]
+        out[:, 2] -= h / 2
+    elif primitive in ("cylinder", "cone_frustum"):
+        r, h = size
+        ref_frustum(rng, out, r, r if primitive == "cylinder" else 0.7 * r, h)
+    else:
+        v = rng.standard_normal((n, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        if primitive == "hemisphere_bowl":
+            v[:, 2] = -np.abs(v[:, 2])
+        out[:] = size[0] * v
+    return out
+
+
+class TestSurfaceRuns:
+    """The samplers write a run of one spec's clouds as array ops; each
+    cloud's points are those of a run of that cloud alone, and those of the
+    loop reference above."""
+
+    @pytest.mark.parametrize("n", [32, 33, 257])
+    @pytest.mark.parametrize("spec", default_shape_specs(), ids=lambda s: s.name)
+    def test_run_equals_each_cloud_alone(self, spec, n):
+        run = surface_run(spec, n)
+        for i, pts in enumerate(run):
+            assert np.array_equal(pts, surface_run(spec, n, [i])[0]), i
+        assert np.array_equal(run, surface_run(spec, n,
+                                               sampler=reference_surface))
+
+    @pytest.mark.parametrize("dims, axis", [((1e-9, 0.8, 0.6), 0),
+                                            ((1.0, 0.8, 1e-9), 2)],
+                             ids=["thin-x", "thin-z"])
+    def test_box_with_a_thin_side_draws_no_row_on_its_thin_faces(self, dims,
+                                                                  axis):
+        """The four faces along the thin side get no rows, first or last of
+        the six: every point lies on one of the two large faces."""
+        spec = ShapeSpec(0, "thin", "box", dims, dims)
+        pts = surface_run(spec, 64)
+        assert np.array_equal(pts, surface_run(spec, 64,
+                                               sampler=reference_surface))
+        half = np.array(dims) / 2
+        assert (np.abs(pts[..., axis]) == half[axis]).all()
+        assert (np.abs(pts) <= half).all()
+        assert box_face_residual(pts.reshape(-1, 3), *dims).max() == 0.0
+
+    def test_frustum_squares_each_radius_as_a_scalar_does(self):
+        """At this radius libm's pow, which a float64 scalar's ** calls,
+        and an array's ** 2, which squares, round r ** 2 one ulp apart, and
+        the bottom cap of 138 points gets 20 rows from the one and 21 from
+        the other (found by a search over radii and heights)."""
+        r, h = 0.46681494615961533, 1.0990865671791776
+        spec = ShapeSpec(4, "cylinder", "cylinder", (r, h), (r, h))
+        pts = surface_run(spec, 138, indices=[0])
+        assert (pts[..., 2] == -h / 2).sum() == 20
+        assert np.array_equal(pts, surface_run(spec, 138, indices=[0],
+                                               sampler=reference_surface))
+
+    @pytest.mark.parametrize("primitive, r, h, top_rows", [
+        ("cone_frustum", 1e-20, 1.0, 0),
+        ("cylinder", 1e-3, 10.0, 1),
+    ], ids=["no-caps", "no-bottom-cap"])
+    def test_frustum_caps_without_rows(self, primitive, r, h, top_rows):
+        """A hair-thin frustum puts no row on its caps, or, tall, one row on
+        its top cap and none on its bottom: every point lies on its lateral
+        surface or on a cap."""
+        spec = ShapeSpec(5, "thin", primitive, (r, h), (r, h))
+        pts = surface_run(spec, 32)
+        assert np.array_equal(pts, surface_run(spec, 32,
+                                               sampler=reference_surface))
+        r_top = 0.7 * r if primitive == "cone_frustum" else r
+        rho, z = np.hypot(pts[..., 0], pts[..., 1]), pts[..., 2]
+        top = z == h / 2
+        assert not (z == -h / 2).any()
+        assert (top.sum(axis=1) == top_rows).all()
+        assert (rho[top] <= r_top * (1 + 1e-12)).all()
+        lateral = ~top
+        assert (np.abs(z[lateral]) <= h / 2).all()
+        profile = r + (r_top - r) * (z[lateral] / h + 0.5)
+        assert np.abs(rho[lateral] - profile).max() <= 1e-9 * r
 
 
 def one_perturbation(name):
