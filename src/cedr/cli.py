@@ -140,6 +140,8 @@ def cmd_gen_data(args) -> int:
     if not 2 <= args.classes <= len(specs):
         raise ConfigError(f"--classes must be in 2..{len(specs)}, "
                           f"got {args.classes}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     specs = specs[:args.classes]
     split = build_dataset(specs, args.train, args.test, args.seed,
                           PERTURB_PRESETS[args.perturb](), n_points=args.points)

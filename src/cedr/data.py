@@ -7,8 +7,10 @@ hard real-scan split: translation up to 75% of the bounding box per axis,
 free yaw plus small tilt, uniform scaling, background clutter points, and
 a spherical occlusion hole.
 
-Every sample draws its own generator from (seed, class, split, index), so
-generation order never affects the bytes. A split is one (clouds,
+Every sample draws from its own stream, numpy's
+default_rng(SeedSequence((seed, class, split, index))), so generation order
+never affects the bytes. A split hashes all its keys at once, with
+SeedSequence's uint32 hash written as array ops. A split is one (clouds,
 points, 3) array, generated in chunks of GENERATE_CHUNK_ROWS point rows,
 each in two phases. Phase 1 makes each cloud's draws in its stream's order
 and writes each run of one spec's clouds with array ops over those draws.
@@ -24,12 +26,14 @@ a split is one `Clouds`, its points array and its labels array.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .binio import Reader
 
@@ -405,8 +409,84 @@ class DatasetSplit:
     class_names: list[str]
 
 
-def sample_rng(seed: int, class_id: int, split_tag: int, index: int):
-    return np.random.default_rng(np.random.SeedSequence((seed, class_id, split_tag, index)))
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+MASK32 = 0xFFFFFFFF
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hasher(const, mult):
+    """SeedSequence's hashmix over uint32 arrays: each call XORs in the
+    running constant, steps it by mult and multiplies by the new one."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & MASK32
+        value *= np.uint32(const)
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    out = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
+    return out ^ out >> 16
+
+
+def _stream_states(seed: int, keys) -> np.ndarray:
+    """(rows, 4) uint64: row j is SeedSequence((seed, *keys[j]))
+    .generate_state(4, np.uint64), for (rows, 3) keys (class id, split tag,
+    index), hashed as array ops over all the rows at once."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    keys = np.array(keys).reshape(-1, 3)
+    bad = (keys < 0) | (keys >= 2**32)
+    if bad.any():
+        raise ValueError(f"class id, split tag or index {keys[bad][0]} is not "
+                         "in 0..2**32 - 1, the range of one seed word")
+    # the entropy words: the seed's 32-bit words, least significant first
+    # ([0] for 0), then the key's three
+    seed_words = [seed >> shift & MASK32
+                  for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words = np.empty((len(keys), len(seed_words) + 3), np.uint32)
+    words[:, :len(seed_words)] = seed_words
+    words[:, len(seed_words):] = keys
+    # mix_entropy: a pool of 4 words, each mixed into the others, then each
+    # further word mixed into every pool word
+    hashmix = _hasher(INIT_A, MULT_A)
+    pool = [hashmix(words[:, i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, words.shape[1]):
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(words[:, src]))
+    # generate_state(4, np.uint64): 8 words cycling over the pool, paired
+    # little-endian
+    hashmix = _hasher(INIT_B, MULT_B)
+    state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _StreamState(ISeedSequence):
+    """One row of `_stream_states`, as the seed of a PCG64, which asks for
+    exactly generate_state(4, np.uint64)."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a stream state is 4 uint64 words, not "
+                             f"{n_words} of {np.dtype(dtype)}")
+        return self.state
+
+
+def _stream(state: np.ndarray) -> np.random.Generator:
+    """default_rng(SeedSequence(key)) for the key `state` was hashed from."""
+    return np.random.Generator(np.random.PCG64(_StreamState(state)))
 
 
 def build_dataset(specs: list[ShapeSpec], n_train: int, n_test: int,
@@ -420,12 +500,15 @@ def build_dataset(specs: list[ShapeSpec], n_train: int, n_test: int,
     splits = []
     for tag, (name, count) in enumerate((("train", n_train), ("test", n_test))):
         keys = [(spec, i) for spec in specs for i in range(count)]
+        states = _stream_states(seed, [(spec.class_id, tag, i)
+                                       for spec, i in keys])
         pts = np.empty((len(keys), n_points, 3))
         for start in range(0, len(keys), step):
-            clouds = [(spec, i, sample_rng(seed, spec.class_id, tag, i))
-                      for spec, i in keys[start:start + step]]
-            pts[start:start + step] = _generate_clouds(clouds, perturb,
-                                                       n_points, name)
+            # only one chunk's generators are alive at a time
+            chunk = slice(start, start + step)
+            clouds = [(spec, i, _stream(state))
+                      for (spec, i), state in zip(keys[chunk], states[chunk])]
+            pts[chunk] = _generate_clouds(clouds, perturb, n_points, name)
         splits.append(Clouds(pts, np.array([spec.class_id for spec, _ in keys],
                                             dtype=int)))
     return DatasetSplit(*splits, [s.name for s in specs])

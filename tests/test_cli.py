@@ -92,6 +92,13 @@ class TestGenData:
         assert f"--classes must be in 2..8, got {classes}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        code = main(["gen-data", "--seed", "-1", "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        assert (capsys.readouterr().err
+                == "error: --seed must be nonnegative, got -1\n")
+        assert not list(tmp_path.iterdir())
+
 
 class TestTrain:
     def test_artifacts(self, trained):

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cedr import data
 from cedr.data import (
@@ -16,13 +18,19 @@ from cedr.data import (
     generate_sample,
     read_dataset,
     read_samples,
-    sample_rng,
     stack_points,
     write_dataset,
     write_samples,
 )
 from cedr.encoder import EncoderConfig, PointEncoder
 from cedr.metrics import center_distance_report
+
+
+def numpy_rng(seed, class_id, tag, index):
+    """numpy's own generator for a cloud's key: the stream that
+    build_dataset's array hash must reproduce."""
+    return np.random.default_rng(
+        np.random.SeedSequence((seed, class_id, tag, index)))
 
 
 def fixed_box_spec(w=1.0, d=0.8, h=0.6):
@@ -43,7 +51,7 @@ class TestGenerate:
     def test_unperturbed_box_lies_on_faces(self):
         w, d, h = 1.0, 0.8, 0.6
         pts = generate_sample(fixed_box_spec(w, d, h), PerturbationConfig.none(),
-                              sample_rng(0, 0, 0, 0), n_points=256)
+                              numpy_rng(0, 0, 0, 0), n_points=256)
         # coordinates are quantized to float32 at creation, so the residual
         # floor is ~1e-7
         assert box_face_residual(pts, w, d, h).max() < 1e-6
@@ -51,13 +59,13 @@ class TestGenerate:
     def test_unperturbed_sample_is_the_surface_draw(self):
         """The none preset draws nothing after the surface: the points are
         the sampler's, quantized to float32."""
-        rng = sample_rng(0, 0, 0, 0)
+        rng = numpy_rng(0, 0, 0, 0)
         spec = fixed_box_spec()
         size = rng.uniform(np.asarray(spec.size_low), np.asarray(spec.size_high))
         drawn = np.empty((1, 64, 3))
         _surface_points(spec.primitive, size[None], [rng], drawn)
         pts = generate_sample(spec, PerturbationConfig.none(),
-                              sample_rng(0, 0, 0, 0), n_points=64)
+                              numpy_rng(0, 0, 0, 0), n_points=64)
         assert np.array_equal(pts, drawn[0].astype(np.float32).astype(np.float64))
 
     def test_full_clutter_leaves_no_structure(self):
@@ -65,22 +73,22 @@ class TestGenerate:
                                     scale_range=(1.0, 1.0), clutter_fraction=1.0,
                                     occlusion_radius_frac=0.0)
         pts = generate_sample(fixed_box_spec(), config,
-                              sample_rng(1, 0, 0, 0), n_points=128)
+                              numpy_rng(1, 0, 0, 0), n_points=128)
         # no face structure survives: residuals are spread through the volume
         assert (box_face_residual(pts) > 1e-4).mean() > 0.9
 
     def test_fixed_seed_is_bitwise_reproducible(self):
         spec = default_shape_specs()[2]
-        a = generate_sample(spec, PerturbationConfig(), sample_rng(5, 2, 0, 3),
+        a = generate_sample(spec, PerturbationConfig(), numpy_rng(5, 2, 0, 3),
                             n_points=128)
-        b = generate_sample(spec, PerturbationConfig(), sample_rng(5, 2, 0, 3),
+        b = generate_sample(spec, PerturbationConfig(), numpy_rng(5, 2, 0, 3),
                             n_points=128)
         assert np.array_equal(a, b)
 
     def test_point_count_and_finiteness(self):
         for spec in default_shape_specs():
             pts = generate_sample(spec, PerturbationConfig(),
-                                  sample_rng(9, spec.class_id, 0, 0), n_points=96)
+                                  numpy_rng(9, spec.class_id, 0, 0), n_points=96)
             assert pts.shape == (96, 3)
             assert np.isfinite(pts).all()
 
@@ -94,7 +102,7 @@ class TestGenerate:
         reach = []
         for i in range(20):
             pts = generate_sample(fixed_box_spec(), config,
-                                  sample_rng(11, 0, 0, i), n_points=64)
+                                  numpy_rng(11, 0, 0, i), n_points=64)
             lo, hi = pts.min(axis=0), pts.max(axis=0)
             shift = np.abs((lo + hi) / 2) / (hi - lo)
             assert (shift <= 0.75 + 1e-6).all()
@@ -107,7 +115,7 @@ class TestGenerate:
                                     scale_range=(s, s), clutter_fraction=0.0,
                                     occlusion_radius_frac=0.0)
         pts = generate_sample(fixed_box_spec(), config,
-                              sample_rng(12, 0, 0, 0), n_points=128)
+                              numpy_rng(12, 0, 0, 0), n_points=128)
         w, d, h = s * 1.0, s * 0.8, s * 0.6
         assert box_face_residual(pts, w, d, h).max() < 1e-6
         assert np.abs(pts).max(axis=0) == pytest.approx(
@@ -121,13 +129,13 @@ class TestGenerate:
                                     clutter_fraction=0.25,
                                     occlusion_radius_frac=0.0)
         pts = generate_sample(fixed_box_spec(), config,
-                              sample_rng(13, 0, 0, 0), n_points=200)
+                              numpy_rng(13, 0, 0, 0), n_points=200)
         assert (box_face_residual(pts) > 1e-4).sum() == 50
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="32"):
             generate_sample(fixed_box_spec(), PerturbationConfig(),
-                            sample_rng(0, 0, 0, 0), n_points=16)
+                            numpy_rng(0, 0, 0, 0), n_points=16)
 
     @pytest.mark.parametrize("n_points", [31, 0, -4])
     def test_too_few_points_rejected_before_a_split_is_built(self, n_points):
@@ -146,14 +154,14 @@ class TestGenerate:
             build_dataset(specs, 2, 2, seed=0, perturb=hole, n_points=32)
         with pytest.raises(RuntimeError,
                            match=r"every point of cloud 0 of class 1 \(open_box\)"):
-            generate_sample(specs[1], hole, sample_rng(0, 1, 1, 3), n_points=32)
+            generate_sample(specs[1], hole, numpy_rng(0, 1, 1, 3), n_points=32)
 
 
 def surface_run(spec, n, indices=range(5), seed=3, sampler=None):
     """A run of one spec's clouds, each drawing its size, then its surface,
     from its own stream, as phase 1 of generation does; with a sampler, the
     clouds one at a time through it."""
-    rngs = [sample_rng(seed, spec.class_id, 0, i) for i in indices]
+    rngs = [numpy_rng(seed, spec.class_id, 0, i) for i in indices]
     size = np.array([rng.uniform(np.asarray(spec.size_low),
                                  np.asarray(spec.size_high)) for rng in rngs])
     if sampler:
@@ -324,6 +332,76 @@ class TestSurfaceRuns:
         assert np.abs(rho[lateral] - profile).max() <= 1e-9 * r
 
 
+# seeds of one, two and three 32-bit words; the last two run the loop that
+# mixes the entropy words past the pool of four
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 3**50]
+STREAM_KEYS = [(class_id, tag, index) for class_id in range(8)
+               for tag in (0, 1) for index in (0, 1, 2**32 - 1)]
+
+
+def assert_numpy_streams(seed, keys):
+    """Each key's state is SeedSequence's, and its generator draws what
+    numpy's default_rng of that SeedSequence draws."""
+    states = data._stream_states(seed, keys)
+    assert states.shape == (len(keys), 4) and states.dtype == np.uint64
+    for state, key in zip(states, keys):
+        seq = np.random.SeedSequence((seed, *key))
+        assert np.array_equal(state, seq.generate_state(4, np.uint64)), key
+        ours, numpys = data._stream(state), np.random.default_rng(seq)
+        for draw in (lambda rng: rng.random(5),
+                     lambda rng: rng.standard_normal(5),
+                     lambda rng: rng.permutation(32)):
+            assert np.array_equal(draw(ours), draw(numpys)), key
+
+
+class TestStreams:
+    """build_dataset hashes a split's keys as array ops; each cloud's stream
+    is numpy's default_rng(SeedSequence((seed, class id, split tag, index)))."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_states_and_draws_equal_numpys(self, seed):
+        assert_numpy_streams(seed, STREAM_KEYS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**96 - 1), index=st.integers(0, 2**32 - 1),
+           class_id=st.integers(0, 7), tag=st.integers(0, 1))
+    def test_any_seed_and_index_equal_numpys(self, seed, index, class_id, tag):
+        assert_numpy_streams(seed, [(class_id, tag, index), (0, 0, 0)])
+
+    def test_no_keys_give_no_states(self):
+        # a split of no class builds too: test_train.py's
+        # test_fewer_than_two_classes_rejected[0]
+        assert data._stream_states(0, []).shape == (0, 4)
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            data._stream_states(-1, [(0, 0, 0)])
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -3"):
+            build_dataset(default_shape_specs()[:2], 2, 2, seed=-3,
+                          n_points=32)
+
+    @pytest.mark.parametrize("key, value", [
+        ((2**32, 0, 0), 2**32), ((0, 0, 2**32), 2**32), ((-1, 0, 0), -1),
+        ((0, 2**64, 0), 2**64)])
+    def test_key_outside_one_word_is_named(self, key, value):
+        with pytest.raises(ValueError, match=f"index {value} is not in "
+                                             r"0\.\.2\*\*32 - 1"):
+            data._stream_states(0, [(0, 0, 0), key])
+
+    def test_class_id_outside_one_word_is_named(self):
+        spec = replace(fixed_box_spec(), class_id=2**32)
+        with pytest.raises(ValueError, match=f"index {2**32} is not in"):
+            build_dataset([spec], 2, 2, seed=0, n_points=32)
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32),
+                                                (2, np.uint64)])
+    def test_state_refuses_any_other_request(self, n_words, dtype):
+        state = data._StreamState(data._stream_states(0, [(0, 0, 0)])[0])
+        with pytest.raises(ValueError, match=f"not {n_words} of "
+                                             f"{np.dtype(dtype)}"):
+            state.generate_state(n_words, dtype)
+
+
 def one_perturbation(name):
     """The none preset with one perturbation at its default strength."""
     return replace(PerturbationConfig.none(),
@@ -365,7 +443,7 @@ class TestSplitGeneration:
             for j, (pts, label) in enumerate(zip(clouds.points, clouds.labels)):
                 spec, i = specs[j // count], j % count
                 alone = generate_sample(spec, perturb,
-                                        sample_rng(seed, spec.class_id, tag, i),
+                                        numpy_rng(seed, spec.class_id, tag, i),
                                         n_points)
                 assert label == spec.class_id
                 assert np.array_equal(pts, alone), (tag, j)
