@@ -23,8 +23,8 @@ anchor without positives is skipped (it contributes 0 and is not counted in
 the mean); a batch in which no anchor has a positive gives a constant loss
 of 0.
 
-Without weights (the scc arm) no (batch, batch) weight array is built, and
-the loss has the bits of explicit unit weights. The Gram matrix z z^T is
+Without weights (the scc arm) the pair weights are all ones, and the loss
+takes the same path as every weighted arm. The Gram matrix z z^T is
 numpy's SYRK product. A GEMM against a contiguous z^T is faster at batch
 512, but under OpenBLAS 0.3.31 its last bits differ from SYRK's at most
 batch sizes that are not a multiple of 8. The forward weights the exponentials
@@ -107,8 +107,7 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     """Weighted supervised InfoNCE over a batch.
 
     weights: optional (batch, batch) pair weights (see .cpcm and .eaa), each
-    > 0 and finite on its pair and never written; None means all ones, and
-    no weight array is built.
+    > 0 and finite on its pair and never written; None means all ones.
     """
     z = batch.embeddings
     labels = batch.labels
@@ -122,23 +121,21 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     n_pos = counts - 1
     n_neg = b - counts
     valid = n_pos > 0
-    neg_w_sum = n_neg
 
-    if weights is not None:
-        w = np.asarray(weights, float)
-        if w.shape != (b, b):
-            raise ValueError(f"pair weights have shape {w.shape}, not {(b, b)}")
-        # every off-diagonal pair is positive or negative; w > 0 is also
-        # False for NaN, and q *= w below needs a finite weight
-        ok = (w > 0) & (w < np.inf)
-        ok.flat[::b + 1] = True
-        if not ok.all():
-            i, j = np.argwhere(~ok)[0]
-            kind = "positive" if same[i, j] else "negative"
-            raise ValueError(f"pair weight w[{i}, {j}] = {w[i, j]:g} on a {kind} "
-                             f"pair is not {'finite' if w[i, j] > 0 else 'positive'}")
-        del ok
-        neg_w_sum = np.where(same, 0.0, w).sum(axis=1)   # before s exists
+    w = np.ones((b, b)) if weights is None else np.asarray(weights, float)
+    if w.shape != (b, b):
+        raise ValueError(f"pair weights have shape {w.shape}, not {(b, b)}")
+    # every off-diagonal pair is positive or negative; w > 0 is also
+    # False for NaN, and q *= w below needs a finite weight
+    ok = (w > 0) & (w < np.inf)
+    ok.flat[::b + 1] = True
+    if not ok.all():
+        i, j = np.argwhere(~ok)[0]
+        kind = "positive" if same[i, j] else "negative"
+        raise ValueError(f"pair weight w[{i}, {j}] = {w[i, j]:g} on a {kind} "
+                         f"pair is not {'finite' if w[i, j] > 0 else 'positive'}")
+    del ok
+    neg_w_sum = np.where(same, 0.0, w).sum(axis=1)   # before s exists
     if not valid.any():
         return InfoNCEResult(mean=Tensor(0.0), per_anchor=np.zeros(b),
                              skipped_anchors=b)
@@ -155,11 +152,9 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     pos = np.flatnonzero(same)
     same.flat[::b + 1] = True    # and no negative one
     pi = np.repeat(np.arange(b), n_pos)
-    a = s.take(pos)
-    if weights is not None:
-        w_p = w.take(pos)
-        a = np.log(w_p * n_pos[pi] / np.bincount(pi, w_p, b)[pi]) + a
-        del w_p
+    w_p = w.take(pos)
+    a = np.log(w_p * n_pos[pi] / np.bincount(pi, w_p, b)[pi]) + s.take(pos)
+    del w_p
 
     # q is s in place, -inf off the negatives, so one b x b float array
     # lives beside the inputs; shift each anchor's logsumexp by its largest
@@ -171,12 +166,11 @@ def supervised_infonce(batch: ContrastiveBatch, weights=None) -> InfoNCEResult:
     has_neg = n_neg > 0
     q -= np.where(has_neg, shift, 0.0)[:, None]
     np.exp(q, out=q)
-    if weights is not None:
-        # q is +0 off the negatives and w finite on the positives, so they
-        # stay +0; the diagonal, where w may be anything, is reset
-        with np.errstate(invalid="ignore"):
-            q *= w
-        q.flat[::b + 1] = 0.0
+    # q is +0 off the negatives and w finite on the positives, so they stay
+    # +0; the diagonal, where w may be anything, is reset
+    with np.errstate(invalid="ignore"):
+        q *= w
+    q.flat[::b + 1] = 0.0
     q_sum = np.where(has_neg, q.sum(axis=1), 1.0)
     # lse_i = log(|N_i| S_i), -inf at the anchors without negatives
     lse = shift + np.log(n_neg * q_sum / np.where(has_neg, neg_w_sum, 1.0),

@@ -231,9 +231,9 @@ class TestInfoNCE:
         np.random.default_rng(1).integers(0, 8, 32),
     ], ids=["skipped", "no_negatives", "mixed", "b32"])
     def test_no_weights_equal_unit_weights(self, labels):
-        """weights=None builds no weight array; its loss, per-anchor losses
-        and gradient keep the bits of explicit unit weights, also with a NaN
-        on the diagonal, which no pair reads."""
+        """weights=None means unit weights: its loss, per-anchor losses and
+        gradient have the bits of explicit unit weights, also with a NaN on
+        the diagonal, which no pair reads."""
         labels = np.asarray(labels)
         b = len(labels)
         z = unit_embeddings(np.random.default_rng(b), b, 6)

@@ -174,6 +174,32 @@ class TestTrainLoop:
             assert a.overall_acc == b.overall_acc
             assert a.macro_f1 == b.macro_f1
 
+    def test_linear_lambda_schedule_reaches_the_loss(self, tiny_dataset):
+        # each epoch trains with its own scheduled lambda, and the recorded
+        # total is the joint loss at that lambda
+        config = small_config(arm="scc", epochs=3, lam=0.1,
+                              lambda_schedule="linear", lambda_end=0.3)
+        record, _ = train(config, tiny_dataset)
+        for k, e in enumerate(record.epochs[1:]):
+            assert e.lam == config.lam_at(k)
+            assert e.total == pytest.approx(e.ce + e.lam * e.nce, rel=1e-12)
+        assert [e.lam for e in record.epochs[1:]] == pytest.approx([0.1, 0.2, 0.3])
+
+    def test_every_sample_trains_including_a_final_batch_of_two(
+            self, tiny_dataset, monkeypatch):
+        module = sys.modules["cedr.train"]
+        cross_entropy = module.cross_entropy
+        sizes = []
+
+        def spy(probs, labels):
+            sizes.append(len(labels))
+            return cross_entropy(probs, labels)
+
+        monkeypatch.setattr(module, "cross_entropy", spy)
+        train(small_config(epochs=2, batch_size=23), tiny_dataset)
+        # 48 clouds in batches of 23
+        assert sizes == [23, 23, 2] * 2
+
     def test_step_graph_freed_before_next_forward(self, tiny_dataset,
                                                   monkeypatch):
         # the input is held only by the per-point MLP's vjp, so a dead input
