@@ -35,7 +35,7 @@ from .metrics import (
     write_center_distance_csv,
     write_confusion_csv,
     write_entropy_csv,
-    write_summary_json,
+    write_json,
 )
 from .train import (
     NumericFailure,
@@ -179,6 +179,10 @@ def cmd_ablate(args) -> int:
     config = _load_experiment(args, own)
     seeds = _parse_seeds(args.seeds)
     dataset = read_dataset(config.data)
+    out = Path(args.out)
+    if out.is_dir():
+        raise ConfigError(f"--out {out} is a directory, not a CSV file")
+    out.parent.mkdir(parents=True, exist_ok=True)
     progress = (lambda row: print(
         f"{row['variant']} seed {row['seed']}: "
         f"overall_acc={row['overall_acc']:.4f}")) if not args.quiet else None
@@ -186,8 +190,6 @@ def cmd_ablate(args) -> int:
         result = run_lambda_grid(config, dataset, seeds, progress=progress)
     else:
         result = run_ablation(config, dataset, seeds, progress=progress)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     result.write_csv(out)
     print(f"wrote {out}")
     return EXIT_OK
@@ -211,7 +213,7 @@ def cmd_analyze(args) -> int:
     write_center_distance_csv(out_dir / "center_distance.csv", dist, class_names)
     write_entropy_csv(out_dir / "entropy.csv", probs, labels)
     export_embeddings(out_dir / "embeddings.csv", emb, probs, labels)
-    write_summary_json(out_dir / "summary.json", report)
+    write_json(out_dir / "summary.json", report.json_summary())
     print(f"wrote analysis artifacts to {out_dir}")
     return EXIT_OK
 

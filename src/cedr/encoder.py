@@ -59,8 +59,8 @@ class PointEncoder:
 
     def load_state(self, tensors: dict[str, np.ndarray]):
         """Copy every parameter from `tensors`. All are checked first, so a
-        missing name, a wrong shape or a non-finite value raises ValueError
-        and leaves the model as it was."""
+        missing or unknown name, a wrong shape or a non-finite value raises
+        ValueError and leaves the model as it was."""
         for p in self.params:
             if p.name not in tensors:
                 raise ValueError(f"checkpoint is missing parameter '{p.name}'")
@@ -70,6 +70,10 @@ class PointEncoder:
             if not np.all(np.isfinite(tensors[p.name])):
                 raise ValueError(f"checkpoint parameter '{p.name}' has "
                                  "non-finite values")
+        unknown = sorted(tensors.keys() - {p.name for p in self.params})
+        if unknown:
+            raise ValueError(f"checkpoint tensor '{unknown[0]}' names no "
+                             "parameter of the model")
         for p in self.params:
             p.values[...] = tensors[p.name]
 

@@ -91,30 +91,38 @@ def center_distance_report(embeddings: np.ndarray, labels: np.ndarray,
 
 # -- exports ---------------------------------------------------------------
 
-def write_confusion_csv(path, cm: np.ndarray, class_names: list[str]):
+def write_csv(path, rows):
+    """Write `rows`, each a list of cells, as one CSV file."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["true\\pred"] + list(class_names))
-        for name, row in zip(class_names, cm):
-            w.writerow([name] + [int(x) for x in row])
+        csv.writer(f).writerows(rows)
+
+
+def write_json(path, payload):
+    """Write `payload` as standard JSON: indent 2, sorted keys, a trailing
+    newline. A NaN or infinite number raises ValueError before the file is
+    opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    with open(path, "w") as f:
+        f.write(text)
+
+
+def write_confusion_csv(path, cm: np.ndarray, class_names: list[str]):
+    write_csv(path, [["true\\pred", *class_names]]
+              + [[name, *(int(x) for x in row)]
+                 for name, row in zip(class_names, cm)])
 
 
 def write_center_distance_csv(path, dist: np.ndarray, class_names: list[str]):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([""] + list(class_names))
-        for name, row in zip(class_names, dist):
-            w.writerow([name] + [f"{x:.9g}" for x in row])
+    write_csv(path, [["", *class_names]]
+              + [[name, *(f"{x:.9g}" for x in row)]
+                 for name, row in zip(class_names, dist)])
 
 
 def write_entropy_csv(path, probs: np.ndarray, labels: np.ndarray):
     profile = classify_samples(probs, labels)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["sample_id", "entropy", "correct", "tag"])
-        for i, (e, c, t) in enumerate(zip(profile.entropy, profile.correct,
-                                          profile.tag)):
-            w.writerow([i, f"{e:.9g}", int(c), t])
+    write_csv(path, [["sample_id", "entropy", "correct", "tag"]]
+              + [[i, f"{e:.9g}", int(c), t] for i, (e, c, t) in enumerate(
+                  zip(profile.entropy, profile.correct, profile.tag))])
 
 
 def export_embeddings(path, embeddings: np.ndarray, probs: np.ndarray,
@@ -122,19 +130,8 @@ def export_embeddings(path, embeddings: np.ndarray, probs: np.ndarray,
     """sample_id, label, entropy, tag, then one column per embedding dim."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     profile = classify_samples(probs, labels)
-    d = embeddings.shape[1]
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["sample_id", "label", "entropy", "tag"]
-                   + [f"e{k}" for k in range(d)])
-        for i in range(len(labels)):
-            w.writerow([i, int(labels[i]), f"{profile.entropy[i]:.9g}",
-                        profile.tag[i]]
-                       + [f"{x:.9g}" for x in embeddings[i]])
-
-
-def write_summary_json(path, report: EvalReport):
-    with open(path, "w") as f:
-        json.dump(report.json_summary(), f, indent=2, sort_keys=True,
-                  allow_nan=False)
-        f.write("\n")
+    header = (["sample_id", "label", "entropy", "tag"]
+              + [f"e{k}" for k in range(embeddings.shape[1])])
+    write_csv(path, [header] + [
+        [i, int(labels[i]), f"{profile.entropy[i]:.9g}", profile.tag[i],
+         *(f"{x:.9g}" for x in embeddings[i])] for i in range(len(labels))])

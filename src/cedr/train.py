@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -20,7 +19,7 @@ from .losses import (
     joint_loss,
     supervised_infonce,
 )
-from .metrics import EvalReport, evaluate
+from .metrics import EvalReport, evaluate, write_csv, write_json
 from .optim import SGDMomentum, cosine_lr
 
 
@@ -61,11 +60,8 @@ class RunRecord:
                           allow_nan=False)
 
     def save(self, path):
-        payload = json.loads(self.canonical_json())
-        payload["wall_time"] = self.wall_time
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True, allow_nan=False)
-            f.write("\n")
+        write_json(path, {**json.loads(self.canonical_json()),
+                          "wall_time": self.wall_time})
 
 
 def batch_weights(config: ExperimentConfig, probs: np.ndarray,
@@ -221,29 +217,23 @@ class AblationResult:
 
     def write_csv(self, path):
         seeds = sorted({r["seed"] for r in self.rows})
-        variants = []
-        for r in self.rows:
-            if r["variant"] not in variants:
-                variants.append(r["variant"])
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            header = ["variant"]
+        header = ["variant"]
+        for s in seeds:
+            header += [f"overall_acc_seed{s}", f"avg_class_acc_seed{s}"]
+        table = [header + ["overall_acc_mean", "overall_acc_std",
+                           "avg_class_acc_mean", "avg_class_acc_std"]]
+        for v in dict.fromkeys(r["variant"] for r in self.rows):
+            sub = {r["seed"]: r for r in self.rows if r["variant"] == v}
+            oa = np.array([sub[s]["overall_acc"] for s in seeds])
+            aca = np.array([sub[s]["avg_class_acc"] for s in seeds])
+            row = [v]
             for s in seeds:
-                header += [f"overall_acc_seed{s}", f"avg_class_acc_seed{s}"]
-            header += ["overall_acc_mean", "overall_acc_std",
-                       "avg_class_acc_mean", "avg_class_acc_std"]
-            w.writerow(header)
-            for v in variants:
-                sub = {r["seed"]: r for r in self.rows if r["variant"] == v}
-                oa = np.array([sub[s]["overall_acc"] for s in seeds])
-                aca = np.array([sub[s]["avg_class_acc"] for s in seeds])
-                row = [v]
-                for s in seeds:
-                    row += [f"{sub[s]['overall_acc']:.6f}",
-                            f"{sub[s]['avg_class_acc']:.6f}"]
-                row += [f"{oa.mean():.6f}", f"{oa.std():.6f}",
-                        f"{aca.mean():.6f}", f"{aca.std():.6f}"]
-                w.writerow(row)
+                row += [f"{sub[s]['overall_acc']:.6f}",
+                        f"{sub[s]['avg_class_acc']:.6f}"]
+            row += [f"{oa.mean():.6f}", f"{oa.std():.6f}",
+                    f"{aca.mean():.6f}", f"{aca.std():.6f}"]
+            table.append(row)
+        write_csv(path, table)
 
     def mean_overall(self, variant: str) -> float:
         vals = [r["overall_acc"] for r in self.rows if r["variant"] == variant]

@@ -441,6 +441,25 @@ def test_eval_rejects_checkpoint_unfit_for_dataset(small_eval_files, tmp_path, c
     assert re.search(match, capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_checkpoint_tensor_that_names_no_parameter(small_eval_files, tmp_path,
+                                                   capsys, command):
+    """A fourth point layer after a gap at the third, and a stray name, are
+    refused, not ignored."""
+    model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
+    save_checkpoint(tmp_path / "m.ckpt", model.params + [
+        Parameter(np.ones((6, 6)), "point3.w"), Parameter(np.ones(2), "bogus")])
+    d, _ = small_eval_files
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if command == "analyze" else []
+    assert main([command, "--checkpoint", str(tmp_path / "m.ckpt"),
+                 "--data", str(d / "toy"), *extra]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == ("error: checkpoint tensor 'bogus' names no parameter of "
+                   "the model\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "analyze"])
 def test_non_finite_coordinate_is_config_error(small_eval_files, tmp_path, capsys,
                                                command):
@@ -617,6 +636,20 @@ class TestAblateCommand:
         assert captured.err == ("error: config key 'seed' must be nonnegative, "
                                 "got -1\n")
         assert not out.exists()
+
+    def test_directory_out_refused_before_any_run_trains(self, data_base,
+                                                         tmp_path, capsys):
+        out = tmp_path / "ablation.csv"
+        out.mkdir()
+        code = main(["ablate", "--seeds", "0", "--set", f"data={data_base}",
+                     "--set", "epochs=1", "--set", "batch_size=16",
+                     "--set", "hidden_dims=8 16", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == (f"error: --out {out} is a directory, not a "
+                                "CSV file\n")
+        assert list(out.iterdir()) == []
 
     def test_config_file_may_list_arm_and_seed(self, data_base, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -125,3 +125,15 @@ def test_load_state_rejects_bad_tensor(model, value, match):
         model.load_state(tensors)
     for p, old in zip(model.params, before):
         assert np.array_equal(p.values, old), p.name
+
+
+def test_load_state_rejects_unknown_tensor(model):
+    """A tensor that names no parameter is refused, the first in sorted
+    order named, and nothing is copied."""
+    tensors = {p.name: np.ones(p.shape) for p in model.params}
+    tensors.update({"point3.w": np.ones((12, 4)), "bogus": np.ones(1)})
+    before = [p.values.copy() for p in model.params]
+    with pytest.raises(ValueError, match="checkpoint tensor 'bogus' names no"):
+        model.load_state(tensors)
+    for p, old in zip(model.params, before):
+        assert np.array_equal(p.values, old), p.name

@@ -13,7 +13,7 @@ from cedr.metrics import (
     write_center_distance_csv,
     write_confusion_csv,
     write_entropy_csv,
-    write_summary_json,
+    write_json,
 )
 
 from conftest import strict_json
@@ -154,6 +154,18 @@ class TestExports:
         back = np.array([[int(x) for x in row[1:]] for row in rows[1:]])
         assert np.array_equal(back, report.confusion)
 
+    def test_confusion_csv_quotes_class_names(self, tmp_path):
+        """A class name that holds the delimiter and the quote character
+        reads back whole."""
+        _, _, report = self.make_report()
+        names = ["a", 'flat, "thin" box', "c"]
+        path = tmp_path / "cm.csv"
+        write_confusion_csv(path, report.confusion, names)
+        rows = list(csv.reader(path.open(newline="")))
+        assert rows[0] == ["true\\pred", *names]
+        assert [row[0] for row in rows[1:]] == names
+        assert '"flat, ""thin"" box"' in path.read_text()
+
     def test_center_distance_csv_shape(self, tmp_path):
         rng = np.random.default_rng(5)
         dist = center_distance_report(rng.standard_normal((9, 4)),
@@ -187,7 +199,7 @@ class TestExports:
     def test_summary_json_content(self, tmp_path):
         _, _, report = self.make_report()
         path = tmp_path / "summary.json"
-        write_summary_json(path, report)
+        write_json(path, report.json_summary())
         payload = json.loads(path.read_text())
         assert payload["overall_acc"] == pytest.approx(report.overall_acc)
         assert "macro_f1" in payload
@@ -196,8 +208,21 @@ class TestExports:
         labels = np.array([0, 1])
         report = evaluate(one_hot_probs(labels, 2), labels)
         path = tmp_path / "summary.json"
-        write_summary_json(path, report)
+        write_json(path, report.json_summary())
         payload = strict_json(path.read_text())
         # every prediction is right: no mean entropy of wrong ones
         assert payload["mean_entropy_wrong"] is None
         assert math.isnan(report.summary()["mean_entropy_wrong"])
+
+    def test_json_bytes(self, tmp_path):
+        payload = {"b": [1, 2.5], "a": {"z": None, "y": "text"}}
+        path = tmp_path / "out.json"
+        write_json(path, payload)
+        assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True)
+                                     + "\n").encode()
+
+    def test_json_refuses_nan_before_writing(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"overall_acc": float("nan")})
+        assert not path.exists()
