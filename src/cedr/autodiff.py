@@ -173,11 +173,19 @@ def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
     """A shared per-point MLP over (batch, n_points, dim) clouds, then the max
     over each cloud's points, as one `point_mlp` node with a (batch, width)
     result; points are data and get no gradient. Each lower `(w, b)` of
-    `layers` is relu(h @ w + b) per point; the top layer is a batched matmul
-    laid out as (clouds, width, n_points), contiguous along the points, and
-    numpy runs one BLAS product per cloud of it. Every layer is built over the
-    chunks of `chunk_bounds`, one chunk's activations alive at a time, few
-    enough to fit in cache (`CHUNK_ROWS`).
+    `layers` is relu(h @ w + b) per point. The first, on the points, is
+    relu([x, 1] @ [[w], [b]]): the bias rides in the BLAS product as a last
+    weight row, added in the accumulation with the bits of a separate `+= b`
+    (for 3 coordinates, checked under OpenBLAS's Haswell, Katmai, SkylakeX
+    and Sandybridge kernels) and without a pass over the output. A product
+    of fewer than 2 rows or 2 columns takes BLAS's matrix-vector path, whose
+    bits differ, so there it stays h @ w + b, as the deeper layers always
+    do: their input is no data row, and a ones column would cost a copy.
+    The top layer is a batched matmul laid out as (clouds, width, n_points),
+    contiguous along the points, and numpy runs one BLAS product per cloud
+    of it. Every layer is built over the chunks of `chunk_bounds`, one
+    chunk's activations alive at a time, few enough to fit in cache
+    (`CHUNK_ROWS`).
     The top layer is pooled before its bias and relu, relu(max_p (h @ w)_p + b),
     which gives the same bits because fl(x + b) and relu never decrease as x
     grows. One argmax over the points finds each (cloud, feature)'s critical
@@ -194,9 +202,17 @@ def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
     last bits may differ from those of one (batch, width) matrix product."""
     batch, n_points, dim = points.shape
 
-    def lower(h, w, b):   # relu(h @ w + b), the same ops forward and backward
-        out = h @ w.values
-        out += b.values
+    def lower(h, k):   # relu(h @ w + b) of lower layer k, forward and backward
+        w, b = (p.values for p in layers[k])
+        if k or min(len(h), w.shape[1]) < 2:
+            out = h @ w
+            out += b
+        else:
+            # [h, 1] @ [[w], [b]]: a ones column on the data rows, built per
+            # chunk, so the node holds no new array
+            h1 = np.ones((len(h), dim + 1))
+            h1[:, :-1] = h
+            out = h1 @ np.concatenate((w, b[None]))
         return np.maximum(out, 0.0, out=out)
 
     x = points.reshape(batch * n_points, dim)
@@ -206,8 +222,8 @@ def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
     bounds = chunk_bounds(batch, n_points)
     for lo, hi in zip(bounds, bounds[1:]):
         h = x[lo * n_points:hi * n_points]
-        for w, b in layers[:-1]:
-            h = lower(h, w, b)
+        for k in range(len(layers) - 1):
+            h = lower(h, k)
         per_cloud = np.matmul(w_top.values.T,
                               h.reshape(hi - lo, n_points, -1).transpose(0, 2, 1))
         per_cloud.argmax(axis=2, out=first[lo:hi])
@@ -226,8 +242,8 @@ def pooled_point_mlp(points: np.ndarray, layers) -> Tensor:
         inv = np.cumsum(flag)[rows] - 1
         # each layer's input at the critical rows, recomputed from the points
         ins = [x[crit]]
-        for w, b in layers[:-1]:
-            ins.append(lower(ins[-1], w, b))
+        for k in range(len(layers) - 1):
+            ins.append(lower(ins[-1], k))
         # each (cloud, feature) has its own (row, feature) slot
         gz = np.zeros((len(crit), pooled.shape[1]))
         g_top = g * (pooled > 0)

@@ -39,9 +39,10 @@ from .metrics import (
 )
 from .train import (
     NumericFailure,
+    ablation_variants,
     encode_split,
-    run_ablation,
-    run_lambda_grid,
+    lambda_grid_variants,
+    run_variants,
     train,
 )
 
@@ -182,15 +183,15 @@ def cmd_ablate(args) -> int:
     out = Path(args.out)
     if out.is_dir():
         raise ConfigError(f"--out {out} is a directory, not a CSV file")
+    # every run's config is validated here, so a refused one leaves no
+    # directory behind
+    variants = (lambda_grid_variants(config, seeds) if args.lambda_grid
+                else ablation_variants(config, seeds))
     out.parent.mkdir(parents=True, exist_ok=True)
     progress = (lambda row: print(
         f"{row['variant']} seed {row['seed']}: "
         f"overall_acc={row['overall_acc']:.4f}")) if not args.quiet else None
-    if args.lambda_grid:
-        result = run_lambda_grid(config, dataset, seeds, progress=progress)
-    else:
-        result = run_ablation(config, dataset, seeds, progress=progress)
-    result.write_csv(out)
+    run_variants(variants, dataset, progress).write_csv(out)
     print(f"wrote {out}")
     return EXIT_OK
 

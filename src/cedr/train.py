@@ -240,11 +240,34 @@ class AblationResult:
         return float(np.mean(vals))
 
 
-def _run_variants(variants, dataset: DatasetSplit, progress) -> AblationResult:
+def ablation_variants(base: ExperimentConfig, seeds=(0, 1, 2, 3, 4),
+                      arms=ARMS) -> list:
+    """Every arm on every seed with otherwise shared config, as validated
+    (label, config) pairs."""
+    return [(arm, replace(base, arm=arm, seed=seed).validate())
+            for arm in arms for seed in seeds]
+
+
+# (label, config overrides) of each balance-coefficient setting
+LAMBDA_GRID = (
+    ("constant_0.05", dict(lambda_schedule="constant", lam=0.05)),
+    ("constant_0.1", dict(lambda_schedule="constant", lam=0.1)),
+    ("constant_0.2", dict(lambda_schedule="constant", lam=0.2)),
+    ("constant_0.3", dict(lambda_schedule="constant", lam=0.3)),
+    ("linear_0.1_0.2", dict(lambda_schedule="linear", lam=0.1, lambda_end=0.2)),
+)
+
+
+def lambda_grid_variants(base: ExperimentConfig, seeds=(0, 1, 2, 3, 4)) -> list:
+    """Every balance-coefficient setting on every seed, as validated (label,
+    config) pairs."""
+    return [(label, replace(base, seed=seed, **overrides).validate())
+            for label, overrides in LAMBDA_GRID for seed in seeds]
+
+
+def run_variants(variants, dataset: DatasetSplit, progress=None) -> AblationResult:
     """Train each (label, config) pair in order; one result row per pair.
-    Every config is validated before the first run trains."""
-    for _, config in variants:
-        config.validate()
+    The builders above validate every config before any run trains."""
     rows = []
     for label, config in variants:
         record, model = train(config, dataset)
@@ -263,23 +286,10 @@ def run_ablation(base: ExperimentConfig, dataset: DatasetSplit,
                  seeds=(0, 1, 2, 3, 4), arms=ARMS,
                  progress=None) -> AblationResult:
     """Train every arm on every seed with otherwise shared config."""
-    return _run_variants([(arm, replace(base, arm=arm, seed=seed))
-                          for arm in arms for seed in seeds], dataset, progress)
-
-
-# (label, config overrides) of each balance-coefficient setting
-LAMBDA_GRID = (
-    ("constant_0.05", dict(lambda_schedule="constant", lam=0.05)),
-    ("constant_0.1", dict(lambda_schedule="constant", lam=0.1)),
-    ("constant_0.2", dict(lambda_schedule="constant", lam=0.2)),
-    ("constant_0.3", dict(lambda_schedule="constant", lam=0.3)),
-    ("linear_0.1_0.2", dict(lambda_schedule="linear", lam=0.1, lambda_end=0.2)),
-)
+    return run_variants(ablation_variants(base, seeds, arms), dataset, progress)
 
 
 def run_lambda_grid(base: ExperimentConfig, dataset: DatasetSplit,
                     seeds=(0, 1, 2, 3, 4), progress=None) -> AblationResult:
     """Balance-coefficient study over the contrastive arm."""
-    return _run_variants([(label, replace(base, seed=seed, **overrides))
-                          for label, overrides in LAMBDA_GRID for seed in seeds],
-                         dataset, progress)
+    return run_variants(lambda_grid_variants(base, seeds), dataset, progress)

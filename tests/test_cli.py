@@ -626,16 +626,19 @@ class TestAblateCommand:
 
     def test_bad_seed_rejected_before_any_run_trains(self, data_base, tmp_path,
                                                      capsys):
-        out = tmp_path / "ablation.csv"
-        code = main(["ablate", "--seeds", "5,-1", "--set", f"data={data_base}",
-                     "--set", "epochs=1", "--set", "batch_size=16",
-                     "--set", "hidden_dims=8 16", "--out", str(out)])
-        captured = capsys.readouterr()
-        assert code == EXIT_CONFIG
-        assert captured.out == ""
-        assert captured.err == ("error: config key 'seed' must be nonnegative, "
-                                "got -1\n")
-        assert not out.exists()
+        # the nested --out: a refused run leaves no parent directory behind
+        for out in (tmp_path / "ablation.csv",
+                    tmp_path / "abl" / "new" / "ablation.csv"):
+            code = main(["ablate", "--seeds", "5,-1", "--set", f"data={data_base}",
+                         "--set", "epochs=1", "--set", "batch_size=16",
+                         "--set", "hidden_dims=8 16", "--out", str(out)])
+            captured = capsys.readouterr()
+            assert code == EXIT_CONFIG
+            assert captured.out == ""
+            assert captured.err == ("error: config key 'seed' must be "
+                                    "nonnegative, got -1\n")
+            assert not out.exists()
+        assert not (tmp_path / "abl").exists()
 
     def test_directory_out_refused_before_any_run_trains(self, data_base,
                                                          tmp_path, capsys):

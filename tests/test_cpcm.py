@@ -116,6 +116,17 @@ class TestNegativeWeights:
         result = cpcm_negative_weights(labels, pw, "nearest_only")
         assert np.allclose(result, 1.0)
 
+    def test_nearest_only_margin_tie_is_not_met(self):
+        # 1-D centers at 0, 0.5 and 1.3: class 0's nearest distance plus the
+        # margin equals its second nearest exactly, and the rule is strict
+        labels = np.array([0, 1, 2])
+        pw = class_pair_weights(compute_centers(np.array([[0.0], [0.5], [1.3]]),
+                                                labels, 3))
+        assert pw.dist[0, 1] + 0.8 == pw.dist[0, 2]
+        result = cpcm_negative_weights(labels, pw, "nearest_only")
+        assert result[0, 1] == 1.0 and result[1, 0] == 1.0
+        assert (result == 1.0).all()
+
     def test_method1_dominates_method2(self):
         rng = np.random.default_rng(1)
         emb = rng.standard_normal((24, 6))

@@ -131,6 +131,19 @@ class TestClassify:
         assert list(profile.tag) == [tag for _, _, tag in cases]
         assert profile.scale == pytest.approx(s, abs=1e-12)
 
+    def test_entropy_exactly_at_a_threshold_is_normal(self):
+        # over 15 columns (scale 1.0) these rows have entropies of exactly
+        # 1.0 and 2.5 bits; both thresholds are strict
+        probs = np.zeros((2, 15))
+        probs[0, :2] = 0.5
+        probs[1, :6] = [0.25, 0.25, 0.125, 0.125, 0.125, 0.125]
+        # row 0 predicts class 0 (the first maximum), wrongly; row 1 rightly
+        profile = classify_samples(probs, np.array([2, 0]))
+        assert profile.scale == 1.0
+        assert list(profile.entropy) == [1.0, 2.5]
+        assert list(profile.correct) == [False, True]
+        assert list(profile.tag) == ["normal", "normal"]
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="2 classes"):
             classify_samples(np.ones((1, 1)), np.array([0]))
