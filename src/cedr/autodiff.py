@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff over a recorded computation graph.
 
 Everything is float64 numpy. The graph has two kinds of node: a `Parameter`
-owns a grad buffer, and every other `Tensor` owns none. `Tensor` is a node
+has a grad buffer, and every other `Tensor` has none. `Tensor` is a node
 only, with no operators or methods: each op is a function that builds one
 node with one hand-written vjp, which maps the node's gradient to one
 gradient per parent. Every input of an op is a parent, constants too; a
@@ -45,14 +45,30 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named trainable leaf: the one kind of node that owns a grad buffer."""
+    """Named trainable leaf, the one kind of node with a grad: its own or a view."""
 
     __slots__ = ("name",)
 
-    def __init__(self, values, name: str):
+    def __init__(self, values, name: str, grad=None):
         super().__init__(values)
-        self.grad = np.zeros_like(self.values)
+        self.grad = np.zeros_like(self.values) if grad is None else grad
         self.name = name
+
+
+class FlatParameters:
+    """Named arrays laid end to end in one flat `values`, beside one flat zero
+    `grad`. `params` are `Parameter` views of both, in the given order, and
+    parameter k ends at flat index `ends[k]`. A step, a load or a backward
+    writes the views in place, so no array moves once this is built."""
+
+    def __init__(self, named: list[tuple[str, np.ndarray]]):
+        self.ends = np.cumsum([a.size for _, a in named])
+        self.values = np.concatenate([a.ravel() for _, a in named])
+        self.grad = np.zeros_like(self.values)
+        self.params = [
+            Parameter(v.reshape(a.shape), name, g.reshape(a.shape))
+            for (name, a), v, g in zip(named, np.split(self.values, self.ends[:-1]),
+                                       np.split(self.grad, self.ends[:-1]))]
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -73,7 +89,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 def backward(loss: Tensor):
     """Backpropagate from a scalar loss, accumulating into the grads of the
-    leaves that own one. A loss built only from constants reaches none. A node
+    leaves that have one. A loss built only from constants reaches none. A node
     used by an earlier backward has no vjp: a RuntimeError names its op."""
     if loss.values.size != 1:
         raise AutodiffError(f"backward expects a scalar loss, got shape {loss.shape}")

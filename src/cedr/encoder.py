@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (
-    Parameter,
+    FlatParameters,
     Tensor,
     dense_forward,
     l2_normalize_rows,
@@ -34,28 +34,22 @@ class ForwardOutputs:
     embeddings: Tensor   # batch x hidden_dims[-1], unit rows
 
 
-class PointEncoder:
+class PointEncoder(FlatParameters):
     def __init__(self, config: EncoderConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(seed)
-        self.params: list[Parameter] = []
         dims = [3] + list(config.hidden_dims)   # points are (x, y, z)
-        self.point_layers = [
-            self._dense_pair(rng, dims[i], dims[i + 1], f"point{i}")
-            for i in range(len(dims) - 1)
-        ]
         d = config.hidden_dims[-1]   # width of the pooled global feature
-        self.cls_head = self._dense_pair(rng, d, config.num_classes, "cls")
+        layers = [(f"point{i}", dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
         # the projection space has the width of the global feature
-        self.prj_head = self._dense_pair(rng, d, d, "prj")
-
-    def _dense_pair(self, rng, d_in, d_out, name):
-        # He init; biases at zero
-        w = Parameter(rng.standard_normal((d_in, d_out)) * np.sqrt(2.0 / d_in),
-                      f"{name}.w")
-        b = Parameter(np.zeros(d_out), f"{name}.b")
-        self.params.extend([w, b])
-        return (w, b)
+        layers += [("cls", d, config.num_classes), ("prj", d, d)]
+        named = []
+        for name, d_in, d_out in layers:   # He init; biases at zero
+            w = rng.standard_normal((d_in, d_out)) * np.sqrt(2.0 / d_in)
+            named += [(f"{name}.w", w), (f"{name}.b", np.zeros(d_out))]
+        super().__init__(named)
+        pairs = list(zip(self.params[::2], self.params[1::2]))
+        self.point_layers, (self.cls_head, self.prj_head) = pairs[:-2], pairs[-2:]
 
     def load_state(self, tensors: dict[str, np.ndarray]):
         """Copy every parameter from `tensors`. All are checked first, so a

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Parameter
+from .autodiff import FlatParameters
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr_max: float = 0.1,
@@ -19,35 +18,25 @@ def cosine_lr(epoch: int, total_epochs: int, lr_max: float = 0.1,
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * t / total_epochs))
 
 
-@dataclass
 class SGDMomentum:
-    """On construction the parameters' values and grads move into one flat
-    array each, beside one flat `velocity`, and every `Parameter`'s `values`
-    and `grad` become views of them: a step is a few whole-array ops, and a
-    parameter written in place (`PointEncoder.load_state`) writes them."""
+    """Steps a model's flat `values` by its flat `grad` (`FlatParameters`),
+    which every `Parameter` views, so a step is a few whole-array ops. The
+    optimizer holds only its flat `velocity`; it moves no array."""
 
-    params: list[Parameter]
-    momentum: float
-    weight_decay: float
-
-    def __post_init__(self):
-        self.values = np.concatenate([p.values.ravel() for p in self.params])
-        self.grad = np.concatenate([p.grad.ravel() for p in self.params])
-        self.velocity = np.zeros_like(self.values)
-        self.ends = np.cumsum([p.values.size for p in self.params])
-        for p, v, g in zip(self.params, np.split(self.values, self.ends[:-1]),
-                           np.split(self.grad, self.ends[:-1])):
-            p.values, p.grad = v.reshape(p.shape), g.reshape(p.shape)
+    def __init__(self, model: FlatParameters, momentum: float, weight_decay: float):
+        self.model, self.momentum, self.weight_decay = model, momentum, weight_decay
+        self.velocity = np.zeros_like(model.values)
 
     def step(self, lr: float):
+        m = self.model
         self.velocity *= self.momentum
-        self.velocity += self.grad + self.weight_decay * self.values
-        self.values -= lr * self.velocity
-        finite = np.isfinite(self.values)
+        self.velocity += m.grad + self.weight_decay * m.values
+        m.values -= lr * self.velocity
+        finite = np.isfinite(m.values)
         if not finite.all():
-            bad = np.searchsorted(self.ends, finite.argmin(), side="right")
+            bad = np.searchsorted(m.ends, finite.argmin(), side="right")
             raise FloatingPointError(
-                f"non-finite values in parameter '{self.params[bad].name}'")
+                f"non-finite values in parameter '{m.params[bad].name}'")
 
     def zero_grad(self):
-        self.grad.fill(0.0)
+        self.model.grad.fill(0.0)

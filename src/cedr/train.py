@@ -142,7 +142,7 @@ def train(config: ExperimentConfig,
     enc_config = EncoderConfig(num_classes=num_classes,
                                hidden_dims=list(config.hidden_dims))
     model = PointEncoder(enc_config, seed=config.seed)
-    opt = SGDMomentum(model.params, config.momentum, config.weight_decay)
+    opt = SGDMomentum(model, config.momentum, config.weight_decay)
 
     train_pts, train_labels = stack_points(dataset.train)
     record = RunRecord(config=json.loads(json.dumps(asdict(config),

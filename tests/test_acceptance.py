@@ -98,8 +98,7 @@ def test_criterion_1_gradient_suite():
         weights = batch_weights(config, base.probs.values,
                                 base.embeddings.values, labels)
         loss = arm_loss(config, model, pts, labels, weights)
-        for p in model.params:
-            p.grad = np.zeros_like(p.values)
+        model.grad.fill(0.0)
         backward(loss)
         eps = 1e-5
         for p in model.params:

@@ -258,6 +258,11 @@ class TestInfoNCE:
         with pytest.raises(ValueError, match="nonnegative integer class ids"):
             ContrastiveBatch(np.eye(2), labels)
 
+    @pytest.mark.parametrize("temperature", [0.0, -0.5])
+    def test_temperature_must_be_positive(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            ContrastiveBatch(np.eye(2), [0, 1], temperature)
+
     def test_weight_shape_mismatch_rejected(self):
         z = unit_embeddings(np.random.default_rng(12), 4, 3)
         with pytest.raises(ValueError, match=re.escape("shape (4, 3), not (4, 4)")):

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from cedr.autodiff import Parameter, backward
+from cedr.autodiff import FlatParameters, Parameter, backward
 from cedr.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -36,8 +38,9 @@ class TestCosineSchedule:
 
 class TestSGD:
     def test_momentum_update_formula(self):
-        p = Parameter(np.array([1.0, -2.0]), "p")
-        opt = SGDMomentum([p], momentum=0.9, weight_decay=0.01)
+        model = FlatParameters([("p", np.array([1.0, -2.0]))])
+        (p,) = model.params
+        opt = SGDMomentum(model, momentum=0.9, weight_decay=0.01)
         lr = cosine_lr(0, 10)
         p.grad[...] = np.array([0.5, 0.5])
         v_expected = 0.9 * 0.0 + p.grad + 0.01 * p.values
@@ -54,8 +57,9 @@ class TestSGD:
     def test_descends_convex_quadratic(self):
         # f(x) = 0.5 x^T A x with curvature <= 4; lr below 2/4 descends
         a = np.diag([4.0, 1.0, 0.25])
-        x = Parameter(np.array([3.0, -2.0, 1.0]), "x")
-        opt = SGDMomentum([x], momentum=0.0, weight_decay=0.0)
+        model = FlatParameters([("x", np.array([3.0, -2.0, 1.0]))])
+        (x,) = model.params
+        opt = SGDMomentum(model, momentum=0.0, weight_decay=0.0)
 
         def f():
             return 0.5 * x.values @ a @ x.values
@@ -69,22 +73,25 @@ class TestSGD:
             prev = cur
 
     def test_rejects_nonfinite_result(self):
-        p = Parameter(np.array([1.0]), "p")
-        opt = SGDMomentum([p], momentum=0.9, weight_decay=1e-4)
+        model = FlatParameters([("p", np.array([1.0]))])
+        (p,) = model.params
+        opt = SGDMomentum(model, momentum=0.9, weight_decay=1e-4)
         p.grad[...] = np.array([np.inf])
         with pytest.raises(FloatingPointError, match="'p'"):
             opt.step(cosine_lr(0, 10))
 
     def test_names_the_first_non_finite_parameter(self):
-        params = [Parameter(np.ones((2, 3)), "a.w"), Parameter(np.ones(3), "a.b")]
-        opt = SGDMomentum(params, momentum=0.9, weight_decay=1e-4)
+        model = FlatParameters([("a.w", np.ones((2, 3))), ("a.b", np.ones(3))])
+        params = model.params
+        opt = SGDMomentum(model, momentum=0.9, weight_decay=1e-4)
         params[1].grad[2] = np.nan
         with pytest.raises(FloatingPointError, match="'a.b'"):
             opt.step(0.1)
 
     def test_zero_grad_clears_every_parameter(self):
-        params = [Parameter(np.ones((2, 3)), "a.w"), Parameter(np.ones(3), "a.b")]
-        opt = SGDMomentum(params, momentum=0.9, weight_decay=1e-4)
+        model = FlatParameters([("a.w", np.ones((2, 3))), ("a.b", np.ones(3))])
+        params = model.params
+        opt = SGDMomentum(model, momentum=0.9, weight_decay=1e-4)
         for p in params:
             p.grad[...] = 5.0
         opt.zero_grad()
@@ -92,15 +99,45 @@ class TestSGD:
 
     def test_parameters_are_views_of_the_flat_arrays(self):
         model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
-        opt = SGDMomentum(model.params, momentum=0.9, weight_decay=1e-4)
+        SGDMomentum(model, momentum=0.9, weight_decay=1e-4)   # moves no array
         other = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]),
                              seed=1)
         model.load_state({p.name: p.values for p in other.params})
         for p, q in zip(model.params, other.params):
-            assert np.shares_memory(p.values, opt.values)
-            assert np.shares_memory(p.grad, opt.grad)
+            assert np.shares_memory(p.values, model.values)
+            assert np.shares_memory(p.grad, model.grad)
             assert np.array_equal(p.values, q.values)
-        assert opt.values.size == sum(p.values.size for p in model.params)
+        assert model.values.size == sum(p.values.size for p in model.params)
+
+    def test_step_after_load_before_the_optimizer(self):
+        # the optimizer reads the model's buffers when it steps, so values
+        # loaded before it is built are the ones it updates
+        model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
+        other = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]),
+                             seed=1)
+        model.load_state({p.name: p.values for p in other.params})
+        opt = SGDMomentum(model, momentum=0.9, weight_decay=0.01)
+        rng = np.random.default_rng(0)
+        for p in model.params:
+            p.grad[...] = rng.standard_normal(p.shape)
+        lr = cosine_lr(0, 10)
+        opt.step(lr)
+        for p, q in zip(model.params, other.params):
+            v_expected = 0.9 * 0.0 + p.grad + 0.01 * q.values
+            assert np.allclose(p.values, q.values - lr * v_expected, atol=1e-15)
+
+    def test_names_the_parameter_at_each_boundary(self):
+        # a NaN at the first and at the last flat index of each parameter
+        config = EncoderConfig(num_classes=3, hidden_dims=[4, 6])
+        ends = PointEncoder(config).ends
+        for k, (start, end) in enumerate(zip([0, *ends[:-1]], ends)):
+            for i in (start, end - 1):
+                model = PointEncoder(config)
+                opt = SGDMomentum(model, momentum=0.9, weight_decay=1e-4)
+                model.grad[i] = np.nan
+                name = model.params[k].name
+                with pytest.raises(FloatingPointError, match=f"'{re.escape(name)}'$"):
+                    opt.step(0.1)
 
 
 class TestCheckpoint:
@@ -154,8 +191,9 @@ class TestCheckpoint:
 
 
 def test_gradients_reach_optimizer_through_backward():
-    p = Parameter(np.array([[2.0]]), "w")
-    opt = SGDMomentum([p], momentum=0.0, weight_decay=0.0)
+    model = FlatParameters([("w", np.array([[2.0]]))])
+    (p,) = model.params
+    opt = SGDMomentum(model, momentum=0.0, weight_decay=0.0)
     backward(weighted_sum(p, p.values.copy()))  # the gradient of 0.5 * p^2
     before = p.values.copy()
     lr = cosine_lr(0, 4)

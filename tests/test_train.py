@@ -23,11 +23,13 @@ from cedr.eaa import shannon_entropy
 from cedr.encoder import EncoderConfig, PointEncoder
 from cedr.losses import supervised_infonce
 from cedr.train import (
+    LAMBDA_GRID,
     AblationResult,
     NumericFailure,
     batch_weights,
     check_forward,
     encode_split,
+    lambda_grid_variants,
     run_ablation,
     run_lambda_grid,
     train,
@@ -562,6 +564,21 @@ class TestAblationRunner:
         linear = result.rows[4]["record"].config
         assert (linear["lambda_schedule"], linear["lam"], linear["lambda_end"]) \
             == ("linear", 0.1, 0.2)
+
+    def test_lambda_grid_values_match_their_labels(self):
+        # every label names its schedule and its numbers: lam, then lambda_end
+        # for a linear schedule; each label runs on the default seeds 0-4
+        variants = lambda_grid_variants(small_config(arm="scc"))
+        for label, _ in LAMBDA_GRID:
+            configs = [c for name, c in variants if name == label]
+            assert [c.seed for c in configs] == [0, 1, 2, 3, 4]
+            schedule, *numbers = label.split("_")
+            for c in configs:
+                assert c.lambda_schedule == schedule
+                assert c.lam == float(numbers[0])
+                if schedule == "linear":
+                    assert c.lambda_end == float(numbers[1])
+        assert len(variants) == 5 * len(LAMBDA_GRID)
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
