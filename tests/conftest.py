@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 # cedr first: importing it pins the BLAS thread count, which numpy reads at
 # its own first import, so the suite trains with one thread as CI does
+import cedr
 from cedr import autodiff
 from cedr.autodiff import Tensor
+from cedr.cli import main
 from cedr.data import PerturbationConfig, build_dataset, default_shape_specs
 
 import numpy as np  # noqa: E402
@@ -60,6 +67,47 @@ def strict_json(text: str):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
     return json.loads(text, parse_constant=reject)
+
+
+# the src/ that the cedr under test comes from, which a child process imports
+CEDR_SRC = str(Path(cedr.__file__).resolve().parent.parent)
+
+
+def run_python(args, env=os.environ, check=False):
+    """Run `python *args` as one child process, with CEDR_SRC first on its
+    PYTHONPATH and `env` as the rest of its environment. Returns the
+    CompletedProcess, stdout and stderr as text; a child still running
+    after ten minutes fails the test."""
+    path = os.pathsep.join(filter(None, [CEDR_SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**env, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=600, check=check)
+
+
+def cedr_process(*argv):
+    """(exit code, stdout, stderr) of `python -m cedr.cli *argv`, whose
+    `sys.exit(main())` gives the exit code as the console script does."""
+    done = run_python(["-m", "cedr.cli", *argv])
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.fixture
+def run_cedr(capsys):
+    """Runner of one cedr command in this process: run_cedr(*argv) returns
+    (exit code, stdout, stderr) of `cli.main(argv)`. An argparse SystemExit
+    gives its code, and each warning is written to stderr as a process
+    prints it. `test_cli.TestAsAProcess` overrides it with cedr_process."""
+    def run(*argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err + "".join(
+            warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+            for w in caught)
+    return run
 
 
 @pytest.fixture(scope="session")

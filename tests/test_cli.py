@@ -1,7 +1,7 @@
 import csv
 import json
+import os
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from cedr.data import (
 from cedr.encoder import EncoderConfig, PointEncoder
 from cedr.train import train
 
-from conftest import strict_json
+from conftest import cedr_process, run_python, strict_json
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +91,19 @@ class TestGenData:
         assert code == EXIT_CONFIG
         assert f"--classes must be in 2..8, got {classes}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # every cloud draws from its own stream and a split is one array, so
+        # processes with other string-hash salts write the same files
+        for salt in ("1", "2"):
+            done = run_python(["-m", "cedr.cli", "gen-data", "--perturb", "moderate",
+                               "--train", "80", "--test", "16", "--points", "128",
+                               "--out", str(tmp_path / salt / "data")],
+                              env={**os.environ, "PYTHONHASHSEED": salt})
+            assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        for suffix in (".train.cpcd", ".test.cpcd"):
+            assert ((tmp_path / "1" / "data").with_suffix(suffix).read_bytes()
+                    == (tmp_path / "2" / "data").with_suffix(suffix).read_bytes())
 
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         code = main(["gen-data", "--seed", "-1", "--out", str(tmp_path / "x")])
@@ -187,19 +200,22 @@ class TestTrain:
                                            "twice by --set\n")
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("option, setting, key", [
-        (["--arm", "full"], "arm=scc", "arm"),
-        (["--seed", "2"], "seed=5", "seed"),
-    ], ids=["arm", "seed"])
+    @pytest.mark.parametrize("argv, line", [
+        (["train", "--arm", "full", "--set", "arm=scc"],
+         "config key 'arm' is set by both --set and --arm"),
+        (["train", "--seed", "2", "--set", "seed=5"],
+         "config key 'seed' is set by both --set and --seed"),
+        # every ablation run sets its own seed
+        (["ablate", "--set", "seed=1", "--out", "ablation.csv"],
+         "config key 'seed' cannot be set for ablate; pick the seeds with --seeds"),
+    ], ids=["arm", "seed", "ablate"])
     def test_key_given_by_option_and_set_is_config_error(
-            self, data_base, tmp_path, capsys, option, setting, key):
-        code = main(["train", *option, "--set", setting,
-                     "--set", f"data={data_base}",
-                     "--set", f"out_dir={tmp_path / 'runs'}"])
+            self, data_base, tmp_path, monkeypatch, run_cedr, argv, line):
+        monkeypatch.chdir(tmp_path)    # where runs/ and ablation.csv would go
+        code, out, err = run_cedr(*argv, "--set", f"data={data_base}",
+                                  "--set", "out_dir=runs")
         assert code == EXIT_CONFIG
-        name = option[0][2:]
-        assert capsys.readouterr().err == (f"error: config key '{key}' is set "
-                                           f"by both --set and --{name}\n")
+        assert (out, err) == ("", f"error: {line}\n")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("spelling", [
@@ -294,16 +310,17 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("arm", ["scc", "scc_cpcm", "scc_eaa", "full"])
-    def test_small_temperature_trains(self, tmp_path, capsys, arm):
+    def test_small_temperature_trains(self, tmp_path, run_cedr, arm):
         # e^{s/tau} overflows a float here; the log-domain loss does not
         base = tmp_path / "toy"
         assert main(["gen-data", "--classes", "3", "--train", "20", "--test", "6",
                      "--points", "64", "--seed", "0", "--out", str(base)]) == EXIT_OK
-        code = main(["train", "--arm", arm, "--set", f"data={base}",
-                     "--set", f"out_dir={tmp_path}", "--set", "epochs=5",
-                     "--set", "hidden_dims=8 16", "--set", "temperature=0.0005"])
+        code, _, err = run_cedr("train", "--arm", arm, "--set", f"data={base}",
+                                "--set", f"out_dir={tmp_path}", "--set", "epochs=5",
+                                "--set", "hidden_dims=8 16",
+                                "--set", "temperature=0.0005")
         assert code == EXIT_OK
-        assert capsys.readouterr().err == ""
+        assert err == ""
 
 
 class TestEvalAnalyze:
@@ -381,7 +398,7 @@ def test_eval_survives_corrupt_files(small_eval_files, target, cut, where, mask)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
 
 
-def test_eval_rejects_a_signalling_nan_coordinate(small_eval_files, capsys):
+def test_eval_rejects_a_signalling_nan_coordinate(small_eval_files, run_cedr):
     """A float32 signalling NaN, as a flipped byte can leave one, is a
     non-finite coordinate: exit 2 naming it, and no warning from its cast."""
     d, files = small_eval_files
@@ -394,13 +411,12 @@ def test_eval_rejects_a_signalling_nan_coordinate(small_eval_files, capsys):
         if name == "toy.test.cpcd":
             raw = data[:at] + snan + data[at + 4:]
         (d / "work" / name).write_bytes(raw)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["eval", "--checkpoint", str(d / "work" / "m.ckpt"),
-                     "--data", str(d / "work" / "toy")])
-    assert code == EXIT_CONFIG and not caught
-    assert (f"toy.test.cpcd: sample 1 has a non-finite coordinate in its points "
-            f"at offset {at}") in capsys.readouterr().err
+    code, out, err = run_cedr("eval", "--checkpoint", str(d / "work" / "m.ckpt"),
+                              "--data", str(d / "work" / "toy"))
+    assert code == EXIT_CONFIG
+    assert (out, err) == ("", f"error: {d / 'work' / 'toy'}.test.cpcd: sample 1 "
+                          f"has a non-finite coordinate in its points at offset "
+                          f"{at}\n")
 
 
 @pytest.mark.parametrize("count, n_points", [(0, 32), (6, 0)])
@@ -482,7 +498,7 @@ def test_non_finite_coordinate_is_config_error(small_eval_files, tmp_path, capsy
 
 @pytest.mark.parametrize("command", ["eval", "analyze", "train"])
 def test_directory_in_place_of_a_file_is_config_error(
-        small_eval_files, tmp_path, monkeypatch, capsys, command):
+        small_eval_files, tmp_path, monkeypatch, run_cedr, command):
     """eval's --checkpoint, the test file of analyze's --data and train's
     --config are each a directory."""
     d, files = small_eval_files
@@ -498,8 +514,8 @@ def test_directory_in_place_of_a_file_is_config_error(
     }[command]
     bad.mkdir()
     before = sorted(tmp_path.iterdir())
-    assert main([command, *args]) == EXIT_CONFIG
-    err = capsys.readouterr().err
+    code, _, err = run_cedr(command, *args)
+    assert code == EXIT_CONFIG
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(bad) in err and "Traceback" not in err
     assert sorted(tmp_path.iterdir()) == before
@@ -520,7 +536,7 @@ def test_one_class_dataset_is_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_eval_rejects_a_version_1_dataset(small_eval_files, capsys):
+def test_eval_rejects_a_version_1_dataset(small_eval_files, run_cedr):
     """A file of the format before the fixed-shape layout is refused, not
     misread: exit 2 naming the version field."""
     d, files = small_eval_files
@@ -528,12 +544,11 @@ def test_eval_rejects_a_version_1_dataset(small_eval_files, capsys):
         if name.endswith(".cpcd"):
             raw = raw[:4] + b"\x01\x00" + raw[6:]
         (d / "work" / name).write_bytes(raw)
-    assert main(["eval", "--checkpoint", str(d / "work" / "m.ckpt"),
-                 "--data", str(d / "work" / "toy")]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert (f"{d / 'work' / 'toy'}.train.cpcd: unsupported version 1 at offset 4"
-            in err)
-    assert "Traceback" not in err
+    code, out, err = run_cedr("eval", "--checkpoint", str(d / "work" / "m.ckpt"),
+                              "--data", str(d / "work" / "toy"))
+    assert code == EXIT_CONFIG
+    assert (out, err) == ("", f"error: {d / 'work' / 'toy'}.train.cpcd: "
+                          "unsupported version 1 at offset 4\n")
 
 
 def test_truncated_checkpoint_names_it(small_eval_files, tmp_path, capsys):
@@ -625,18 +640,17 @@ class TestAblateCommand:
         assert not out.exists()
 
     def test_bad_seed_rejected_before_any_run_trains(self, data_base, tmp_path,
-                                                     capsys):
+                                                     run_cedr):
         # the nested --out: a refused run leaves no parent directory behind
         for out in (tmp_path / "ablation.csv",
                     tmp_path / "abl" / "new" / "ablation.csv"):
-            code = main(["ablate", "--seeds", "5,-1", "--set", f"data={data_base}",
-                         "--set", "epochs=1", "--set", "batch_size=16",
-                         "--set", "hidden_dims=8 16", "--out", str(out)])
-            captured = capsys.readouterr()
+            code, stdout, err = run_cedr(
+                "ablate", "--seeds", "5,-1", "--set", f"data={data_base}",
+                "--set", "epochs=1", "--set", "batch_size=16",
+                "--set", "hidden_dims=8 16", "--out", str(out))
             assert code == EXIT_CONFIG
-            assert captured.out == ""
-            assert captured.err == ("error: config key 'seed' must be "
-                                    "nonnegative, got -1\n")
+            assert stdout == ""
+            assert err == "error: config key 'seed' must be nonnegative, got -1\n"
             assert not out.exists()
         assert not (tmp_path / "abl").exists()
 
@@ -677,3 +691,26 @@ class TestAblateCommand:
         assert exc.value.code == EXIT_CONFIG
         assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestAsAProcess:
+    """The exit-code contracts of the `cedr` console script, each run as a
+    `python -m cedr.cli` process: the same test bodies as above, whose
+    run_cedr starts a process in place of calling main in this one, so an
+    exit code that main returns but the process does not exit with fails."""
+
+    @pytest.fixture
+    def run_cedr(self):
+        return cedr_process
+
+    test_directory_in_place_of_a_file_is_config_error = staticmethod(
+        test_directory_in_place_of_a_file_is_config_error)
+    test_eval_rejects_a_signalling_nan_coordinate = staticmethod(
+        test_eval_rejects_a_signalling_nan_coordinate)
+    test_eval_rejects_a_version_1_dataset = staticmethod(
+        test_eval_rejects_a_version_1_dataset)
+    test_key_given_by_option_and_set_is_config_error = (
+        TestTrain.test_key_given_by_option_and_set_is_config_error)
+    test_small_temperature_trains = TestTrain.test_small_temperature_trains
+    test_bad_seed_rejected_before_any_run_trains = (
+        TestAblateCommand.test_bad_seed_rejected_before_any_run_trains)

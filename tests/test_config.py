@@ -139,3 +139,24 @@ class TestFiles:
         text = dump_config(ExperimentConfig())
         assert "lambda = 0.1" in text
         assert "lam =" not in text
+        # the whole schema and its defaults, which README points to
+        assert text == """\
+arm = full
+lambda = 0.1
+lambda_schedule = constant
+lambda_end = 0.2
+temperature = 1.0
+eaa_mode = varying
+cpcm_method = all_pairs
+batch_size = 32
+epochs = 60
+seed = 0
+lr_max = 0.1
+lr_min = 0.001
+momentum = 0.9
+weight_decay = 0.0001
+hidden_dims = 64 128
+data = dataset
+n_points = 256
+out_dir = runs
+"""

@@ -1,12 +1,10 @@
 import csv
 import json
 import os
-import subprocess
 import sys
 import tracemalloc
 import weakref
 from inspect import getclosurevars
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import cedr
 from cedr import cpcm, eaa
 from cedr.autodiff import backward, chunk_bounds, pooled_point_mlp
 from cedr.config import ExperimentConfig
@@ -35,7 +32,7 @@ from cedr.train import (
     train,
 )
 
-from conftest import pair_masks, strict_json
+from conftest import pair_masks, run_python, strict_json
 
 
 def small_config(**overrides):
@@ -190,17 +187,33 @@ class TestTrainLoop:
     def test_every_sample_trains_including_a_final_batch_of_two(
             self, tiny_dataset, monkeypatch):
         module = sys.modules["cedr.train"]
-        cross_entropy = module.cross_entropy
-        sizes = []
+        cross_entropy, encode = module.cross_entropy, PointEncoder.encode
+        sizes, batches = [], []
 
         def spy(probs, labels):
             sizes.append(len(labels))
             return cross_entropy(probs, labels)
 
+        def encode_spy(self, points):
+            # an evaluation encodes the test split's own array
+            if points is not tiny_dataset.test.points:
+                batches.append(points)
+            return encode(self, points)
+
         monkeypatch.setattr(module, "cross_entropy", spy)
-        train(small_config(epochs=2, batch_size=23), tiny_dataset)
+        monkeypatch.setattr(PointEncoder, "encode", encode_spy)
+        train(small_config(epochs=2, batch_size=23, seed=5), tiny_dataset)
         # 48 clouds in batches of 23
         assert sizes == [23, 23, 2] * 2
+        # each epoch's shuffle, drawn from its own (seed, epoch) stream
+        expected = []
+        for epoch in range(2):
+            order = np.random.default_rng(
+                np.random.SeedSequence((5, epoch))).permutation(48)
+            expected += [order[start:start + 23] for start in (0, 23, 46)]
+        assert len(batches) == len(expected)
+        for points, idx in zip(batches, expected):
+            assert np.array_equal(points, tiny_dataset.train.points[idx])
 
     def test_step_graph_freed_before_next_forward(self, tiny_dataset,
                                                   monkeypatch):
@@ -605,11 +618,8 @@ def test_training_bytes_do_not_depend_on_unset_blas_threads():
     trains other bytes; on a 1-core machine OpenBLAS runs one thread either
     way, and this passes trivially."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    src = str(Path(cedr.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    outputs = [subprocess.run([sys.executable, "-c", TRAIN_TWO_EPOCHS],
-                              env={**env, **threads}, capture_output=True,
-                              text=True, timeout=600, check=True).stdout
+    outputs = [run_python(["-c", TRAIN_TWO_EPOCHS], env={**env, **threads},
+                          check=True).stdout
                for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"})]
     assert outputs[0] == outputs[1]
     assert outputs[0].count("\n") == 2
