@@ -56,14 +56,14 @@ class Parameter(Tensor):
 
 
 class FlatParameters:
-    """Named arrays laid end to end in one flat `values`, beside one flat zero
-    `grad`. `params` are `Parameter` views of both, in the given order, and
-    parameter k ends at flat index `ends[k]`. A step, a load or a backward
+    """Named arrays laid end to end in one flat float64 `values`, beside one
+    flat zero `grad`. `params` are `Parameter` views of both, in the given
+    order, and parameter k ends at flat index `ends[k]`. A step or a backward
     writes the views in place, so no array moves once this is built."""
 
     def __init__(self, named: list[tuple[str, np.ndarray]]):
         self.ends = np.cumsum([a.size for _, a in named])
-        self.values = np.concatenate([a.ravel() for _, a in named])
+        self.values = np.concatenate([a.ravel() for _, a in named], dtype=np.float64)
         self.grad = np.zeros_like(self.values)
         self.params = [
             Parameter(v.reshape(a.shape), name, g.reshape(a.shape))

@@ -111,10 +111,11 @@ def model_from_checkpoint(path) -> PointEncoder:
         hidden.append(width(f"point{len(hidden)}.w"))
     if not hidden or "cls.w" not in tensors:
         raise ConfigError(f"checkpoint {path} does not describe an encoder")
-    model = PointEncoder(EncoderConfig(num_classes=width("cls.w"),
-                                       hidden_dims=hidden))
-    model.load_state(tensors)
-    return model
+    config = EncoderConfig(num_classes=width("cls.w"), hidden_dims=hidden)
+    try:
+        return PointEncoder(config, state=tensors)
+    except ValueError as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from None
 
 
 def _encode_test_split(args):

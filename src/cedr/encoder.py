@@ -35,41 +35,39 @@ class ForwardOutputs:
 
 
 class PointEncoder(FlatParameters):
-    def __init__(self, config: EncoderConfig, seed: int = 0):
+    def __init__(self, config: EncoderConfig, seed: int = 0,
+                 state: dict[str, np.ndarray] | None = None):
+        """He-initialised from `seed`, biases at zero; or, given `state` (say a
+        checkpoint's tensors by name), built from those arrays with no draw,
+        and `seed` is not read. Every array is checked first: a missing or
+        unknown name, a wrong shape or a non-finite value raises ValueError."""
         self.config = config
-        rng = np.random.default_rng(seed)
         dims = [3] + list(config.hidden_dims)   # points are (x, y, z)
-        d = config.hidden_dims[-1]   # width of the pooled global feature
+        d = config.hidden_dims[-1]   # width of the pooled feature and of the projection
         layers = [(f"point{i}", dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-        # the projection space has the width of the global feature
         layers += [("cls", d, config.num_classes), ("prj", d, d)]
-        named = []
-        for name, d_in, d_out in layers:   # He init; biases at zero
-            w = rng.standard_normal((d_in, d_out)) * np.sqrt(2.0 / d_in)
-            named += [(f"{name}.w", w), (f"{name}.b", np.zeros(d_out))]
-        super().__init__(named)
+        shapes = {}
+        for name, d_in, d_out in layers:
+            shapes |= {f"{name}.w": (d_in, d_out), f"{name}.b": (d_out,)}
+        if state is None:
+            rng = np.random.default_rng(seed)
+            state = {name: rng.standard_normal(shape) * np.sqrt(2.0 / shape[0])
+                     if name.endswith(".w") else np.zeros(shape)
+                     for name, shape in shapes.items()}
+        for name, shape in shapes.items():
+            if name not in state:
+                raise ValueError(f"missing parameter '{name}'")
+            if state[name].shape != shape:
+                raise ValueError(f"parameter '{name}' has shape "
+                                 f"{state[name].shape}, expected {shape}")
+            if not np.all(np.isfinite(state[name])):
+                raise ValueError(f"parameter '{name}' has non-finite values")
+        unknown = sorted(state.keys() - shapes.keys())
+        if unknown:
+            raise ValueError(f"tensor '{unknown[0]}' names no parameter of the model")
+        super().__init__([(name, state[name]) for name in shapes])
         pairs = list(zip(self.params[::2], self.params[1::2]))
         self.point_layers, (self.cls_head, self.prj_head) = pairs[:-2], pairs[-2:]
-
-    def load_state(self, tensors: dict[str, np.ndarray]):
-        """Copy every parameter from `tensors`. All are checked first, so a
-        missing or unknown name, a wrong shape or a non-finite value raises
-        ValueError and leaves the model as it was."""
-        for p in self.params:
-            if p.name not in tensors:
-                raise ValueError(f"checkpoint is missing parameter '{p.name}'")
-            if tensors[p.name].shape != p.shape:
-                raise ValueError(f"checkpoint parameter '{p.name}' has shape "
-                                 f"{tensors[p.name].shape}, expected {p.shape}")
-            if not np.all(np.isfinite(tensors[p.name])):
-                raise ValueError(f"checkpoint parameter '{p.name}' has "
-                                 "non-finite values")
-        unknown = sorted(tensors.keys() - {p.name for p in self.params})
-        if unknown:
-            raise ValueError(f"checkpoint tensor '{unknown[0]}' names no "
-                             "parameter of the model")
-        for p in self.params:
-            p.values[...] = tensors[p.name]
 
     def encode(self, points: np.ndarray) -> ForwardOutputs:
         """points: (batch, n_points, 3) array."""

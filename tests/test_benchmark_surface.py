@@ -1,8 +1,9 @@
 """The benchmark reaches into cedr by attribute name. Check that every name it
 traces still exists, that its training config still validates, and that a
-traced training run fires every span and counter it reports, so that a
-renamed, deleted or bypassed function fails here and not only in a traced
-benchmark run. The benchmark's files are only imported, never changed.
+traced training run and a traced `cedr eval` fire every span and counter it
+reports, so that a renamed, deleted or bypassed function fails here and not
+only in a traced benchmark run. The benchmark's files are only imported,
+never changed.
 """
 
 import importlib
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from cedr import data
+from cedr import cli, data
+from cedr.checkpoint import save_checkpoint
 from cedr.config import ExperimentConfig
+from cedr.encoder import EncoderConfig, PointEncoder
 from cedr.train import train
 
 BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
@@ -47,3 +50,19 @@ def test_traced_training_fires_every_train_span(workloads):
     assert workloads.TRAIN_SPANS <= fired, sorted(workloads.TRAIN_SPANS - fired)
     for count in ("tape_nodes", "anchors", "tagged"):
         assert tracer.counts[count] > 0, count
+
+
+def test_traced_eval_fires_every_eval_span(workloads, tmp_path):
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer(workloads.trace_targets())
+    with tracer:
+        dataset = data.build_dataset(data.default_shape_specs()[:3], 2, 2, seed=0,
+                                     n_points=32)
+        data.write_dataset(dataset, tmp_path / "toy")
+        model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
+        save_checkpoint(tmp_path / "m.ckpt", model.params)
+        code = cli.main(["eval", "--checkpoint", str(tmp_path / "m.ckpt"),
+                         "--data", str(tmp_path / "toy")])
+    assert code == cli.EXIT_OK
+    fired = {span.name for span in tracer.spans}
+    assert workloads.EVAL_SPANS <= fired, sorted(workloads.EVAL_SPANS - fired)

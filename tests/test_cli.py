@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cedr.autodiff import CHUNK_ROWS, Parameter
 from cedr.checkpoint import load_checkpoint, save_checkpoint
-from cedr.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from cedr.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main, model_from_checkpoint
 from cedr.config import ARMS, ExperimentConfig, dump_config
 from cedr.data import (
     PerturbationConfig,
@@ -471,9 +471,52 @@ def test_checkpoint_tensor_that_names_no_parameter(small_eval_files, tmp_path,
     assert main([command, "--checkpoint", str(tmp_path / "m.ckpt"),
                  "--data", str(d / "toy"), *extra]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == ("error: checkpoint tensor 'bogus' names no parameter of "
-                   "the model\n")
+    assert err == (f"error: checkpoint {tmp_path / 'm.ckpt'}: tensor 'bogus' names "
+                   "no parameter of the model\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("drop, replace, line", [
+    ("point0.w", {}, " does not describe an encoder"),
+    ("cls.w", {}, " does not describe an encoder"),
+    (None, {"point0.w": np.zeros((3, 0))}, ": 'point0.w' has shape (3, 0), "
+     "expected a matrix with at least one column"),
+    ("prj.w", {}, ": missing parameter 'prj.w'"),
+    (None, {"cls.b": np.zeros(2)}, ": parameter 'cls.b' has shape (2,), "
+     "expected (3,)"),
+    (None, {"cls.b": np.full(3, np.inf)}, ": parameter 'cls.b' has non-finite "
+     "values"),
+], ids=["no-point0.w", "no-cls.w", "zero-width-point0.w", "no-prj.w",
+        "cls.b-shape", "cls.b-non-finite"])
+def test_checkpoint_refusal_starts_with_its_path(small_eval_files, tmp_path,
+                                                 run_cedr, drop, replace, line):
+    """A checkpoint with no first point layer or no class head, a matrix of no
+    columns, or arrays the encoder refuses: exit 2 and one error line that
+    starts with the checkpoint's path, not a traceback."""
+    model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, [Parameter(replace.get(p.name, p.values), p.name)
+                           for p in model.params if p.name != drop])
+    d, _ = small_eval_files
+    code, out, err = run_cedr("eval", "--checkpoint", str(ckpt),
+                              "--data", str(d / "toy"))
+    assert code == EXIT_CONFIG
+    assert (out, err) == ("", f"error: checkpoint {ckpt}{line}\n")
+
+
+def test_checkpoint_model_makes_no_draw(small_eval_files, monkeypatch):
+    """The model of a checkpoint is built from its tensors alone: no random
+    generator, and the bytes that were saved."""
+    d, _ = small_eval_files
+    saved = load_checkpoint(d / "m.ckpt")
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("loading a checkpoint made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    model = model_from_checkpoint(d / "m.ckpt")
+    for p in model.params:
+        assert p.values.tobytes() == saved[p.name].tobytes(), p.name
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "analyze"])
@@ -703,6 +746,8 @@ class TestAsAProcess:
     def run_cedr(self):
         return cedr_process
 
+    test_checkpoint_refusal_starts_with_its_path = staticmethod(
+        test_checkpoint_refusal_starts_with_its_path)
     test_directory_in_place_of_a_file_is_config_error = staticmethod(
         test_directory_in_place_of_a_file_is_config_error)
     test_eval_rejects_a_signalling_nan_coordinate = staticmethod(

@@ -108,9 +108,14 @@ class TestEncode:
         assert model.cls_head[0].shape == (7, 3)
 
 
-def test_load_state_missing_parameter(model, tmp_path):
+# a model loads a state by being built from it: PointEncoder(config, state=...)
+def state_of(model):
+    return {p.name: p.values for p in model.params}
+
+
+def test_load_state_missing_parameter(model):
     with pytest.raises(ValueError, match="point0.w"):
-        model.load_state({})
+        PointEncoder(model.config, state={})
 
 
 @pytest.mark.parametrize("value, match", [
@@ -118,22 +123,51 @@ def test_load_state_missing_parameter(model, tmp_path):
     (np.full(5, np.nan), "'cls.b' has non-finite values"),
 ])
 def test_load_state_rejects_bad_tensor(model, value, match):
+    """Raising, the constructor returns no model, and the arrays it was given
+    are left as they were."""
     tensors = {p.name: np.ones(p.shape) for p in model.params}
     tensors["cls.b"] = value
-    before = [p.values.copy() for p in model.params]
+    before = {name: a.copy() for name, a in tensors.items()}
     with pytest.raises(ValueError, match=match):
-        model.load_state(tensors)
-    for p, old in zip(model.params, before):
-        assert np.array_equal(p.values, old), p.name
+        PointEncoder(model.config, state=tensors)
+    for name, old in before.items():
+        assert np.array_equal(tensors[name], old, equal_nan=True), name
 
 
 def test_load_state_rejects_unknown_tensor(model):
     """A tensor that names no parameter is refused, the first in sorted
-    order named, and nothing is copied."""
+    order named, and no model is returned."""
     tensors = {p.name: np.ones(p.shape) for p in model.params}
     tensors.update({"point3.w": np.ones((12, 4)), "bogus": np.ones(1)})
-    before = [p.values.copy() for p in model.params]
-    with pytest.raises(ValueError, match="checkpoint tensor 'bogus' names no"):
-        model.load_state(tensors)
-    for p, old in zip(model.params, before):
-        assert np.array_equal(p.values, old), p.name
+    before = {name: a.copy() for name, a in tensors.items()}
+    with pytest.raises(ValueError, match="tensor 'bogus' names no"):
+        PointEncoder(model.config, state=tensors)
+    for name, old in before.items():
+        assert np.array_equal(tensors[name], old), name
+
+
+def test_built_from_its_own_arrays_with_no_draw(model, monkeypatch):
+    """A model built from another's arrays holds the same bytes in its own
+    buffer and encodes to the same bits, and draws no random number."""
+    def no_generator(*args, **kwargs):
+        raise AssertionError("the state path made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    again = PointEncoder(model.config, state=state_of(model))
+    monkeypatch.undo()
+    assert again.values.tobytes() == model.values.tobytes()
+    assert not np.shares_memory(again.values, model.values)
+    pts = random_batch(np.random.default_rng(5))
+    a, b = model.encode(pts), again.encode(pts)
+    assert a.probs.values.tobytes() == b.probs.values.tobytes()
+    assert a.embeddings.values.tobytes() == b.embeddings.values.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_state_of_another_dtype_gives_float64_buffers(model, dtype):
+    state = {name: (a * 4).astype(dtype) for name, a in state_of(model).items()}
+    again = PointEncoder(model.config, state=state)
+    assert again.values.dtype == again.grad.dtype == np.float64
+    for p in again.params:
+        assert p.values.dtype == p.grad.dtype == np.float64, p.name
+        assert np.array_equal(p.values, state[p.name]), p.name

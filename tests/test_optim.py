@@ -98,11 +98,12 @@ class TestSGD:
         assert all(not p.grad.any() for p in params)
 
     def test_parameters_are_views_of_the_flat_arrays(self):
-        model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
-        SGDMomentum(model, momentum=0.9, weight_decay=1e-4)   # moves no array
         other = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]),
                              seed=1)
-        model.load_state({p.name: p.values for p in other.params})
+        model = PointEncoder(other.config,
+                             state={p.name: p.values for p in other.params})
+        SGDMomentum(model, momentum=0.9, weight_decay=1e-4)   # moves no array
+        assert not np.shares_memory(model.values, other.values)
         for p, q in zip(model.params, other.params):
             assert np.shares_memory(p.values, model.values)
             assert np.shares_memory(p.grad, model.grad)
@@ -110,12 +111,12 @@ class TestSGD:
         assert model.values.size == sum(p.values.size for p in model.params)
 
     def test_step_after_load_before_the_optimizer(self):
-        # the optimizer reads the model's buffers when it steps, so values
-        # loaded before it is built are the ones it updates
-        model = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]))
+        # the optimizer reads the model's buffers when it steps, so a model
+        # built from loaded values is stepped from those values
         other = PointEncoder(EncoderConfig(num_classes=3, hidden_dims=[4, 6]),
                              seed=1)
-        model.load_state({p.name: p.values for p in other.params})
+        model = PointEncoder(other.config,
+                             state={p.name: p.values for p in other.params})
         opt = SGDMomentum(model, momentum=0.9, weight_decay=0.01)
         rng = np.random.default_rng(0)
         for p in model.params:
