@@ -18,7 +18,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from .config import ExperimentConfig
 from .data import build_dataset, default_shape_specs, read_dataset, write_dataset
 from .encoder import EncoderConfig, PointEncoder
-from .train import run_ablation, run_lambda_grid, train
+from .train import ablation_variants, run_variants, train
 
 __all__ = [
     "ExperimentConfig",
@@ -29,6 +29,6 @@ __all__ = [
     "read_dataset",
     "write_dataset",
     "train",
-    "run_ablation",
-    "run_lambda_grid",
+    "ablation_variants",
+    "run_variants",
 ]

@@ -38,10 +38,11 @@ from .metrics import (
     write_json,
 )
 from .train import (
+    ARM_GRID,
+    LAMBDA_GRID,
     NumericFailure,
     ablation_variants,
     encode_split,
-    lambda_grid_variants,
     run_variants,
     train,
 )
@@ -54,23 +55,32 @@ PERTURB_PRESETS = {"default": PerturbationConfig,
                    "moderate": PerturbationConfig.moderate,
                    "none": PerturbationConfig.none}
 
+# the most seeds one ablate takes: 10000 seeds of the five arms at the
+# acceptance config train for about 35 hours
+MAX_SEEDS = 10000
+
 
 def _parse_seeds(text: str) -> list[int]:
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            seeds = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in text.split("..", 1))
+            # counted before it is built: a huge range would not fit
+            seeds, n = range(lo, hi + 1), hi + 1 - lo
         else:
             seeds = [int(x) for x in text.replace(",", " ").split()]
+            n = len(seeds)
     except ValueError:
-        seeds = []
-    if not seeds:
+        seeds, n = [], 0
+    if n < 1:
         raise ConfigError(f"--seeds '{text}' selects no seed; "
                           "expected LO..HI with LO <= HI or a list of integers")
+    if n > MAX_SEEDS:
+        raise ConfigError(f"--seeds '{text}' selects {n} seeds; "
+                          f"at most {MAX_SEEDS} are allowed")
     repeated = [s for s, count in Counter(seeds).items() if count > 1]
     if repeated:
         raise ConfigError(f"--seeds '{text}' repeats seed {repeated[0]}")
-    return seeds
+    return list(seeds)
 
 
 def _load_experiment(args, own: dict[str, str]) -> ExperimentConfig:
@@ -186,8 +196,8 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"--out {out} is a directory, not a CSV file")
     # every run's config is validated here, so a refused one leaves no
     # directory behind
-    variants = (lambda_grid_variants(config, seeds) if args.lambda_grid
-                else ablation_variants(config, seeds))
+    variants = ablation_variants(config, seeds,
+                                 LAMBDA_GRID if args.lambda_grid else ARM_GRID)
     out.parent.mkdir(parents=True, exist_ok=True)
     progress = (lambda row: print(
         f"{row['variant']} seed {row['seed']}: "

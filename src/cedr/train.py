@@ -240,15 +240,9 @@ class AblationResult:
         return float(np.mean(vals))
 
 
-def ablation_variants(base: ExperimentConfig, seeds=(0, 1, 2, 3, 4),
-                      arms=ARMS) -> list:
-    """Every arm on every seed with otherwise shared config, as validated
-    (label, config) pairs."""
-    return [(arm, replace(base, arm=arm, seed=seed).validate())
-            for arm in arms for seed in seeds]
-
-
-# (label, config overrides) of each balance-coefficient setting
+# (label, config overrides) of each run of a grid: the five arms, and the
+# balance-coefficient settings
+ARM_GRID = tuple((arm, {"arm": arm}) for arm in ARMS)
 LAMBDA_GRID = (
     ("constant_0.05", dict(lambda_schedule="constant", lam=0.05)),
     ("constant_0.1", dict(lambda_schedule="constant", lam=0.1)),
@@ -258,16 +252,17 @@ LAMBDA_GRID = (
 )
 
 
-def lambda_grid_variants(base: ExperimentConfig, seeds=(0, 1, 2, 3, 4)) -> list:
-    """Every balance-coefficient setting on every seed, as validated (label,
-    config) pairs."""
+def ablation_variants(base: ExperimentConfig, seeds=(0, 1, 2, 3, 4),
+                      grid=ARM_GRID) -> list:
+    """Every entry of `grid` on every seed with otherwise shared config, as
+    validated (label, config) pairs in grid order, then seed order."""
     return [(label, replace(base, seed=seed, **overrides).validate())
-            for label, overrides in LAMBDA_GRID for seed in seeds]
+            for label, overrides in grid for seed in seeds]
 
 
 def run_variants(variants, dataset: DatasetSplit, progress=None) -> AblationResult:
     """Train each (label, config) pair in order; one result row per pair.
-    The builders above validate every config before any run trains."""
+    `ablation_variants` validates every config before any run trains."""
     rows = []
     for label, config in variants:
         record, model = train(config, dataset)
@@ -280,16 +275,3 @@ def run_variants(variants, dataset: DatasetSplit, progress=None) -> AblationResu
         if progress:
             progress(rows[-1])
     return AblationResult(rows)
-
-
-def run_ablation(base: ExperimentConfig, dataset: DatasetSplit,
-                 seeds=(0, 1, 2, 3, 4), arms=ARMS,
-                 progress=None) -> AblationResult:
-    """Train every arm on every seed with otherwise shared config."""
-    return run_variants(ablation_variants(base, seeds, arms), dataset, progress)
-
-
-def run_lambda_grid(base: ExperimentConfig, dataset: DatasetSplit,
-                    seeds=(0, 1, 2, 3, 4), progress=None) -> AblationResult:
-    """Balance-coefficient study over the contrastive arm."""
-    return run_variants(lambda_grid_variants(base, seeds), dataset, progress)

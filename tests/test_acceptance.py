@@ -33,7 +33,8 @@ from cedr.losses import (
     supervised_infonce,
 )
 from cedr.metrics import center_distance_report
-from cedr.train import batch_weights, run_ablation, run_lambda_grid, train
+from cedr.train import (LAMBDA_GRID, ablation_variants, batch_weights,
+                        run_variants, train)
 
 from test_losses import (WEIGHT_SOURCES, infonce_oracle, one_matrix,
                          unit_embeddings)
@@ -66,8 +67,8 @@ def accept_dataset():
 def ablation(accept_dataset):
     """The shared 5-arm x 5-seed x 60-epoch run used by criteria 5-7."""
     t0 = time.perf_counter()
-    result = run_ablation(ExperimentConfig(**ACCEPT), accept_dataset,
-                          seeds=SEEDS, arms=ARMS)
+    result = run_variants(ablation_variants(ExperimentConfig(**ACCEPT), SEEDS),
+                          accept_dataset)
     return result, time.perf_counter() - t0
 
 
@@ -287,7 +288,8 @@ def test_criterion_8_determinism(tmp_path):
 def test_criterion_9_lambda_grid(tiny_dataset, tmp_path):
     base = ExperimentConfig(arm="scc", epochs=2, batch_size=16,
                             hidden_dims=[8, 16], n_points=64)
-    result = run_lambda_grid(base, tiny_dataset, seeds=(0,))
+    result = run_variants(ablation_variants(base, (0,), LAMBDA_GRID),
+                          tiny_dataset)
     path = tmp_path / "lambda.csv"
     result.write_csv(path)
     rows = list(csv.reader(path.open()))

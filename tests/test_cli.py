@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 from cedr.autodiff import CHUNK_ROWS, Parameter
 from cedr.checkpoint import load_checkpoint, save_checkpoint
-from cedr.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main, model_from_checkpoint
+from cedr.cli import (
+    EXIT_CONFIG,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    MAX_SEEDS,
+    _parse_seeds,
+    main,
+    model_from_checkpoint,
+)
 from cedr.config import ARMS, ExperimentConfig, dump_config
 from cedr.data import (
     PerturbationConfig,
@@ -20,7 +28,7 @@ from cedr.data import (
     write_dataset,
 )
 from cedr.encoder import EncoderConfig, PointEncoder
-from cedr.train import train
+from cedr.train import ARM_GRID, LAMBDA_GRID, ablation_variants, run_variants, train
 
 from conftest import cedr_process, run_python, strict_json
 
@@ -672,6 +680,9 @@ class TestAblateCommand:
         (["--set", "seed=7"], "config key 'seed' cannot be set"),
         (["--lambda-grid", "--set", "seed=7"], "config key 'seed' cannot be set"),
         (["--set", "arm=scc"], "config key 'arm' cannot be set"),
+        (["--seeds", "0..10000"], "'0..10000' selects 10001 seeds; at most "
+                                  "10000 are allowed"),
+        (["--seeds", " ".join(map(str, range(10001)))], "selects 10001 seeds"),
     ])
     def test_bad_inputs_are_config_errors(self, data_base, tmp_path, capsys,
                                           args, message):
@@ -696,6 +707,38 @@ class TestAblateCommand:
             assert err == "error: config key 'seed' must be nonnegative, got -1\n"
             assert not out.exists()
         assert not (tmp_path / "abl").exists()
+
+    def test_huge_seed_range_refused_before_it_is_built(self, data_base,
+                                                        tmp_path, run_cedr):
+        # a range is counted, not listed: a trillion seeds would not fit
+        out = tmp_path / "ablation.csv"
+        code, stdout, err = run_cedr(
+            "ablate", "--seeds", "0..1000000000000", "--set", f"data={data_base}",
+            "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err == ("error: --seeds '0..1000000000000' selects 1000000000001 "
+                       "seeds; at most 10000 are allowed\n")
+        assert not out.exists()
+
+    def test_seed_limit_is_inclusive(self):
+        assert _parse_seeds(f"5..{MAX_SEEDS + 4}") == list(range(5, MAX_SEEDS + 5))
+
+    @pytest.mark.parametrize("grid, options", [
+        (ARM_GRID, []), (LAMBDA_GRID, ["--lambda-grid", "--set", "arm=scc"])])
+    def test_same_bytes_as_the_library(self, tmp_path, grid, options):
+        base = tmp_path / "toy2"
+        assert main(["gen-data", "--classes", "2", "--train", "6", "--test", "4",
+                     "--points", "32", "--out", str(base)]) == EXIT_OK
+        out = tmp_path / "cli.csv"
+        assert main(["ablate", "--seeds", "0..1", "--set", f"data={base}",
+                     "--set", "epochs=1", "--set", "hidden_dims=8 16",
+                     *options, "--out", str(out), "--quiet"]) == EXIT_OK
+        config = ExperimentConfig(data=str(base), epochs=1, hidden_dims=[8, 16],
+                                  arm="scc" if options else "full")
+        run_variants(ablation_variants(config, (0, 1), grid),
+                     read_dataset(base)).write_csv(tmp_path / "library.csv")
+        assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
 
     def test_directory_out_refused_before_any_run_trains(self, data_base,
                                                          tmp_path, capsys):
@@ -759,3 +802,5 @@ class TestAsAProcess:
     test_small_temperature_trains = TestTrain.test_small_temperature_trains
     test_bad_seed_rejected_before_any_run_trains = (
         TestAblateCommand.test_bad_seed_rejected_before_any_run_trains)
+    test_huge_seed_range_refused_before_it_is_built = (
+        TestAblateCommand.test_huge_seed_range_refused_before_it_is_built)

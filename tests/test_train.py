@@ -14,21 +14,21 @@ from hypothesis import strategies as st
 
 from cedr import cpcm, eaa
 from cedr.autodiff import backward, chunk_bounds, pooled_point_mlp
-from cedr.config import ExperimentConfig
+from cedr.config import ConfigError, ExperimentConfig
 from cedr.data import build_dataset, default_shape_specs
 from cedr.eaa import shannon_entropy
 from cedr.encoder import EncoderConfig, PointEncoder
 from cedr.losses import supervised_infonce
 from cedr.train import (
+    ARM_GRID,
     LAMBDA_GRID,
     AblationResult,
     NumericFailure,
+    ablation_variants,
     batch_weights,
     check_forward,
     encode_split,
-    lambda_grid_variants,
-    run_ablation,
-    run_lambda_grid,
+    run_variants,
     train,
 )
 
@@ -540,8 +540,8 @@ class TestNumericFailure:
 
 class TestAblationRunner:
     def test_rows_cover_arms_and_seeds(self, tiny_dataset):
-        result = run_ablation(small_config(epochs=1), tiny_dataset,
-                              seeds=(0, 1), arms=("ce_only", "scc"))
+        result = run_variants(ablation_variants(
+            small_config(epochs=1), (0, 1), ARM_GRID[:2]), tiny_dataset)
         pairs = {(r["variant"], r["seed"]) for r in result.rows}
         assert pairs == {("ce_only", 0), ("ce_only", 1), ("scc", 0), ("scc", 1)}
 
@@ -567,8 +567,8 @@ class TestAblationRunner:
         assert result.mean_overall("scc") == pytest.approx(0.85)
 
     def test_lambda_grid_labels(self, tiny_dataset):
-        result = run_lambda_grid(small_config(arm="scc", epochs=1), tiny_dataset,
-                                 seeds=(0,))
+        result = run_variants(ablation_variants(
+            small_config(arm="scc", epochs=1), (0,), LAMBDA_GRID), tiny_dataset)
         variants = [r["variant"] for r in result.rows]
         assert variants == ["constant_0.05", "constant_0.1", "constant_0.2",
                             "constant_0.3", "linear_0.1_0.2"]
@@ -581,7 +581,7 @@ class TestAblationRunner:
     def test_lambda_grid_values_match_their_labels(self):
         # every label names its schedule and its numbers: lam, then lambda_end
         # for a linear schedule; each label runs on the default seeds 0-4
-        variants = lambda_grid_variants(small_config(arm="scc"))
+        variants = ablation_variants(small_config(arm="scc"), grid=LAMBDA_GRID)
         for label, _ in LAMBDA_GRID:
             configs = [c for name, c in variants if name == label]
             assert [c.seed for c in configs] == [0, 1, 2, 3, 4]
@@ -592,6 +592,20 @@ class TestAblationRunner:
                 if schedule == "linear":
                     assert c.lambda_end == float(numbers[1])
         assert len(variants) == 5 * len(LAMBDA_GRID)
+
+    def test_custom_grid_keeps_its_order_and_validates_every_config(self):
+        grid = (("second", {"arm": "scc", "lam": 0.3}),
+                ("first", {"arm": "ce_only"}))
+        variants = ablation_variants(small_config(), (3, 1), grid)
+        assert [(label, c.arm, c.seed) for label, c in variants] == [
+            ("second", "scc", 3), ("second", "scc", 1),
+            ("first", "ce_only", 3), ("first", "ce_only", 1)]
+        assert [c.lam for _, c in variants] == [0.3, 0.3, 0.1, 0.1]
+        # the refused entry is the grid's last, so every config is checked
+        # before the list is returned
+        with pytest.raises(ConfigError, match="'lambda' must be"):
+            ablation_variants(small_config(), (0,),
+                              grid + (("bad", {"lam": -1.0}),))
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
